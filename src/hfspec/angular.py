@@ -10,14 +10,13 @@ negative-q operator is therefore tied to this choice.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from numpy.typing import NDArray
 
 #: Stevens operators provided, sufficient for an S4-symmetric crystal field.
 SUPPORTED_STEVENS = ((2, 0), (4, 0), (4, 4), (4, -4), (6, 0), (6, 4), (6, -4))
-
-HERMITICITY_TOL = 1e-12
 
 
 def _check_spin(value: float, name: str = "j") -> float:
@@ -96,9 +95,6 @@ class OperatorMatrix:
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
-
-    def is_hermitian(self, tol: float = HERMITICITY_TOL) -> bool:
-        return bool(np.max(np.abs(self.matrix - self.matrix.conj().T)) <= tol)
 
     def hermiticity_defect(self) -> float:
         return float(np.max(np.abs(self.matrix - self.matrix.conj().T)))
@@ -183,3 +179,57 @@ def build_stevens(k: int, q: int, j: float) -> OperatorMatrix:
             mat = 0.25 * (ladder @ core + core @ ladder)
 
     return OperatorMatrix(mat, _m_basis(j))
+
+
+# Cached operator arrays.  The forward model needs the same few operators on
+# every call; these build each one once per j (or per (j, i)) and hand out the
+# same read-only array, bit-identical to the matrix of the matching build_*
+# function (layout included, so products with it round the same way).
+
+
+@lru_cache(maxsize=8)
+def jz_matrix(j: float) -> NDArray[np.complex128]:
+    """Cached, read-only ``build_jz(j).matrix``."""
+    return build_jz(j).matrix
+
+
+@lru_cache(maxsize=8)
+def jplus_matrix(j: float) -> NDArray[np.complex128]:
+    """Cached, read-only ``build_jplus(j).matrix``."""
+    return build_jplus(j).matrix
+
+
+@lru_cache(maxsize=8)
+def jminus_matrix(j: float) -> NDArray[np.complex128]:
+    """Cached, read-only J-, the conjugate-transpose view of ``jplus_matrix(j)``."""
+    return _frozen(jplus_matrix(j).conj()).T
+
+
+@lru_cache(maxsize=64)
+def stevens_matrix(k: int, q: int, j: float) -> NDArray[np.complex128]:
+    """Cached, read-only ``build_stevens(k, q, j).matrix``."""
+    return build_stevens(k, q, j).matrix
+
+
+@lru_cache(maxsize=8)
+def jdoti_matrix(j: float, i: float) -> NDArray[np.complex128]:
+    """Cached, read-only J.I = J_z I_z + (J+ I- + J- I+)/2 on the (M, m_z) product basis."""
+    jz, jp = jz_matrix(j), jplus_matrix(j)
+    iz, ip = jz_matrix(i), jplus_matrix(i)
+    return _frozen(
+        np.kron(jz, iz)
+        + 0.5 * (np.kron(jp, ip.conj().T) + np.kron(jp.conj().T, ip))
+    )
+
+
+@lru_cache(maxsize=8)
+def quadrupole_matrix(j: float, i: float) -> NDArray[np.complex128]:
+    """Cached, read-only 3 (J.I)^2 + 3/2 J.I - I(I+1) J(J+1) on the product basis."""
+    jdoti = jdoti_matrix(j, i)
+    eye = np.eye(jdoti.shape[0])
+    return _frozen(3 * jdoti @ jdoti + 1.5 * jdoti - i * (i + 1) * j * (j + 1) * eye)
+
+
+def _frozen(mat: NDArray) -> NDArray:
+    mat.setflags(write=False)
+    return mat

@@ -26,7 +26,14 @@ import numpy as np
 from numpy.typing import NDArray
 from scipy.optimize import linear_sum_assignment
 
-from .angular import OperatorMatrix, SpinSystem, build_jplus, build_jz, build_stevens
+from .angular import (
+    OperatorMatrix,
+    SpinSystem,
+    jdoti_matrix,
+    jz_matrix,
+    quadrupole_matrix,
+    stevens_matrix,
+)
 
 #: sector (M mod 4) of the sigma = +1 doublet branch
 SIGMA_PLUS_SECTOR = 3
@@ -36,6 +43,11 @@ SIGMA_MINUS_SECTOR = 1
 DEGENERACY_TOL = 1e-6
 #: maximum tolerated eigenvector weight outside its M mod 4 sector
 SECTOR_PURITY_TOL = 1e-8
+#: electron-nuclear eigenvalues closer than this (cm^-1) form one energy
+#: cluster when label confidence is judged.  Kept apart from DEGENERACY_TOL:
+#: widening it changes which states are pooled, and with them which
+#: parameter points are refused as unlabelable.
+HF_CLUSTER_GAP = 1e-7
 
 
 class SymmetryError(ValueError):
@@ -144,7 +156,7 @@ def build_cf_hamiltonian(params: CFParameters, system: SpinSystem) -> OperatorMa
     mat = np.zeros((dim, dim), dtype=complex)
     for k, q, value in params.terms():
         if value != 0.0:
-            mat = mat + value * build_stevens(k, q, system.j).matrix
+            mat = mat + value * stevens_matrix(k, q, system.j)
     return OperatorMatrix(mat, tuple(system.m_j))
 
 
@@ -159,25 +171,14 @@ def build_hf_hamiltonian(hf: HyperfineConstants, system: SpinSystem) -> Operator
     undefined for i < 1 or j < 1 and requires b_quad = 0 there.
     """
     j, i = system.j, system.i
-    jz = build_jz(j).matrix
-    jp = build_jplus(j).matrix
-    iz = build_jz(i).matrix
-    ip = build_jplus(i).matrix
-    jdoti = (
-        np.kron(jz, iz)
-        + 0.5 * (np.kron(jp, ip.conj().T) + np.kron(jp.conj().T, ip))
-    )
-    mat = hf.a_j * jdoti
+    mat = hf.a_j * jdoti_matrix(j, i)
     if hf.b_quad != 0.0:
         denom = 2 * i * (2 * i - 1) * j * (2 * j - 1)
         if denom == 0.0:
             raise ValueError(
                 f"quadrupolar coupling requires i >= 1 and j >= 1, got j={j}, i={i}"
             )
-        eye = np.eye(system.dim)
-        mat = mat + (hf.b_quad / denom) * (
-            3 * jdoti @ jdoti + 1.5 * jdoti - i * (i + 1) * j * (j + 1) * eye
-        )
+        mat = mat + (hf.b_quad / denom) * quadrupole_matrix(j, i)
     basis = tuple((mj, mi) for mj in system.m_j for mi in system.m_i)
     return OperatorMatrix(mat, basis)
 
@@ -202,7 +203,7 @@ def _sectors(system: SpinSystem) -> NDArray[np.int64]:
 
 
 def _sector_weights(vec: NDArray[np.complex128], sectors: NDArray[np.int64]) -> NDArray[np.float64]:
-    return np.array([np.sum(np.abs(vec[sectors == s]) ** 2) for s in range(4)])
+    return np.bincount(sectors, weights=np.abs(vec) ** 2, minlength=4)
 
 
 def _split_cluster_by_sector(
@@ -219,8 +220,12 @@ def _split_cluster_by_sector(
     members: dict[int, list[NDArray[np.complex128]]] = {}
     total = 0
     for s in range(4):
+        in_sector = sectors == s
+        # sigma_max <= Frobenius norm, so such a sector has no member
+        if np.linalg.norm(vecs[in_sector, :]) <= 0.5:
+            continue
         proj = np.zeros_like(vecs)
-        proj[sectors == s, :] = vecs[sectors == s, :]
+        proj[in_sector, :] = vecs[in_sector, :]
         u, sv, _ = np.linalg.svd(proj, full_matrices=False)
         count = int(np.sum(sv > 0.5))
         if count:
@@ -270,7 +275,7 @@ def classify_levels(
     tolerance, which signals a symmetry-breaking Hamiltonian.
     """
     sectors = _sectors(system)
-    jz = build_jz(system.j).matrix
+    jz = jz_matrix(system.j)
     shifted = eigvals - eigvals[0]
 
     clusters: list[list[int]] = []
@@ -337,6 +342,27 @@ def cf_levels(params: CFParameters, system: SpinSystem) -> list[CFLevel]:
     return classify_levels(eigvals, eigvecs, system)
 
 
+def _product_overlaps(
+    levels: list[CFLevel], eigvecs: NDArray[np.complex128], system: SpinSystem
+) -> tuple[list[tuple[int, int, float]], NDArray[np.float64]]:
+    """Labels (n, sigma, m_z) of the CF x nuclear product states, and the
+    squared overlap of each with each eigenvector (labels x eigenstates).
+
+    Labels run over levels, then branches (sigma = +1 first), then m_z
+    ascending.  <vec x e_k|u> = sum over M of conj(vec[M]) u[M dim_i + k], so
+    one product of the branch vectors with the eigenvectors regrouped by the
+    electronic index M gives every overlap.
+    """
+    labels: list[tuple[int, int, float]] = []
+    branch_vectors = []
+    for level in levels:
+        for sigma in level.branches():
+            branch_vectors.append(level.vectors[sigma])
+            labels.extend((level.n, sigma, float(m_z)) for m_z in system.m_i)
+    amp = np.array(branch_vectors).conj() @ eigvecs.reshape(system.dim_j, -1)
+    return labels, np.abs(amp.reshape(len(labels), -1)) ** 2
+
+
 def hf_levels_exact(
     params: CFParameters,
     hf: HyperfineConstants,
@@ -365,42 +391,27 @@ def hf_levels_exact(
     eigvals, eigvecs = np.linalg.eigh(full)
     eigvals = eigvals - e_ground
 
-    labels: list[tuple[int, int, float]] = []
-    columns = []
-    for level in levels:
-        for sigma in level.branches():
-            vec = level.vectors[sigma]
-            for k, m_z in enumerate(system.m_i):
-                nuclear = np.zeros(system.dim_i)
-                nuclear[k] = 1.0
-                columns.append(np.kron(vec, nuclear))
-                labels.append((level.n, sigma, float(m_z)))
-    product = np.array(columns)  # (n_labels, dim)
-
-    overlaps = np.abs(product.conj() @ eigvecs) ** 2  # labels x eigenstates
+    labels, overlaps = _product_overlaps(levels, eigvecs, system)
     rows, cols = linear_sum_assignment(-overlaps)
 
     # Confidence is judged per degenerate cluster: mixing among eigenstates of
     # equal energy (Kramers pairs, or whole blocks at zero coupling) cannot
     # change any assigned energy, so the label weight is summed over the
     # cluster holding the assigned eigenstate.
-    cluster_of = np.zeros(len(eigvals), dtype=int)
-    current = 0
-    for k in range(1, len(eigvals)):
-        if eigvals[k] - eigvals[k - 1] > 1e-7:
-            current += 1
-        cluster_of[k] = current
-    for row, col in zip(rows, cols):
-        members = cluster_of == cluster_of[col]
-        confidence = float(np.sum(overlaps[row, members]))
-        if confidence < min_overlap:
-            n, sigma, m_z = labels[row]
-            raise LabelingError(
-                f"ambiguous labelling: state (n={n}, sigma={sigma:+d}, m_z={m_z}) "
-                f"has weight {confidence:.3f} < {min_overlap} on its assigned "
-                "energy cluster; hyperfine constants too large for perturbative "
-                "labelling"
-            )
+    cluster_of = np.concatenate(([0], np.cumsum(np.diff(eigvals) > HF_CLUSTER_GAP)))
+    cluster_weight = np.zeros((cluster_of[-1] + 1, len(labels)))
+    np.add.at(cluster_weight, cluster_of, overlaps.T)
+    confidence = cluster_weight[cluster_of[cols], rows]
+    failing = np.flatnonzero(confidence < min_overlap)
+    if failing.size:
+        first = failing[0]
+        n, sigma, m_z = labels[rows[first]]
+        raise LabelingError(
+            f"ambiguous labelling: state (n={n}, sigma={sigma:+d}, m_z={m_z}) "
+            f"has weight {confidence[first]:.3f} < {min_overlap} on its assigned "
+            "energy cluster; hyperfine constants too large for perturbative "
+            "labelling"
+        )
 
     by_level = {lv.n: lv for lv in levels}
     out = []

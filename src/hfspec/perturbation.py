@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .angular import SpinSystem, build_jplus, build_jz
+from .angular import SpinSystem, jminus_matrix, jplus_matrix, jz_matrix
 from .hamiltonian import CFLevel, HyperfineConstants, hf_levels_exact
 
 
@@ -68,9 +68,7 @@ def _level(levels: list[CFLevel], n: int) -> CFLevel:
 def _operators(levels: list[CFLevel]):
     dim = len(levels[0].vectors[+1])
     j = (dim - 1) / 2.0
-    jz = build_jz(j).matrix
-    jp = build_jplus(j).matrix
-    return j, jz, jp, jp.conj().T
+    return j, jz_matrix(j), jplus_matrix(j), jminus_matrix(j)
 
 
 def _ladder_factors(i: float, m_z: float) -> tuple[float, float]:
@@ -89,6 +87,50 @@ def _quadrupole_term(
     return b_quad * o20 / denom * (3 * m_z**2 - i * (i + 1))
 
 
+def _delta_over_m(
+    n: int,
+    sigma: int,
+    m_z: NDArray[np.float64],
+    levels: list[CFLevel],
+    hf: HyperfineConstants,
+    system: SpinSystem,
+) -> NDArray[np.float64]:
+    """``delta_full`` at every nuclear projection in the array ``m_z`` at once.
+
+    The matrix elements are computed once per intermediate state; the sum
+    over states runs in level order, as a scalar evaluation at each m_z
+    would, so every entry is bit-identical to the one-m_z result.
+    """
+    level = _level(levels, n)
+    if sigma not in level.vectors:
+        raise ValueError(f"level {n} has no sigma={sigma:+d} branch")
+    j, jz, jp, jm = _operators(levels)
+    psi = level.vectors[sigma]
+    jz_psi, jm_psi, jp_psi = jz @ psi, jm @ psi, jp @ psi
+    fm, fp = _ladder_factors(system.i, m_z)
+    m2 = m_z**2
+
+    delta = hf.a_j * level.jz_branch(sigma) * m_z
+    for other in levels:
+        if other.n == n:
+            continue
+        de = level.energy - other.energy
+        if abs(de) < 1e-9:
+            raise ZeroDivisionError(
+                f"levels {n} and {other.n} are degenerate: perturbative "
+                "correction diverges"
+            )
+        for sig2 in other.branches():
+            phi = other.vectors[sig2]
+            el_z = abs(np.vdot(phi, jz_psi)) ** 2
+            el_m = abs(np.vdot(phi, jm_psi)) ** 2
+            el_p = abs(np.vdot(phi, jp_psi)) ** 2
+            delta += (hf.a_j**2 / de) * (
+                el_z * m2 + 0.25 * el_m * fm + 0.25 * el_p * fp
+            )
+    return delta + _quadrupole_term(psi, jz, j, system.i, hf.b_quad, m_z)
+
+
 def delta_full(
     n: int,
     sigma: int,
@@ -103,32 +145,7 @@ def delta_full(
     doublet and singlet forms once the selection rules zero the forbidden
     matrix elements.
     """
-    level = _level(levels, n)
-    if sigma not in level.vectors:
-        raise ValueError(f"level {n} has no sigma={sigma:+d} branch")
-    j, jz, jp, jm = _operators(levels)
-    psi = level.vectors[sigma]
-
-    delta = hf.a_j * level.jz_branch(sigma) * m_z
-    for other in levels:
-        if other.n == n:
-            continue
-        de = level.energy - other.energy
-        if abs(de) < 1e-9:
-            raise ZeroDivisionError(
-                f"levels {n} and {other.n} are degenerate: perturbative "
-                "correction diverges"
-            )
-        fm, fp = _ladder_factors(system.i, m_z)
-        for sig2 in other.branches():
-            phi = other.vectors[sig2]
-            el_z = abs(np.vdot(phi, jz @ psi)) ** 2
-            el_m = abs(np.vdot(phi, jm @ psi)) ** 2
-            el_p = abs(np.vdot(phi, jp @ psi)) ** 2
-            delta += (hf.a_j**2 / de) * (
-                el_z * m_z**2 + 0.25 * el_m * fm + 0.25 * el_p * fp
-            )
-    return delta + _quadrupole_term(psi, jz, j, system.i, hf.b_quad, m_z)
+    return float(_delta_over_m(n, sigma, np.asarray(m_z, dtype=float), levels, hf, system))
 
 
 def delta_doublet(
@@ -284,8 +301,7 @@ def lambda_from_model(
     m = system.m_i
     out = []
     for n in (1, 2, 3):
-        deltas = np.array([delta_full(n, +1, mz, levels, hf, system) for mz in m])
-        out.append(2 * quadratic_m2_coefficient(m, deltas))
+        out.append(2 * quadratic_m2_coefficient(m, _delta_over_m(n, +1, m, levels, hf, system)))
     return LambdaCoefficients(*out)
 
 

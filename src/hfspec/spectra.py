@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .angular import build_jplus, build_jz
+from .angular import jminus_matrix, jplus_matrix, jz_matrix
 from .hamiltonian import CFLevel, HFLevel
 
 #: Boltzmann constant in spectroscopic units
@@ -134,11 +134,11 @@ def _moment_factor(
     vf = by_n[n_final].vectors[sf]
     j = (len(vi) - 1) / 2.0
     if mode == "jz":
-        return float(abs(np.vdot(vf, build_jz(j).matrix @ vi)) ** 2)
+        return float(abs(np.vdot(vf, jz_matrix(j) @ vi)) ** 2)
     if mode == "jpm":
-        jp = build_jplus(j).matrix
         return float(
-            abs(np.vdot(vf, jp @ vi)) ** 2 + abs(np.vdot(vf, jp.conj().T @ vi)) ** 2
+            abs(np.vdot(vf, jplus_matrix(j) @ vi)) ** 2
+            + abs(np.vdot(vf, jminus_matrix(j) @ vi)) ** 2
         )
     raise ValueError(f"unknown intensity mode {mode!r}")
 

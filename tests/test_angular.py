@@ -9,6 +9,12 @@ from hfspec.angular import (
     build_jplus,
     build_jz,
     build_stevens,
+    jdoti_matrix,
+    jminus_matrix,
+    jplus_matrix,
+    jz_matrix,
+    quadrupole_matrix,
+    stevens_matrix,
 )
 
 SPINS = [0.5, 1.0, 1.5, 2.0, 3.5, 8.0]
@@ -124,3 +130,32 @@ def test_operator_matrix_validation():
     op = OperatorMatrix(np.eye(2), (-0.5, 0.5))
     with pytest.raises(ValueError):
         op.matrix[0, 0] = 5.0
+
+
+def test_cached_operators_equal_built_ones():
+    j = 8.0
+    assert np.array_equal(jz_matrix(j), build_jz(j).matrix)
+    assert np.array_equal(jplus_matrix(j), build_jplus(j).matrix)
+    assert np.array_equal(jminus_matrix(j), build_jminus(j).matrix)
+    for k, q in SUPPORTED_STEVENS:
+        assert np.array_equal(stevens_matrix(k, q, j), build_stevens(k, q, j).matrix)
+    assert jz_matrix(j) is jz_matrix(j)
+
+
+def test_cached_operators_reject_writes():
+    cached = (
+        jz_matrix(8.0),
+        jplus_matrix(8.0),
+        jminus_matrix(8.0),
+        stevens_matrix(6, 4, 8.0),
+        jdoti_matrix(8.0, 3.5),
+        quadrupole_matrix(8.0, 3.5),
+    )
+    for mat in cached:
+        with pytest.raises(ValueError):
+            mat[0, 0] = 1.0
+
+
+def test_cached_operator_rejects_invalid_spin():
+    with pytest.raises(ValueError):
+        jz_matrix(0.3)

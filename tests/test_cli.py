@@ -81,6 +81,29 @@ def test_levels_deterministic(tmp_path):
     assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("hf", "--transition", "8.1-8.2", "--compare"),
+        ("fit", "--mode", "cf_aj", "--dataset", str(bundled_path(MEASURED_LINES))),
+        ("fit", "--mode", "b", "--dataset", str(bundled_path(MEASURED_LINES))),
+        ("analyze",),
+        ("synth",),
+    ],
+    ids=["hf", "fit_cf_aj", "fit_b", "analyze", "synth"],
+)
+def test_every_command_deterministic(tmp_path, args):
+    """Two runs in one process write identical bytes: no state carried over
+    in the cached operators leaks from one command into the next."""
+    outputs = []
+    for name in ("a.out", "b.out"):
+        result = invoke(*args, "--output", str(tmp_path / name))
+        assert result.exit_code == 0
+        outputs.append((tmp_path / name).read_bytes())
+    assert outputs[0] == outputs[1]
+    assert outputs[0]
+
+
 def test_unknown_config_key_rejected(tmp_path):
     config = tmp_path / "bad.ini"
     config.write_text("[meta]\nschema_version = 1\n\n[cf]\nb99 = 1.0\n")

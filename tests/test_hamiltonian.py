@@ -216,3 +216,18 @@ def test_selection_rules_on_reference_eigenbasis(levels, system):
                 assert abs(np.vdot(va, jz @ vb)) < 1e-10
             if sa != (sb + 1) % 4:
                 assert abs(np.vdot(va, jp @ vb)) < 1e-10
+
+
+def test_hf_hamiltonian_equals_inline_assembly(hyperfine, system):
+    """The cached J.I and quadrupole operators leave every bit of H_HF as the
+    expression written out from the operator builders."""
+    j, i = system.j, system.i
+    jz, jp = build_jz(j).matrix, build_jplus(j).matrix
+    iz, ip = build_jz(i).matrix, build_jplus(i).matrix
+    jdoti = np.kron(jz, iz) + 0.5 * (np.kron(jp, ip.conj().T) + np.kron(jp.conj().T, ip))
+    denom = 2 * i * (2 * i - 1) * j * (2 * j - 1)
+    eye = np.eye(system.dim)
+    expected = hyperfine.a_j * jdoti + (hyperfine.b_quad / denom) * (
+        3 * jdoti @ jdoti + 1.5 * jdoti - i * (i + 1) * j * (j + 1) * eye
+    )
+    assert np.array_equal(build_hf_hamiltonian(hyperfine, system).matrix, expected)

@@ -1,0 +1,124 @@
+"""Property tests over random S4 parameter sets around the Ho:LiYF4 reference."""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from hfspec import CF_HO_LIYF4, HO_LIYF4, HYPERFINE_HO_LIYF4
+from hfspec.hamiltonian import (
+    CFParameters,
+    HyperfineConstants,
+    LabelingError,
+    _product_overlaps,
+    build_cf_hamiltonian,
+    build_hf_hamiltonian,
+    cf_levels,
+    hf_levels_exact,
+)
+from hfspec.angular import build_jplus, build_jz
+from hfspec.perturbation import delta_full, lambda_from_model, quadratic_m2_coefficient
+
+CF_NAMES = ("b20", "b40", "b44", "b60", "b64")
+
+scale = st.floats(min_value=0.95, max_value=1.05)
+#: CF coefficients and a_j within 5 % of the reference, b_quad near 0.04, and
+#: a small b6m4 (zero at the reference), which makes H_CF complex
+s4_points = st.tuples(
+    st.tuples(*[scale] * len(CF_NAMES)),
+    scale,
+    st.floats(min_value=0.03, max_value=0.05),
+    st.floats(min_value=-0.1, max_value=0.1),
+)
+
+property_settings = settings(max_examples=30, deadline=None, derandomize=True, database=None)
+
+
+def _model(point):
+    cf_scale, aj_scale, b_quad, b6m4_share = point
+    ref = CF_HO_LIYF4
+    values = {name: getattr(ref, name) * f for name, f in zip(CF_NAMES, cf_scale)}
+    cf = CFParameters(b6m4=ref.b64 * b6m4_share, b4m4=ref.b4m4, **values)
+    return cf, HyperfineConstants(HYPERFINE_HO_LIYF4.a_j * aj_scale, b_quad)
+
+
+@property_settings
+@given(s4_points)
+def test_labels_unique_and_kramers_paired(point):
+    cf, hf = _model(point)
+    system = HO_LIYF4
+    try:
+        hf_levels = hf_levels_exact(cf, hf, system)
+    except LabelingError:
+        return
+    labels = {(h.n, h.sigma, h.m_z) for h in hf_levels}
+    assert len(hf_levels) == len(labels) == system.dim
+    energy = {(h.n, h.sigma, h.m_z): h.energy for h in hf_levels}
+    for level in cf_levels(cf, system):
+        if level.degeneracy == 2:
+            for m in system.m_i:
+                assert abs(energy[(level.n, +1, m)] - energy[(level.n, -1, -m)]) <= 1e-9
+
+
+def _delta_loop(n, m_z, levels, hf, system):
+    """Reference: the second-order correction of the sigma = +1 branch at one
+    m_z, summed state by state in level order with freshly built operators."""
+    level = next(lv for lv in levels if lv.n == n)
+    jz = build_jz(system.j).matrix
+    jp = build_jplus(system.j).matrix
+    jm = jp.conj().T
+    psi = level.vectors[+1]
+    ii1 = system.i * (system.i + 1)
+    fm, fp = ii1 - m_z * (m_z + 1), ii1 - m_z * (m_z - 1)
+    delta = hf.a_j * level.jz_branch(+1) * m_z
+    for other in levels:
+        if other.n == n:
+            continue
+        de = level.energy - other.energy
+        for sig2 in other.branches():
+            phi = other.vectors[sig2]
+            el_z = abs(np.vdot(phi, jz @ psi)) ** 2
+            el_m = abs(np.vdot(phi, jm @ psi)) ** 2
+            el_p = abs(np.vdot(phi, jp @ psi)) ** 2
+            delta += (hf.a_j**2 / de) * (el_z * m_z**2 + 0.25 * el_m * fm + 0.25 * el_p * fp)
+    j, i = system.j, system.i
+    o20 = float(np.real(psi.conj() @ (3 * jz @ jz) @ psi)) - j * (j + 1)
+    denom = 4 * i * (2 * i - 1) * j * (2 * j - 1)
+    return delta + hf.b_quad * o20 / denom * (3 * m_z**2 - i * (i + 1))
+
+
+@property_settings
+@given(s4_points)
+def test_lambda_from_model_equals_per_m_regression(point):
+    """All m_z at once gives the bits of a state-by-state sum at each m_z."""
+    cf, hf = _model(point)
+    system = HO_LIYF4
+    levels = cf_levels(cf, system)
+    m = system.m_i
+    per_m = {n: [_delta_loop(n, mz, levels, hf, system) for mz in m] for n in (1, 2, 3)}
+    for n in (1, 2, 3):
+        assert [delta_full(n, +1, mz, levels, hf, system) for mz in m] == per_m[n]
+    expected = tuple(2 * quadratic_m2_coefficient(m, per_m[n]) for n in (1, 2, 3))
+    assert lambda_from_model(levels, hf, system).as_tuple() == expected
+
+
+@property_settings
+@given(s4_points)
+def test_product_overlaps_equal_kron_columns(point):
+    cf, hf = _model(point)
+    system = HO_LIYF4
+    eye = np.eye(system.dim_i)
+    full = np.kron(build_cf_hamiltonian(cf, system).matrix, eye) + build_hf_hamiltonian(hf, system).matrix
+    _, eigvecs = np.linalg.eigh(full)
+    levels = cf_levels(cf, system)
+
+    labels, overlaps = _product_overlaps(levels, eigvecs, system)
+
+    columns, expected_labels = [], []
+    for level in levels:
+        for sigma in level.branches():
+            for k, m_z in enumerate(system.m_i):
+                columns.append(np.kron(level.vectors[sigma], eye[k]))
+                expected_labels.append((level.n, sigma, float(m_z)))
+    expected = np.abs(np.array(columns).conj() @ eigvecs) ** 2
+    assert labels == expected_labels
+    np.testing.assert_allclose(overlaps, expected, rtol=0, atol=1e-13)
