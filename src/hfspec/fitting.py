@@ -25,14 +25,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .angular import SpinSystem
-from .hamiltonian import (
-    CFLevel,
-    CFParameters,
-    HyperfineConstants,
-    LabelingError,
-    cf_levels,
-    hf_levels_exact,
-)
+from .hamiltonian import CFLevel, CFParameters, HyperfineConstants, cf_levels, hf_levels_exact
 
 CF_AJ_PARAM_NAMES = ("b20", "b40", "b44", "b60", "b64", "b6m4", "a_j")
 
@@ -138,13 +131,8 @@ class LSQSolution:
     x_scale: NDArray[np.float64]
 
 
-def numerical_jacobian(fun, x, x_scale, rel_step: float = 1e-6, r0=None):
-    """Central-difference Jacobian of a residual vector function.
-
-    With ``r0 = fun(x)`` given, a column whose probe on one side leaves the
-    model's domain (non-finite residuals) falls back to the one-sided
-    difference on the other side.
-    """
+def numerical_jacobian(fun, x, x_scale, rel_step: float = 1e-6):
+    """Central-difference Jacobian of a residual vector function."""
     x = np.asarray(x, dtype=float)
     columns = []
     for k in range(len(x)):
@@ -153,13 +141,7 @@ def numerical_jacobian(fun, x, x_scale, rel_step: float = 1e-6, r0=None):
         xm = x.copy()
         xp[k] += h
         xm[k] -= h
-        rp, rm = fun(xp), fun(xm)
-        if r0 is not None and not np.all(np.isfinite(rp)):
-            columns.append((r0 - rm) / h)
-        elif r0 is not None and not np.all(np.isfinite(rm)):
-            columns.append((rp - r0) / h)
-        else:
-            columns.append((rp - rm) / (2.0 * h))
+        columns.append((fun(xp) - fun(xm)) / (2.0 * h))
     return np.array(columns).T
 
 
@@ -201,7 +183,7 @@ def damped_least_squares(
     mu = 1e-3
 
     for iteration in range(1, max_iter + 1):
-        jac = numerical_jacobian(fun, x, x_scale, jac_rel_step, r)
+        jac = numerical_jacobian(fun, x, x_scale, jac_rel_step)
         gradient = jac.T @ r
         normal = jac.T @ jac
         diag = np.diag(normal)
@@ -243,7 +225,7 @@ def damped_least_squares(
     else:
         raise ConvergenceError(f"iteration cap {max_iter} exceeded")
 
-    jac = numerical_jacobian(fun, x, x_scale, jac_rel_step, r)
+    jac = numerical_jacobian(fun, x, x_scale, jac_rel_step)
     return LSQSolution(x, r, chi2, jac, iteration, tuple(history), x_scale.copy())
 
 
@@ -450,23 +432,15 @@ def fit_b(
     """One-parameter fit of the quadrupolar constant at fixed CF parameters.
 
     Each objective evaluation diagonalizes the full electron-nuclear
-    Hamiltonian; see ``predict_lines_exact``.  A step to a b_quad whose
-    spectrum cannot be labelled is rejected by the optimizer (non-finite
-    residuals), which raises the damping; only a starting point that cannot
-    be labelled raises LabelingError.
+    Hamiltonian; see ``predict_lines_exact``.
     """
     sigmas = np.array([row.sigma for row in dataset.rows])
     data = np.array([row.value for row in dataset.rows])
 
     def residual(x: NDArray[np.float64]) -> NDArray[np.float64]:
-        try:
-            predicted = predict_lines_exact(
-                params, HyperfineConstants(a_j, float(x[0])), dataset.rows, system
-            )
-        except LabelingError:
-            if x[0] == initial_b:
-                raise
-            return np.full_like(data, np.inf)
+        predicted = predict_lines_exact(
+            params, HyperfineConstants(a_j, float(x[0])), dataset.rows, system
+        )
         return (data - predicted) / sigmas
 
     x_scale = np.array([max(abs(initial_b), 1e-3)])

@@ -398,10 +398,11 @@ def hf_levels_exact(
     # equal energy (Kramers pairs, or whole blocks at zero coupling) cannot
     # change any assigned energy, so the label weight is summed over the
     # cluster holding the assigned eigenstate.
-    cluster_of = np.concatenate(([0], np.cumsum(np.diff(eigvals) > HF_CLUSTER_GAP)))
-    cluster_weight = np.zeros((cluster_of[-1] + 1, len(labels)))
-    np.add.at(cluster_weight, cluster_of, overlaps.T)
-    confidence = cluster_weight[cluster_of[cols], rows]
+    # Eigenvalues ascend, so each cluster is a contiguous run of columns.
+    new_cluster = np.concatenate(([True], np.diff(eigvals) > HF_CLUSTER_GAP))
+    cluster_of = np.cumsum(new_cluster) - 1
+    cluster_weight = np.add.reduceat(overlaps, np.flatnonzero(new_cluster), axis=1)
+    confidence = cluster_weight[rows, cluster_of[cols]]
     failing = np.flatnonzero(confidence < min_overlap)
     if failing.size:
         first = failing[0]
