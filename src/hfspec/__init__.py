@@ -30,7 +30,6 @@ from .hamiltonian import (
     hf_levels_exact,
 )
 from .perturbation import (
-    KCorrection,
     LambdaCoefficients,
     delta_doublet,
     delta_full,

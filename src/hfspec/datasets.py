@@ -17,12 +17,8 @@ from pathlib import Path
 import numpy as np
 
 from .config import parse_half_integer, parse_transition_label, ConfigError
-from .fitting import ObservationRow, TransitionDataset
+from .fitting import DatasetError, ObservationRow, TransitionDataset
 from .spectra import Spectrum
-
-
-class DatasetError(ValueError):
-    """A dataset file failed to parse; the message carries the row number."""
 
 
 def _rows_with_numbers(path: Path):

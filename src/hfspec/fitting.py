@@ -19,7 +19,7 @@ the spectrum is stationary) are reported as unidentifiable with infinite
 error rather than silently inverted.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from numpy.typing import NDArray
@@ -34,6 +34,10 @@ ROW_KINDS = ("hf", "cf", "moment")
 
 class ConvergenceError(RuntimeError):
     """The optimizer hit its iteration cap or could not find a downhill step."""
+
+
+class DatasetError(ValueError):
+    """A dataset is malformed or cannot constrain the fit; file errors carry the row number."""
 
 
 @dataclass(frozen=True)
@@ -63,6 +67,10 @@ class ObservationRow:
             raise ValueError("hf rows need both a final level and an m_z")
         if self.kind == "cf" and self.n_final is None:
             raise ValueError("cf rows need a final level")
+        if self.n_init < 1 or (self.n_final is not None and self.n_final < 1):
+            raise ValueError(
+                f"level indices must be >= 1, got {self.n_init} and {self.n_final}"
+            )
 
 
 @dataclass
@@ -279,6 +287,13 @@ def _build_result(
     )
 
 
+def _check_level_range(rows: list[ObservationRow], n_levels: int) -> None:
+    """Every level a row names must be one of the CF levels 1..n_levels."""
+    for k, row in enumerate(rows):
+        if row.n_init > n_levels or (row.n_final is not None and row.n_final > n_levels):
+            raise DatasetError(f"row {k}: level index out of range (have 1..{n_levels})")
+
+
 def predict_lines_first_order(
     params: CFParameters,
     a_j: float,
@@ -295,13 +310,10 @@ def predict_lines_first_order(
     """
     if levels is None:
         levels = cf_levels(params, system)
+    _check_level_range(rows, len(levels))
     by_n = {lv.n: lv for lv in levels}
     out = np.empty(len(rows))
     for k, row in enumerate(rows):
-        if row.n_init not in by_n or (row.n_final is not None and row.n_final not in by_n):
-            raise ValueError(
-                f"row {k}: level index out of range (have 1..{len(levels)})"
-            )
         if row.kind == "moment":
             out[k] = by_n[row.n_init].jz_expect
             continue
@@ -336,32 +348,17 @@ def fit_cf_aj(
     if not free:
         raise ValueError("all parameters are fixed")
     if len(dataset.rows) <= len(free):
-        raise ValueError(
+        raise DatasetError(
             f"{len(dataset.rows)} rows cannot constrain {len(free)} parameters"
         )
 
-    full0 = {name: getattr(initial, name) for name in CF_AJ_PARAM_NAMES[:-1]}
-    full0["a_j"] = initial_aj
+    full0 = dict(initial.items(), a_j=initial_aj)
     values = np.array([full0[n] for n in free])
     sigmas = np.array([row.sigma for row in dataset.rows])
     data = np.array([row.value for row in dataset.rows])
 
-    def assemble(xfree: NDArray[np.float64]) -> tuple[CFParameters, float]:
-        current = dict(full0)
-        current.update({n: v for n, v in zip(free, xfree)})
-        cf = CFParameters(
-            b20=current["b20"],
-            b40=current["b40"],
-            b44=current["b44"],
-            b60=current["b60"],
-            b64=current["b64"],
-            b6m4=current["b6m4"],
-            b4m4=initial.b4m4,
-        )
-        return cf, current["a_j"]
-
     def residual(xfree: NDArray[np.float64]) -> NDArray[np.float64]:
-        cf, a_j = assemble(xfree)
+        cf, a_j = _merge_cf_aj(initial, initial_aj, dict(zip(free, xfree)))
         return (data - predict_lines_first_order(cf, a_j, dataset.rows, system)) / sigmas
 
     x_scale = np.maximum(np.abs(values), 1e-8)
@@ -369,23 +366,19 @@ def fit_cf_aj(
     return _build_result(free, solution, len(dataset.rows))
 
 
+def _merge_cf_aj(
+    template: CFParameters, template_aj: float, values: dict[str, float]
+) -> tuple[CFParameters, float]:
+    """``template`` and ``template_aj`` with the named fitted values put in."""
+    cf_values = {name: v for name, v in values.items() if name != "a_j"}
+    return replace(template, **cf_values), values.get("a_j", template_aj)
+
+
 def cf_parameters_from_result(
     result: FitResult, template: CFParameters, template_aj: float
 ) -> tuple[CFParameters, float]:
     """Merge fitted values back into a full parameter set."""
-    current = {name: getattr(template, name) for name in CF_AJ_PARAM_NAMES[:-1]}
-    current["a_j"] = template_aj
-    current.update(result.params)
-    cf = CFParameters(
-        b20=current["b20"],
-        b40=current["b40"],
-        b44=current["b44"],
-        b60=current["b60"],
-        b64=current["b64"],
-        b6m4=current["b6m4"],
-        b4m4=template.b4m4,
-    )
-    return cf, current["a_j"]
+    return _merge_cf_aj(template, template_aj, result.params)
 
 
 def predict_lines_exact(
@@ -403,6 +396,7 @@ def predict_lines_exact(
     labelled = hf_levels_exact(params, hf, system)
     energy = {(h.n, h.sigma, h.m_z): h.energy for h in labelled}
     base_levels = cf_levels(params, system)
+    _check_level_range(rows, len(base_levels))
     out = np.empty(len(rows))
     for k, row in enumerate(rows):
         if row.kind == "moment":

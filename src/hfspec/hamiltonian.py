@@ -24,7 +24,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy.optimize import linear_sum_assignment
 
 from .angular import (
     OperatorMatrix,
@@ -340,6 +339,74 @@ def cf_levels(params: CFParameters, system: SpinSystem) -> list[CFLevel]:
     """Diagonalize H_CF and classify: the standard entry point."""
     eigvals, eigvecs = diagonalize(build_cf_hamiltonian(params, system))
     return classify_levels(eigvals, eigvecs, system)
+
+
+def linear_sum_assignment(
+    cost: NDArray[np.float64],
+) -> tuple[NDArray[np.int64], NDArray[np.int64]]:
+    """Minimum-cost one-to-one assignment of the rows of a square matrix to its columns.
+
+    Returns (rows, cols) with row rows[k] assigned column cols[k], as
+    scipy.optimize.linear_sum_assignment does.  Shortest augmenting paths
+    (Jonker and Volgenant 1987, Computing 38, 325; Crouse 2016, IEEE Trans.
+    Aerosp. Electron. Syst. 52, 1679): the duals start at u = row minima and
+    v = 0, and each row takes its cheapest column unless an earlier row holds
+    it.  Every reduced cost cost - u - v is then >= 0 and equals 0 on each
+    match, so the start is optimal for the rows it matches; one Dijkstra
+    search on the reduced costs adds each row still unmatched.
+    """
+    cost = np.asarray(cost, dtype=float)
+    if cost.ndim != 2 or cost.shape[0] != cost.shape[1] or cost.size == 0:
+        raise ValueError(f"cost must be a non-empty square matrix, got shape {cost.shape}")
+    if not np.all(np.isfinite(cost)):
+        raise ValueError("cost matrix has non-finite entries")
+    n = len(cost)
+    cheapest = cost.argmin(axis=1)
+    u, v = cost[np.arange(n), cheapest], np.zeros(n)
+    col4row, row4col = np.full(n, -1), np.full(n, -1)
+    taken, first_row = np.unique(cheapest, return_index=True)
+    col4row[first_row], row4col[taken] = taken, first_row
+    for start in np.flatnonzero(col4row < 0):
+        _augment(cost, u, v, col4row, row4col, start)
+    return np.arange(n), col4row
+
+
+def _augment(
+    cost: NDArray[np.float64],
+    u: NDArray[np.float64],
+    v: NDArray[np.float64],
+    col4row: NDArray[np.int64],
+    row4col: NDArray[np.int64],
+    start: int,
+) -> None:
+    """Match row ``start`` along a shortest alternating path; update duals and matching in place."""
+    n = len(v)
+    shortest, path = np.full(n, np.inf), np.full(n, -1)
+    rows_seen, cols_seen = np.zeros(n, dtype=bool), np.zeros(n, dtype=bool)
+    row, reach = start, 0.0
+    while True:
+        rows_seen[row] = True
+        via_row = reach + cost[row] - u[row] - v
+        closer = ~cols_seen & (via_row < shortest)
+        shortest[closer], path[closer] = via_row[closer], row
+        open_cols = np.flatnonzero(~cols_seen)
+        col = open_cols[np.argmin(shortest[open_cols])]
+        reach = shortest[col]
+        cols_seen[col] = True
+        if row4col[col] < 0:
+            break
+        row = row4col[col]
+    inner = np.flatnonzero(rows_seen)
+    inner = inner[inner != start]
+    u[start] += reach
+    u[inner] += reach - shortest[col4row[inner]]
+    v[cols_seen] -= reach - shortest[cols_seen]
+    while True:  # flip the path back to start
+        row = path[col]
+        row4col[col] = row
+        col4row[row], col = col, col4row[row]
+        if row == start:
+            break
 
 
 def _product_overlaps(

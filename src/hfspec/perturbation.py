@@ -48,16 +48,6 @@ class LambdaCoefficients:
         return (self.lambda1, self.lambda2, self.lambda3)
 
 
-@dataclass(frozen=True)
-class KCorrection:
-    """Perturbative energy correction of level i due to level j at one m_z."""
-
-    i: int
-    j: int
-    m_z: float
-    value: float
-
-
 def _level(levels: list[CFLevel], n: int) -> CFLevel:
     for lv in levels:
         if lv.n == n:
@@ -266,12 +256,6 @@ def k_correction(
         element = abs(np.vdot(lv3.vectors[+1], jz_op @ lv2.vectors[+1])) ** 2
         return a_j**2 * element / (lv2.energy - lv3.energy) * m_z**2
     return -k_correction(j, i, m_z, levels, a_j, system)
-
-
-def k_correction_record(
-    i: int, j: int, m_z: float, levels: list[CFLevel], a_j: float, system: SpinSystem
-) -> KCorrection:
-    return KCorrection(i, j, m_z, k_correction(i, j, m_z, levels, a_j, system))
 
 
 def quadratic_m2_coefficient(

@@ -183,6 +183,29 @@ def test_fit_malformed_dataset(tmp_path):
     assert ":3" in result.output  # row number in the diagnostic
 
 
+def test_fit_too_few_rows_exits_dataset(tmp_path):
+    short = tmp_path / "short.csv"
+    short.write_text(
+        "transition,m_z,energy_cm1,sigma_cm1\n"
+        "8.1-8.2,-7/2,7.33,0.01\n"
+        "8.1-8.3,-7/2,23.4,0.01\n"
+    )
+    result = invoke("fit", "--mode", "cf_aj", "--dataset", str(short))
+    assert result.exit_code == EXIT_DATASET
+    assert "2 rows cannot constrain 7 parameters" in result.output
+
+
+@pytest.mark.parametrize("mode", ["cf_aj", "b"])
+@pytest.mark.parametrize("row", ["jz:8.0,,5.4,0.02", "jz:8.18,,5.4,0.02", "8.1-8.18,1/2,7.3,0.01"])
+def test_fit_out_of_range_level_exits_dataset(tmp_path, mode, row):
+    lines = bundled_path(MEASURED_LINES).read_text().splitlines()
+    path = tmp_path / "lines.csv"
+    path.write_text("\n".join(lines + [row]) + "\n")
+    result = invoke("fit", "--mode", mode, "--dataset", str(path))
+    assert result.exit_code == EXIT_DATASET
+    assert "level" in result.output
+
+
 def test_fit_cf_aj_mode(tmp_path, cf_params, system):
     from hfspec.datasets import write_dataset
 

@@ -76,6 +76,42 @@ def test_observation_row_validation():
         ObservationRow("banana", 1, 2, 0.5, 0.0, 1.0)
 
 
+@pytest.mark.parametrize(
+    "kind, n_init, n_final, m_z",
+    [("moment", 0, None, None), ("hf", 0, 2, 0.5), ("hf", 1, 0, 0.5), ("cf", 1, -3, None)],
+)
+def test_observation_row_rejects_level_below_one(kind, n_init, n_final, m_z):
+    with pytest.raises(ValueError, match=">= 1"):
+        ObservationRow(kind, n_init, n_final, m_z, 0.0, 1.0)
+
+
+@pytest.mark.parametrize(
+    "row",
+    [
+        ObservationRow("moment", 18, None, None, 1.0, 1.0),
+        ObservationRow("hf", 1, 18, 0.5, 7.0, 1.0),
+        ObservationRow("cf", 18, 2, None, 7.0, 1.0),
+    ],
+)
+def test_both_predictions_reject_bad_level_alike(row, cf_params, hyperfine, system):
+    from hfspec.datasets import DatasetError
+
+    message = r"row 1: level index out of range \(have 1\.\.13\)"
+    rows = [ObservationRow("hf", 1, 2, 0.5, 7.0, 1.0), row]
+    with pytest.raises(DatasetError, match=message):
+        predict_lines_first_order(cf_params, A_J_REF, rows, system)
+    with pytest.raises(DatasetError, match=message):
+        predict_lines_exact(cf_params, hyperfine, rows, system)
+
+
+def test_too_few_rows_is_a_dataset_error(cf_params, system):
+    from hfspec.datasets import DatasetError
+
+    rows = [ObservationRow("hf", 1, 2, 0.5, 7.0, 0.01), ObservationRow("hf", 1, 3, 0.5, 23.0, 0.01)]
+    with pytest.raises(DatasetError, match="2 rows cannot constrain 7 parameters"):
+        fit_cf_aj(TransitionDataset(rows), cf_params, A_J_REF, system)
+
+
 # -------------------------------------------------------------------- engine
 
 def test_jacobian_of_quadratic():
