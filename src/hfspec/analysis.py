@@ -96,16 +96,13 @@ def difference_series(lines: list[TransitionLine]) -> DifferenceSeries:
     return DifferenceSeries(which, m[:-1], values, sigmas)
 
 
-def fit_slope(
-    series: DifferenceSeries,
-    uncertainties: NDArray[np.float64] | None = None,
-) -> SlopeFit:
+def fit_slope(series: DifferenceSeries) -> SlopeFit:
     """Weighted straight-line fit of a difference series.
 
-    Weights come from ``uncertainties`` (falling back to the series' own
-    propagated sigmas, else uniform).  The slope error is taken from the
-    regression covariance scaled by the residual variance, so an exact line
-    reports zero error regardless of the assumed weights.
+    Weights come from the series' own propagated sigmas, else are uniform.
+    The slope error is taken from the regression covariance scaled by the
+    residual variance, so an exact line reports zero error regardless of the
+    assumed weights.
     """
     x = np.asarray(series.m_z, dtype=float)
     y = np.asarray(series.values, dtype=float)
@@ -113,7 +110,7 @@ def fit_slope(
         raise ValueError(f"need at least 3 points for a slope fit, got {len(x)}")
     if np.ptp(x) == 0:
         raise ValueError("degenerate abscissae: all m_z equal")
-    sig = uncertainties if uncertainties is not None else series.sigmas
+    sig = series.sigmas
     w = np.ones_like(x) if sig is None else 1.0 / np.asarray(sig, dtype=float) ** 2
 
     design = np.vstack([np.ones_like(x), x]).T

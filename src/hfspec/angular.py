@@ -71,24 +71,19 @@ class SpinSystem:
 
 @dataclass(frozen=True)
 class OperatorMatrix:
-    """A square complex matrix over a labelled angular-momentum basis.
+    """A square complex matrix over an angular-momentum basis.
 
-    ``basis`` holds one quantum label per row: a plain M value for a single
-    angular momentum, or an (M, m_z) pair on a product space.  The wrapped
-    array is frozen after construction.
+    Rows run over ascending M for a single angular momentum, or over (M, m_z)
+    pairs, both ascending, on a product space.  The wrapped array is frozen
+    after construction.
     """
 
     matrix: NDArray[np.complex128]
-    basis: tuple
 
     def __post_init__(self) -> None:
         mat = np.asarray(self.matrix, dtype=complex)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ValueError(f"operator matrix must be square, got shape {mat.shape}")
-        if len(self.basis) != mat.shape[0]:
-            raise ValueError(
-                f"basis length {len(self.basis)} does not match dimension {mat.shape[0]}"
-            )
         mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
 
@@ -100,14 +95,10 @@ class OperatorMatrix:
         return float(np.max(np.abs(self.matrix - self.matrix.conj().T)))
 
 
-def _m_basis(j: float) -> tuple:
-    return tuple(np.arange(-j, j + 1))
-
-
 def build_jz(j: float) -> OperatorMatrix:
     """Diagonal J_z with entries M = -j ... +j in ascending basis order."""
     j = _check_spin(j)
-    return OperatorMatrix(np.diag(np.arange(-j, j + 1)).astype(complex), _m_basis(j))
+    return OperatorMatrix(np.diag(np.arange(-j, j + 1)).astype(complex))
 
 
 def build_jplus(j: float) -> OperatorMatrix:
@@ -118,12 +109,12 @@ def build_jplus(j: float) -> OperatorMatrix:
     mat = np.zeros((dim, dim), dtype=complex)
     for k in range(dim - 1):
         mat[k + 1, k] = np.sqrt(j * (j + 1) - m[k] * (m[k] + 1))
-    return OperatorMatrix(mat, _m_basis(j))
+    return OperatorMatrix(mat)
 
 
 def build_jminus(j: float) -> OperatorMatrix:
     """Lowering operator, the conjugate transpose of J+."""
-    return OperatorMatrix(build_jplus(j).matrix.conj().T, _m_basis(j))
+    return OperatorMatrix(build_jplus(j).matrix.conj().T)
 
 
 def build_stevens(k: int, q: int, j: float) -> OperatorMatrix:
@@ -178,7 +169,7 @@ def build_stevens(k: int, q: int, j: float) -> OperatorMatrix:
             core = 11 * z2 - (x + 38) * eye
             mat = 0.25 * (ladder @ core + core @ ladder)
 
-    return OperatorMatrix(mat, _m_basis(j))
+    return OperatorMatrix(mat)
 
 
 # Cached operator arrays.  The forward model needs the same few operators on

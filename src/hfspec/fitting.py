@@ -25,11 +25,20 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .angular import SpinSystem
-from .hamiltonian import CFLevel, CFParameters, HyperfineConstants, cf_levels, hf_levels_exact
+from .hamiltonian import CFParameters, HyperfineConstants, cf_levels, hf_levels_exact
 
 CF_AJ_PARAM_NAMES = ("b20", "b40", "b44", "b60", "b64", "b6m4", "a_j")
 
 ROW_KINDS = ("hf", "cf", "moment")
+
+#: central-difference Jacobian step, relative to each parameter's scale
+JAC_REL_STEP = 1e-6
+#: a fit stops once an accepted step lowers chi^2 by less than this fraction
+CHI2_RTOL = 1e-12
+#: ... or moves the parameters by less than this norm
+STEP_ATOL = 1e-10
+#: scaled singular values below RCOND times the largest span flat directions
+RCOND = 1e-10
 
 
 class ConvergenceError(RuntimeError):
@@ -71,6 +80,8 @@ class ObservationRow:
             raise ValueError(
                 f"level indices must be >= 1, got {self.n_init} and {self.n_final}"
             )
+        if self.m_z is not None and not float(2 * self.m_z).is_integer():
+            raise ValueError(f"m_z must be an integer or half-integer, got {self.m_z}")
 
 
 @dataclass
@@ -110,9 +121,6 @@ class FitResult:
     def param_errors(self) -> dict[str, float]:
         return {n: float(e) for n, e in zip(self.names, self.errors)}
 
-    def __getitem__(self, name: str) -> float:
-        return self.params[name]
-
 
 @dataclass(frozen=True)
 class RefractiveModel:
@@ -139,12 +147,12 @@ class LSQSolution:
     x_scale: NDArray[np.float64]
 
 
-def numerical_jacobian(fun, x, x_scale, rel_step: float = 1e-6):
+def numerical_jacobian(fun, x, x_scale):
     """Central-difference Jacobian of a residual vector function."""
     x = np.asarray(x, dtype=float)
     columns = []
     for k in range(len(x)):
-        h = rel_step * x_scale[k]
+        h = JAC_REL_STEP * x_scale[k]
         xp = x.copy()
         xm = x.copy()
         xp[k] += h
@@ -154,14 +162,7 @@ def numerical_jacobian(fun, x, x_scale, rel_step: float = 1e-6):
 
 
 def damped_least_squares(
-    fun,
-    x0,
-    x_scale=None,
-    bounds=None,
-    max_iter: int = 200,
-    chi2_rtol: float = 1e-12,
-    step_atol: float = 1e-10,
-    jac_rel_step: float = 1e-6,
+    fun, x0, x_scale=None, bounds=None, max_iter: int = 200
 ) -> LSQSolution:
     """Minimize |fun(x)|^2 by damped Gauss-Newton iteration.
 
@@ -172,8 +173,8 @@ def damped_least_squares(
     produces non-finite residuals (e.g. a model evaluated outside its domain).
     Steps are clipped to ``bounds`` when given.
 
-    Stops when the relative chi^2 drop falls below ``chi2_rtol`` or the step
-    norm below ``step_atol``.  Raises ConvergenceError when ``max_iter`` is
+    Stops when the relative chi^2 drop falls below ``CHI2_RTOL`` or the step
+    norm below ``STEP_ATOL``.  Raises ConvergenceError when ``max_iter`` is
     exceeded or no downhill step exists while the gradient is still large.
     """
     x = np.asarray(x0, dtype=float).copy()
@@ -191,7 +192,7 @@ def damped_least_squares(
     mu = 1e-3
 
     for iteration in range(1, max_iter + 1):
-        jac = numerical_jacobian(fun, x, x_scale, jac_rel_step)
+        jac = numerical_jacobian(fun, x, x_scale)
         gradient = jac.T @ r
         normal = jac.T @ jac
         diag = np.diag(normal)
@@ -228,26 +229,24 @@ def damped_least_squares(
                 f"no downhill step found at iteration {iteration} "
                 f"(damping exhausted, |gradient| ~ {grad_scale:.3e})"
             )
-        if drop < chi2_rtol or step_norm < step_atol:
+        if drop < CHI2_RTOL or step_norm < STEP_ATOL:
             break
     else:
         raise ConvergenceError(f"iteration cap {max_iter} exceeded")
 
-    jac = numerical_jacobian(fun, x, x_scale, jac_rel_step)
+    jac = numerical_jacobian(fun, x, x_scale)
     return LSQSolution(x, r, chi2, jac, iteration, tuple(history), x_scale.copy())
 
 
 def covariance_from_jacobian(
-    jac: NDArray[np.float64],
-    x_scale: NDArray[np.float64] | None = None,
-    rcond: float = 1e-10,
+    jac: NDArray[np.float64], x_scale: NDArray[np.float64] | None = None
 ) -> tuple[NDArray[np.float64], NDArray[np.float64], NDArray[np.bool_]]:
     """Covariance = (J^T J)^-1 on the identifiable subspace.
 
     The inversion runs on the column-scaled Jacobian (parameters here span
     many orders of magnitude, and the raw normal matrix would be artificially
     ill-conditioned), then transforms back.  Directions with scaled singular
-    value below rcond * max are excluded; parameters dominated by such a flat
+    value below RCOND * max are excluded; parameters dominated by such a flat
     direction get infinite error.  Returns (covariance, one-sigma errors,
     mask of unidentifiable parameters).
     """
@@ -255,7 +254,7 @@ def covariance_from_jacobian(
     scale = np.ones(n) if x_scale is None else np.asarray(x_scale, dtype=float)
     normal = (jac * scale).T @ (jac * scale)
     _, s, vt = np.linalg.svd(normal)
-    good = s > rcond * (s[0] if s.size else 0.0)
+    good = s > RCOND * (s[0] if s.size else 0.0)
     if not np.any(good):
         return np.full((n, n), np.inf), np.full(n, np.inf), np.ones(n, dtype=bool)
     cov_scaled = (vt[good].T / s[good]) @ vt[good]
@@ -287,11 +286,23 @@ def _build_result(
     )
 
 
-def _check_level_range(rows: list[ObservationRow], n_levels: int) -> None:
-    """Every level a row names must be one of the CF levels 1..n_levels."""
+def _check_enough_rows(n_rows: int, n_params: int, noun: str) -> None:
+    """A fit needs more data rows than free parameters."""
+    if n_rows <= n_params:
+        plural = "s" if n_params != 1 else ""
+        raise DatasetError(f"{n_rows} {noun} cannot constrain {n_params} parameter{plural}")
+
+
+def _check_level_range(rows: list[ObservationRow], n_levels: int, i: float) -> None:
+    """Every level a row names must be one of the CF levels 1..n_levels, and
+    every m_z one of the nuclear projections -i, -i + 1, ..., i."""
     for k, row in enumerate(rows):
         if row.n_init > n_levels or (row.n_final is not None and row.n_final > n_levels):
             raise DatasetError(f"row {k}: level index out of range (have 1..{n_levels})")
+        if row.m_z is not None and (abs(row.m_z) > i or (row.m_z + i) % 1 != 0):
+            raise DatasetError(
+                f"row {k}: m_z {row.m_z:g} is not a nuclear projection (have {-i:g}..{i:g})"
+            )
 
 
 def predict_lines_first_order(
@@ -299,7 +310,6 @@ def predict_lines_first_order(
     a_j: float,
     rows: list[ObservationRow],
     system: SpinSystem,
-    levels: list[CFLevel] | None = None,
 ) -> NDArray[np.float64]:
     """Transition energies from H_CF plus the first-order hyperfine shift.
 
@@ -308,9 +318,8 @@ def predict_lines_first_order(
     plain CF energy difference (the first-order shift averages out over m_z);
     moment rows as jz of the requested level.
     """
-    if levels is None:
-        levels = cf_levels(params, system)
-    _check_level_range(rows, len(levels))
+    levels = cf_levels(params, system)
+    _check_level_range(rows, len(levels), system.i)
     by_n = {lv.n: lv for lv in levels}
     out = np.empty(len(rows))
     for k, row in enumerate(rows):
@@ -347,10 +356,7 @@ def fit_cf_aj(
     free = tuple(n for n in CF_AJ_PARAM_NAMES if n not in fixed)
     if not free:
         raise ValueError("all parameters are fixed")
-    if len(dataset.rows) <= len(free):
-        raise DatasetError(
-            f"{len(dataset.rows)} rows cannot constrain {len(free)} parameters"
-        )
+    _check_enough_rows(len(dataset.rows), len(free), "rows")
 
     full0 = dict(initial.items(), a_j=initial_aj)
     values = np.array([full0[n] for n in free])
@@ -396,7 +402,7 @@ def predict_lines_exact(
     labelled = hf_levels_exact(params, hf, system)
     energy = {(h.n, h.sigma, h.m_z): h.energy for h in labelled}
     base_levels = cf_levels(params, system)
-    _check_level_range(rows, len(base_levels))
+    _check_level_range(rows, len(base_levels), system.i)
     out = np.empty(len(rows))
     for k, row in enumerate(rows):
         if row.kind == "moment":
@@ -428,6 +434,7 @@ def fit_b(
     Each objective evaluation diagonalizes the full electron-nuclear
     Hamiltonian; see ``predict_lines_exact``.
     """
+    _check_enough_rows(len(dataset.rows), 1, "rows")
     sigmas = np.array([row.sigma for row in dataset.rows])
     data = np.array([row.value for row in dataset.rows])
 
@@ -459,8 +466,7 @@ def fit_refractive(
     points = np.asarray(points, dtype=float)
     if points.ndim != 2 or points.shape[1] not in (2, 3):
         raise ValueError("points must have columns (nu, n[, sigma])")
-    if points.shape[0] < 4:
-        raise ValueError(f"need at least 4 points, got {points.shape[0]}")
+    _check_enough_rows(points.shape[0], 3, "points")
     nu = points[:, 0]
     n_data = points[:, 1]
     sigmas = points[:, 2] if points.shape[1] == 3 else np.ones_like(nu)

@@ -40,6 +40,8 @@ SIGMA_MINUS_SECTOR = 1
 
 #: CF levels closer than this are treated as degenerate (doublets)
 DEGENERACY_TOL = 1e-6
+#: largest |A - A^dagger| entry ``diagonalize`` accepts as Hermitian
+HERMITIAN_TOL = 1e-10
 #: maximum tolerated eigenvector weight outside its M mod 4 sector
 SECTOR_PURITY_TOL = 1e-8
 #: electron-nuclear eigenvalues closer than this (cm^-1) form one energy
@@ -47,6 +49,8 @@ SECTOR_PURITY_TOL = 1e-8
 #: widening it changes which states are pooled, and with them which
 #: parameter points are refused as unlabelable.
 HF_CLUSTER_GAP = 1e-7
+#: lowest weight a label may have on its assigned energy cluster
+LABEL_CUT = 0.5
 
 
 class SymmetryError(ValueError):
@@ -156,7 +160,7 @@ def build_cf_hamiltonian(params: CFParameters, system: SpinSystem) -> OperatorMa
     for k, q, value in params.terms():
         if value != 0.0:
             mat = mat + value * stevens_matrix(k, q, system.j)
-    return OperatorMatrix(mat, tuple(system.m_j))
+    return OperatorMatrix(mat)
 
 
 def build_hf_hamiltonian(hf: HyperfineConstants, system: SpinSystem) -> OperatorMatrix:
@@ -178,20 +182,17 @@ def build_hf_hamiltonian(hf: HyperfineConstants, system: SpinSystem) -> Operator
                 f"quadrupolar coupling requires i >= 1 and j >= 1, got j={j}, i={i}"
             )
         mat = mat + (hf.b_quad / denom) * quadrupole_matrix(j, i)
-    basis = tuple((mj, mi) for mj in system.m_j for mi in system.m_i)
-    return OperatorMatrix(mat, basis)
+    return OperatorMatrix(mat)
 
 
-def diagonalize(
-    op: OperatorMatrix, hermitian_tol: float = 1e-10
-) -> tuple[NDArray[np.float64], NDArray[np.complex128]]:
+def diagonalize(op: OperatorMatrix) -> tuple[NDArray[np.float64], NDArray[np.complex128]]:
     """Eigenvalues (ascending) and orthonormal eigenvectors of a Hermitian operator.
 
     Deterministic for identical input.  Raises ValueError if the matrix is
-    not Hermitian within ``hermitian_tol``.
+    not Hermitian within ``HERMITIAN_TOL``.
     """
     defect = op.hermiticity_defect()
-    if defect > hermitian_tol:
+    if defect > HERMITIAN_TOL:
         raise ValueError(f"matrix is not Hermitian: max |A - A^dagger| = {defect:.3e}")
     eigvals, eigvecs = np.linalg.eigh(op.matrix)
     return eigvals, eigvecs
@@ -258,14 +259,11 @@ def _fix_phase(vec: NDArray[np.complex128]) -> NDArray[np.complex128]:
 
 
 def classify_levels(
-    eigvals: NDArray[np.float64],
-    eigvecs: NDArray[np.complex128],
-    system: SpinSystem,
-    degeneracy_tol: float = DEGENERACY_TOL,
+    eigvals: NDArray[np.float64], eigvecs: NDArray[np.complex128], system: SpinSystem
 ) -> list[CFLevel]:
     """Group a crystal-field eigensystem into levels with irrep and branch labels.
 
-    Eigenvalues within ``degeneracy_tol`` form one level.  Each level is
+    Eigenvalues within ``DEGENERACY_TOL`` form one level.  Each level is
     resolved into sector-pure members; sectors 0 and 2 give G1 and G2
     singlets, a sector 1/3 pair gives a G34 doublet whose sigma = +1 branch
     is the sector-3 member.  Energies are shifted so the ground level is 0.
@@ -282,7 +280,7 @@ def classify_levels(
     while idx < len(shifted):
         group = [idx]
         while group[-1] + 1 < len(shifted) and (
-            shifted[group[-1] + 1] - shifted[group[0]] < degeneracy_tol
+            shifted[group[-1] + 1] - shifted[group[0]] < DEGENERACY_TOL
         ):
             group.append(group[-1] + 1)
         clusters.append(group)
@@ -431,10 +429,7 @@ def _product_overlaps(
 
 
 def hf_levels_exact(
-    params: CFParameters,
-    hf: HyperfineConstants,
-    system: SpinSystem,
-    min_overlap: float = 0.5,
+    params: CFParameters, hf: HyperfineConstants, system: SpinSystem
 ) -> list[HFLevel]:
     """Full diagonalization of H_CF + H_HF on the product space, with labels.
 
@@ -446,7 +441,7 @@ def hf_levels_exact(
     change any assigned energy, so confidence is judged per cluster.
 
     Raises LabelingError when a label's weight on its assigned energy cluster
-    falls below ``min_overlap``: the hyperfine coupling is then too strong for
+    falls below ``LABEL_CUT``: the hyperfine coupling is then too strong for
     perturbative labelling to mean anything, and we report rather than guess.
     """
     cf_op = build_cf_hamiltonian(params, system)
@@ -470,13 +465,13 @@ def hf_levels_exact(
     cluster_of = np.cumsum(new_cluster) - 1
     cluster_weight = np.add.reduceat(overlaps, np.flatnonzero(new_cluster), axis=1)
     confidence = cluster_weight[rows, cluster_of[cols]]
-    failing = np.flatnonzero(confidence < min_overlap)
+    failing = np.flatnonzero(confidence < LABEL_CUT)
     if failing.size:
         first = failing[0]
         n, sigma, m_z = labels[rows[first]]
         raise LabelingError(
             f"ambiguous labelling: state (n={n}, sigma={sigma:+d}, m_z={m_z}) "
-            f"has weight {confidence[first]:.3f} < {min_overlap} on its assigned "
+            f"has weight {confidence[first]:.3f} < {LABEL_CUT} on its assigned "
             "energy cluster; hyperfine constants too large for perturbative "
             "labelling"
         )

@@ -13,8 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .angular import jminus_matrix, jplus_matrix, jz_matrix
-from .hamiltonian import CFLevel, HFLevel
+from .hamiltonian import HFLevel
 
 #: Boltzmann constant in spectroscopic units
 KB_CM_PER_K = 0.695035
@@ -122,34 +121,11 @@ def boltzmann_weights(
     return {(h.n, h.sigma, h.m_z): float(w) for h, w in zip(levels_hf, weights)}
 
 
-def _moment_factor(
-    mode: str, cf: list[CFLevel] | None, n_init: int, n_final: int, si: int, sf: int
-) -> float:
-    if mode == "unit":
-        return 1.0
-    if cf is None:
-        raise ValueError(f"intensity mode {mode!r} requires the CF levels")
-    by_n = {lv.n: lv for lv in cf}
-    vi = by_n[n_init].vectors[si]
-    vf = by_n[n_final].vectors[sf]
-    j = (len(vi) - 1) / 2.0
-    if mode == "jz":
-        return float(abs(np.vdot(vf, jz_matrix(j) @ vi)) ** 2)
-    if mode == "jpm":
-        return float(
-            abs(np.vdot(vf, jplus_matrix(j) @ vi)) ** 2
-            + abs(np.vdot(vf, jminus_matrix(j) @ vi)) ** 2
-        )
-    raise ValueError(f"unknown intensity mode {mode!r}")
-
-
 def transition_lines(
     levels_hf: list[HFLevel],
     n_init: int,
     n_final: int,
     weights: dict[tuple[int, int, float], float] | None = None,
-    cf_levels: list[CFLevel] | None = None,
-    intensity_mode: str = "unit",
 ) -> list[TransitionLine]:
     """m_z-conserving lines between two CF levels, Kramers partners merged.
 
@@ -157,9 +133,7 @@ def transition_lines(
     (-sigma_i, -sigma_f, -m_z) have identical energy; only the canonical
     member of each pair is returned.  When ``weights`` (from
     ``boltzmann_weights``) is given, each line carries the summed occupation
-    of its merged initial states, times an optional squared matrix element
-    selected by ``intensity_mode`` ("unit", "jz" or "jpm" -- a crude model,
-    since measured intensities carry setup-specific systematics).
+    of its merged initial states.
     """
     init = {(h.sigma, h.m_z): h for h in levels_hf if h.n == n_init}
     final = {(h.sigma, h.m_z): h for h in levels_hf if h.n == n_final}
@@ -187,12 +161,8 @@ def transition_lines(
             intensity = None
             if weights is not None:
                 intensity = weights[(n_init, si, m_z)]
-                pi, pf, pm = partner
-                if (pi, pf, pm) != key:
-                    intensity += weights[(n_init, pi, pm)]
-                intensity *= _moment_factor(
-                    intensity_mode, cf_levels, n_init, n_final, si, sf
-                )
+                if partner != key:
+                    intensity += weights[(n_init, partner[0], partner[2])]
             lines.append(TransitionLine(n_init, n_final, m_z, energy, None, intensity))
     return lines
 

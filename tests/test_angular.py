@@ -23,7 +23,6 @@ SPINS = [0.5, 1.0, 1.5, 2.0, 3.5, 8.0]
 def test_jz_half():
     jz = build_jz(0.5)
     assert np.allclose(jz.matrix, np.diag([-0.5, 0.5]))
-    assert jz.basis == (-0.5, 0.5)
 
 
 def test_jz_j8_dimension_and_trace():
@@ -124,10 +123,8 @@ def test_spin_system_dimensions():
 
 def test_operator_matrix_validation():
     with pytest.raises(ValueError):
-        OperatorMatrix(np.zeros((2, 3)), (0.0, 1.0))
-    with pytest.raises(ValueError):
-        OperatorMatrix(np.zeros((2, 2)), (0.0,))
-    op = OperatorMatrix(np.eye(2), (-0.5, 0.5))
+        OperatorMatrix(np.zeros((2, 3)))
+    op = OperatorMatrix(np.eye(2))
     with pytest.raises(ValueError):
         op.matrix[0, 0] = 5.0
 

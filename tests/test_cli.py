@@ -1,4 +1,8 @@
+import functools
+import hashlib
+import importlib.util
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +16,10 @@ from hfspec.cli import (
 from hfspec.config import MEASURED_LINES, REFERENCE_CONFIG, bundled_path
 
 runner = CliRunner()
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+#: SHA-256 of each benchmark command's output, recorded at the seed commit
+RECORDED = json.loads((PERFBENCH / "cli_expected.json").read_text())
 
 
 def invoke(*args):
@@ -194,6 +202,18 @@ def test_fit_too_few_rows_exits_dataset(tmp_path):
     assert result.exit_code == EXIT_DATASET
     assert "2 rows cannot constrain 7 parameters" in result.output
 
+    header_only = tmp_path / "header.csv"
+    header_only.write_text("transition,m_z,energy_cm1,sigma_cm1\n")
+    result = invoke("fit", "--mode", "b", "--dataset", str(header_only))
+    assert result.exit_code == EXIT_DATASET
+    assert "0 rows cannot constrain 1 parameter" in result.output
+
+    three = tmp_path / "three.csv"
+    three.write_text("nu_cm1,n\n50,2.40\n60,2.45\n70,2.50\n")
+    result = invoke("fit", "--mode", "refindex", "--dataset", str(three))
+    assert result.exit_code == EXIT_DATASET
+    assert "3 points cannot constrain 3 parameters" in result.output
+
 
 @pytest.mark.parametrize("mode", ["cf_aj", "b"])
 @pytest.mark.parametrize("row", ["jz:8.0,,5.4,0.02", "jz:8.18,,5.4,0.02", "8.1-8.18,1/2,7.3,0.01"])
@@ -204,6 +224,17 @@ def test_fit_out_of_range_level_exits_dataset(tmp_path, mode, row):
     result = invoke("fit", "--mode", mode, "--dataset", str(path))
     assert result.exit_code == EXIT_DATASET
     assert "level" in result.output
+
+
+@pytest.mark.parametrize("mode", ["cf_aj", "b"])
+@pytest.mark.parametrize("row", ["8.1-8.2,9/2,7.3,0.01", "8.1-8.2,-9/2,7.3,0.01", "8.1-8.2,1/3,7.3,0.01"])
+def test_fit_bad_m_z_exits_dataset(tmp_path, mode, row):
+    lines = bundled_path(MEASURED_LINES).read_text().splitlines()
+    path = tmp_path / "lines.csv"
+    path.write_text("\n".join(lines + [row]) + "\n")
+    result = invoke("fit", "--mode", mode, "--dataset", str(path))
+    assert result.exit_code == EXIT_DATASET
+    assert "m_z" in result.output
 
 
 def test_fit_cf_aj_mode(tmp_path, cf_params, system):
@@ -349,3 +380,27 @@ def test_bundled_reference_config_parses():
     assert cfg.g_j == 1.25
     assert cfg.hyperfine.a_j == 0.02703
     assert cfg.isotope.enabled
+
+
+# ------------------------------------------------------- recorded benchmark output
+
+@functools.cache
+def _benchmark_commands() -> dict:
+    """Arguments of each command the benchmark's cli workload runs."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", PERFBENCH / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return workloads.Cli().commands
+
+
+@pytest.mark.parametrize("name", sorted(RECORDED))
+def test_output_matches_benchmark_recording(tmp_path, name):
+    """Every benchmark command prints, in process, the bytes recorded in
+    perfbench/cli_expected.json; synth is compared by the file it writes."""
+    args = list(_benchmark_commands()[name])
+    if name == "synth":
+        args[args.index("--output") + 1] = str(tmp_path / "synth.csv")
+    result = invoke(*args)
+    assert result.exit_code == 0, result.output
+    data = (tmp_path / "synth.csv").read_bytes() if name == "synth" else result.stdout_bytes
+    assert hashlib.sha256(data).hexdigest() == RECORDED[name]

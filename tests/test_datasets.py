@@ -57,6 +57,9 @@ def test_dataset_error_carries_row_number(tmp_path):
     empty.write_text("# nothing\n")
     with pytest.raises(DatasetError, match="header"):
         read_dataset(empty)
+    bad.write_text("transition,m_z,energy_cm1,sigma_cm1\n8.1-8.2,-7/2,7.3,0.01\n8.1-8.2,1/3,7.3,0.01\n")
+    with pytest.raises(DatasetError, match=":3: m_z must be an integer or half-integer"):
+        read_dataset(bad)
 
 
 def test_spectrum_round_trip(tmp_path):

@@ -74,6 +74,9 @@ def test_observation_row_validation():
         ObservationRow("hf", 1, 2, 0.5, 0.0, 0.0)
     with pytest.raises(ValueError):
         ObservationRow("banana", 1, 2, 0.5, 0.0, 1.0)
+    for m_z in (1 / 3, 0.25, float("nan")):
+        with pytest.raises(ValueError, match="half-integer"):
+            ObservationRow("hf", 1, 2, m_z, 0.0, 1.0)
 
 
 @pytest.mark.parametrize(
@@ -85,18 +88,25 @@ def test_observation_row_rejects_level_below_one(kind, n_init, n_final, m_z):
         ObservationRow(kind, n_init, n_final, m_z, 0.0, 1.0)
 
 
+LEVEL_OUT_OF_RANGE = r"row 1: level index out of range \(have 1\.\.13\)"
+M_Z_OUT_OF_RANGE = r"row 1: m_z {} is not a nuclear projection \(have -3\.5\.\.3\.5\)"
+
+
 @pytest.mark.parametrize(
-    "row",
+    "row, message",
     [
-        ObservationRow("moment", 18, None, None, 1.0, 1.0),
-        ObservationRow("hf", 1, 18, 0.5, 7.0, 1.0),
-        ObservationRow("cf", 18, 2, None, 7.0, 1.0),
+        (ObservationRow("moment", 18, None, None, 1.0, 1.0), LEVEL_OUT_OF_RANGE),
+        (ObservationRow("hf", 1, 18, 0.5, 7.0, 1.0), LEVEL_OUT_OF_RANGE),
+        (ObservationRow("cf", 18, 2, None, 7.0, 1.0), LEVEL_OUT_OF_RANGE),
+        (ObservationRow("hf", 1, 2, 4.5, 7.3, 0.01), M_Z_OUT_OF_RANGE.format(r"4\.5")),
+        (ObservationRow("hf", 1, 2, -4.5, 7.3, 0.01), M_Z_OUT_OF_RANGE.format(r"-4\.5")),
+        (ObservationRow("hf", 1, 2, 1.0, 7.3, 0.01), M_Z_OUT_OF_RANGE.format("1")),
     ],
+    ids=["moment-18", "hf-final-18", "cf-init-18", "m_z-9/2", "m_z-minus-9/2", "m_z-1"],
 )
-def test_both_predictions_reject_bad_level_alike(row, cf_params, hyperfine, system):
+def test_both_predictions_reject_bad_level_alike(row, message, cf_params, hyperfine, system):
     from hfspec.datasets import DatasetError
 
-    message = r"row 1: level index out of range \(have 1\.\.13\)"
     rows = [ObservationRow("hf", 1, 2, 0.5, 7.0, 1.0), row]
     with pytest.raises(DatasetError, match=message):
         predict_lines_first_order(cf_params, A_J_REF, rows, system)
@@ -110,6 +120,13 @@ def test_too_few_rows_is_a_dataset_error(cf_params, system):
     rows = [ObservationRow("hf", 1, 2, 0.5, 7.0, 0.01), ObservationRow("hf", 1, 3, 0.5, 23.0, 0.01)]
     with pytest.raises(DatasetError, match="2 rows cannot constrain 7 parameters"):
         fit_cf_aj(TransitionDataset(rows), cf_params, A_J_REF, system)
+    with pytest.raises(DatasetError, match="0 rows cannot constrain 1 parameter$"):
+        fit_b(TransitionDataset([]), cf_params, A_J_REF, system)
+    with pytest.raises(DatasetError, match="1 rows cannot constrain 1 parameter$"):
+        fit_b(TransitionDataset(rows[:1]), cf_params, A_J_REF, system)
+    points = np.array([[50.0, 2.4], [60.0, 2.45], [70.0, 2.5]])
+    with pytest.raises(DatasetError, match="3 points cannot constrain 3 parameters"):
+        fit_refractive(points, RefractiveModel(-1.0, 100.0, 2.5))
 
 
 # -------------------------------------------------------------------- engine

@@ -34,18 +34,18 @@ def test_reference_spectrum_span(cf_params, system):
 
 
 def test_diagonalize_sorted_and_orthonormal():
-    op = OperatorMatrix(np.diag([3.0, 1.0, 2.0]), (0, 1, 2))
+    op = OperatorMatrix(np.diag([3.0, 1.0, 2.0]))
     vals, vecs = diagonalize(op)
     assert np.allclose(vals, [1.0, 2.0, 3.0])
     assert np.max(np.abs(vecs.conj().T @ vecs - np.eye(3))) < 1e-10
 
-    flip = OperatorMatrix(np.array([[0.0, 1.0], [1.0, 0.0]]), (0, 1))
+    flip = OperatorMatrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
     vals, _ = diagonalize(flip)
     assert np.allclose(vals, [-1.0, 1.0])
 
 
 def test_diagonalize_rejects_non_hermitian():
-    op = OperatorMatrix(np.array([[0.0, 1.0], [0.0, 0.0]]), (0, 1))
+    op = OperatorMatrix(np.array([[0.0, 1.0], [0.0, 0.0]]))
     with pytest.raises(ValueError, match="Hermitian"):
         diagonalize(op)
 

@@ -225,67 +225,3 @@ def test_spectrum_validation():
         Spectrum(np.array([0.0, 1.0, 0.5]), np.zeros(3))
     with pytest.raises(ValueError):
         Spectrum(np.array([0.0, 1.0]), np.zeros(3))
-
-
-def _independent_ladder(j):
-    m = np.arange(-j, j + 1)
-    jz = np.diag(m)
-    jp = np.diag(np.sqrt(j * (j + 1) - m[:-1] * (m[:-1] + 1)), k=-1)
-    return jz, jp, jp.T
-
-
-def _weighted_lines(hf_levels, levels, n_init, n_final, mode):
-    weights = boltzmann_weights(hf_levels, 3.0)
-    unit = transition_lines(hf_levels, n_init, n_final, weights=weights)
-    moded = transition_lines(
-        hf_levels, n_init, n_final, weights=weights, cf_levels=levels, intensity_mode=mode
-    )
-    return unit, moded
-
-
-def _final_branch(hf_levels, line):
-    """sigma of the final state of a line from the ground doublet's sigma = +1 branch."""
-    energy = {(h.n, h.sigma, h.m_z): h.energy for h in hf_levels}
-    e_init = energy[(line.n_init, +1, line.m_z)]
-    return min(
-        (s for (n, s, m) in energy if n == line.n_final and m == line.m_z),
-        key=lambda s: abs(energy[(line.n_final, s, line.m_z)] - e_init - line.energy),
-    )
-
-
-@pytest.mark.parametrize("mode", ["jz", "jpm"])
-@pytest.mark.parametrize("n_final", [2, 6])
-def test_intensity_mode_scales_by_matrix_element(hf_levels, levels, system, mode, n_final):
-    """Each weighted line is multiplied by |<f|J_z|i>|^2, or by
-    |<f|J+|i>|^2 + |<f|J-|i>|^2, computed here from explicit matrices."""
-    jz, jp, jm = _independent_ladder(system.j)
-    by_n = {lv.n: lv for lv in levels}
-    unit, moded = _weighted_lines(hf_levels, levels, 1, n_final, mode)
-    assert len(unit) == len(moded)
-    factors = []
-    for plain, line in zip(unit, moded):
-        # the ground doublet is the initial level, so every canonical line
-        # starts on its sigma = +1 branch
-        vi = by_n[1].vectors[+1]
-        vf = by_n[n_final].vectors[_final_branch(hf_levels, line)]
-        if mode == "jz":
-            factor = abs(np.vdot(vf, jz @ vi)) ** 2
-        else:
-            factor = abs(np.vdot(vf, jp @ vi)) ** 2 + abs(np.vdot(vf, jm @ vi)) ** 2
-        assert line.intensity == pytest.approx(plain.intensity * factor, rel=1e-12, abs=1e-15)
-        factors.append(factor)
-    # S4 selection rules: J_z links the two doublets, J+- the doublet to the singlet
-    assert (max(factors) > 1e-6) == ((mode == "jz") == (n_final == 6))
-
-
-def test_intensity_mode_unknown_rejected(hf_levels, levels):
-    weights = boltzmann_weights(hf_levels, 3.0)
-    with pytest.raises(ValueError, match="unknown intensity mode"):
-        transition_lines(hf_levels, 1, 2, weights=weights, cf_levels=levels, intensity_mode="jx")
-
-
-@pytest.mark.parametrize("mode", ["jz", "jpm"])
-def test_intensity_mode_requires_cf_levels(hf_levels, mode):
-    weights = boltzmann_weights(hf_levels, 3.0)
-    with pytest.raises(ValueError, match="requires the CF levels"):
-        transition_lines(hf_levels, 1, 2, weights=weights, intensity_mode=mode)
