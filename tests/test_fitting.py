@@ -102,7 +102,7 @@ M_Z_OUT_OF_RANGE = r"row 1: m_z {} is not a nuclear projection \(have -3\.5\.\.3
         (ObservationRow("hf", 1, 2, -4.5, 7.3, 0.01), M_Z_OUT_OF_RANGE.format(r"-4\.5")),
         (ObservationRow("hf", 1, 2, 1.0, 7.3, 0.01), M_Z_OUT_OF_RANGE.format("1")),
     ],
-    ids=["moment-18", "hf-final-18", "cf-init-18", "m_z-9/2", "m_z-minus-9/2", "m_z-1"],
+    ids=["row0", "row1", "row2", "m_z-9/2", "m_z-minus-9/2", "m_z-1"],
 )
 def test_both_predictions_reject_bad_level_alike(row, message, cf_params, hyperfine, system):
     from hfspec.datasets import DatasetError
