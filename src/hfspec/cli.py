@@ -29,6 +29,8 @@ from .config import (
     REFERENCE_CONFIG,
     RunConfig,
     bundled_path,
+    format_level,
+    format_transition,
     load_config,
     parse_transition_label,
 )
@@ -57,17 +59,29 @@ _ERROR_CODES = (
 )
 
 
-def _fail(exc: BaseException) -> None:
-    for types, code in _ERROR_CODES:
-        if isinstance(exc, types):
+class _ExitCodes(click.Group):
+    """Runs a command and turns any error it raises into its exit code; click's
+    own usage errors pass through and exit 2."""
+
+    def invoke(self, ctx: click.Context):
+        try:
+            return super().invoke(ctx)
+        except (click.ClickException, click.exceptions.Exit, click.Abort):
+            raise
+        except Exception as exc:  # noqa: BLE001 - the one funnel to exit codes
             click.echo(f"error: {exc}", err=True)
-            sys.exit(code)
-    click.echo(f"error: {exc}", err=True)
-    sys.exit(1)
+            sys.exit(next((code for types, code in _ERROR_CODES if isinstance(exc, types)), 1))
 
 
 def _num(value: float) -> str:
     return f"{value:.8g}"
+
+
+def _csv(header: list[str], rows: list[list]) -> str:
+    """A header line, then one line per row: floats at 8 significant digits,
+    None as an empty cell."""
+    cell = lambda value: "" if value is None else _num(value) if isinstance(value, float) else str(value)
+    return "".join(",".join(map(cell, cells)) + "\n" for cells in [header, *rows])
 
 
 def _emit(text: str, output: str | None) -> None:
@@ -77,18 +91,18 @@ def _emit(text: str, output: str | None) -> None:
         Path(output).write_text(text, encoding="utf-8")
 
 
+def _check_levels(pairs: list[tuple[int, int]], n_levels: int, j: float) -> None:
+    """Every transition must join two of the CF levels 1..n_levels."""
+    for ni, nf in pairs:
+        if max(ni, nf) > n_levels:
+            raise ConfigError(f"unknown transition {format_transition(j, ni, nf)}: have levels 1..{n_levels}")
+
+
 def _load(config_path: str | None) -> RunConfig:
-    if config_path is None:
-        config_path = bundled_path(REFERENCE_CONFIG)
-    return load_config(config_path)
+    return load_config(bundled_path(REFERENCE_CONFIG) if config_path is None else config_path)
 
 
-def _level_label(j: float, n: int) -> str:
-    prefix = int(j) if float(j).is_integer() else j
-    return f"{prefix}.{n}"
-
-
-@click.group()
+@click.group(cls=_ExitCodes)
 def main() -> None:
     """Hyperfine-resolved crystal-field spectroscopy toolkit."""
 
@@ -100,32 +114,23 @@ def main() -> None:
 @click.option("--output", type=click.Path(), default=None, help="Write here instead of stdout.")
 def levels(config_path, fmt, output):
     """Crystal-field level table: index, energy, irrep, degeneracy, <J_z>."""
-    try:
-        cfg = _load(config_path)
-        lvls = cf_levels(cfg.cf, cfg.system)
-        rows = [
-            {
-                "level": _level_label(cfg.system.j, lv.n),
-                "energy_cm1": float(_num(lv.energy)),
-                "irrep": lv.irrep,
-                "degeneracy": lv.degeneracy,
-                "jz": float(_num(lv.jz_expect)) if lv.degeneracy == 2 else None,
-            }
-            for lv in lvls
-        ]
-        if fmt == "json":
-            text = json.dumps({"levels": rows}, indent=2) + "\n"
-        else:
-            lines = ["level,energy_cm1,irrep,degeneracy,jz"]
-            for r in rows:
-                jz = "" if r["jz"] is None else _num(r["jz"])
-                lines.append(
-                    f"{r['level']},{_num(r['energy_cm1'])},{r['irrep']},{r['degeneracy']},{jz}"
-                )
-            text = "\n".join(lines) + "\n"
-        _emit(text, output)
-    except Exception as exc:  # noqa: BLE001 - single funnel to exit codes
-        _fail(exc)
+    cfg = _load(config_path)
+    lvls = cf_levels(cfg.cf, cfg.system)
+    rows = [
+        {
+            "level": format_level(cfg.system.j, lv.n),
+            "energy_cm1": float(_num(lv.energy)),
+            "irrep": lv.irrep,
+            "degeneracy": lv.degeneracy,
+            "jz": float(_num(lv.jz_expect)) if lv.degeneracy == 2 else None,
+        }
+        for lv in lvls
+    ]
+    if fmt == "json":
+        text = json.dumps({"levels": rows}, indent=2) + "\n"
+    else:
+        text = _csv(["level", "energy_cm1", "irrep", "degeneracy", "jz"], [list(r.values()) for r in rows])
+    _emit(text, output)
 
 
 @main.command()
@@ -137,72 +142,58 @@ def levels(config_path, fmt, output):
 @click.option("--output", type=click.Path(), default=None)
 def hf(config_path, transition, compare, fmt, output):
     """Hyperfine-resolved line positions for one transition."""
-    try:
-        cfg = _load(config_path)
-        ni, nf = parse_transition_label(transition)
-        lvls = cf_levels(cfg.cf, cfg.system)
-        if not (1 <= ni <= len(lvls) and 1 <= nf <= len(lvls)):
-            raise ConfigError(f"unknown transition {transition}: have levels 1..{len(lvls)}")
-        hf_lvls = hf_levels_exact(cfg.cf, cfg.hyperfine, cfg.system)
-        lines = spectra.transition_lines(hf_lvls, ni, nf)
+    cfg = _load(config_path)
+    ni, nf = parse_transition_label(transition, cfg.system.j)
+    lvls = cf_levels(cfg.cf, cfg.system)
+    _check_levels([(ni, nf)], len(lvls), cfg.system.j)
+    hf_lvls = hf_levels_exact(cfg.cf, cfg.hyperfine, cfg.system)
+    lines = spectra.transition_lines(hf_lvls, ni, nf)
 
-        by_n = {lv.n: lv for lv in lvls}
-        singlet_pair = by_n[ni].degeneracy == 1 and by_n[nf].degeneracy == 1
-        rows = []
-        if singlet_pair:
-            for m in sorted({abs(ln.m_z) for ln in lines}):
-                pair = [ln for ln in lines if abs(ln.m_z) == m]
-                rows.append({"m_z": f"±{datasets.format_half_integer(m)}",
-                             "members": pair})
-        else:
-            for ln in sorted(lines, key=lambda l: l.m_z):
-                rows.append({"m_z": datasets.format_half_integer(ln.m_z), "members": [ln]})
+    by_n = {lv.n: lv for lv in lvls}
+    singlet_pair = by_n[ni].degeneracy == 1 and by_n[nf].degeneracy == 1
+    if singlet_pair:
+        groups = [
+            (f"±{datasets.format_half_integer(m)}", [ln for ln in lines if abs(ln.m_z) == m])
+            for m in sorted({abs(ln.m_z) for ln in lines})
+        ]
+    else:
+        groups = [(datasets.format_half_integer(ln.m_z), [ln]) for ln in sorted(lines, key=lambda l: l.m_z)]
 
-        def perturbative_energy(line):
-            # merged lines do not retain branch indices; evaluate every
-            # branch combination and keep the candidate nearest the exact
-            # energy (branch splittings dwarf the perturbative error)
-            candidates = []
-            for si in by_n[ni].branches():
-                d_i = perturbation.delta_full(
-                    ni, si, line.m_z, lvls, cfg.hyperfine, cfg.system
+    def perturbative_energy(line):
+        # merged lines do not retain branch indices; evaluate every
+        # branch combination and keep the candidate nearest the exact
+        # energy (branch splittings dwarf the perturbative error)
+        candidates = []
+        for si in by_n[ni].branches():
+            d_i = perturbation.delta_full(
+                ni, si, line.m_z, lvls, cfg.hyperfine, cfg.system
+            )
+            for sf in by_n[nf].branches():
+                d_f = perturbation.delta_full(
+                    nf, sf, line.m_z, lvls, cfg.hyperfine, cfg.system
                 )
-                for sf in by_n[nf].branches():
-                    d_f = perturbation.delta_full(
-                        nf, sf, line.m_z, lvls, cfg.hyperfine, cfg.system
-                    )
-                    candidates.append(by_n[nf].energy + d_f - by_n[ni].energy - d_i)
-            return min(candidates, key=lambda c: abs(c - line.energy))
+                candidates.append(by_n[nf].energy + d_f - by_n[ni].energy - d_i)
+        return min(candidates, key=lambda c: abs(c - line.energy))
 
-        out_rows = []
-        for row in rows:
-            energy = float(np.mean([ln.energy for ln in row["members"]]))
-            entry = {"m_z": row["m_z"], "energy_cm1": float(_num(energy))}
-            if compare:
-                pert = float(np.mean([perturbative_energy(ln) for ln in row["members"]]))
-                entry["perturbative_cm1"] = float(_num(pert))
-                entry["deviation_cm1"] = float(_num(pert - energy))
-            out_rows.append(entry)
+    out_rows = []
+    for m_z, members in groups:
+        energy = float(np.mean([ln.energy for ln in members]))
+        entry = {"m_z": m_z, "energy_cm1": float(_num(energy))}
+        if compare:
+            pert = float(np.mean([perturbative_energy(ln) for ln in members]))
+            entry["perturbative_cm1"] = float(_num(pert))
+            entry["deviation_cm1"] = float(_num(pert - energy))
+        out_rows.append(entry)
 
-        if fmt == "json":
-            text = json.dumps({"transition": transition, "lines": out_rows}, indent=2) + "\n"
-        else:
-            header = ["m_z", "energy_cm1"]
-            if compare:
-                header += ["perturbative_cm1", "deviation_cm1"]
-            lines_text = [",".join(header)]
-            for entry in out_rows:
-                cells = [entry["m_z"], _num(entry["energy_cm1"])]
-                if compare:
-                    cells += [_num(entry["perturbative_cm1"]), _num(entry["deviation_cm1"])]
-                lines_text.append(",".join(cells))
-            text = "\n".join(lines_text) + "\n"
-        _emit(text, output)
-    except Exception as exc:  # noqa: BLE001
-        _fail(exc)
+    if fmt == "json":
+        text = json.dumps({"transition": transition, "lines": out_rows}, indent=2) + "\n"
+    else:
+        header = ["m_z", "energy_cm1"] + (["perturbative_cm1", "deviation_cm1"] if compare else [])
+        text = _csv(header, [list(entry.values()) for entry in out_rows])
+    _emit(text, output)
 
 
-def _fit_report(result: fitting.FitResult, dataset_rows, predictions) -> dict:
+def _fit_report(result: fitting.FitResult, measured, sigmas, predictions) -> dict:
     return {
         "parameters": {
             name: {"value": float(_num(v)), "error": (None if not np.isfinite(e) else float(_num(e)))}
@@ -216,12 +207,12 @@ def _fit_report(result: fitting.FitResult, dataset_rows, predictions) -> dict:
         "residuals": [
             {
                 "row": k,
-                "measured": float(_num(row.value)),
+                "measured": float(_num(value)),
                 "predicted": float(_num(pred)),
-                "sigma": float(_num(row.sigma)),
-                "residual": float(_num(row.value - pred)),
+                "sigma": float(_num(sigma)),
+                "residual": float(_num(value - pred)),
             }
-            for k, (row, pred) in enumerate(zip(dataset_rows, predictions))
+            for k, (value, sigma, pred) in enumerate(zip(measured, sigmas, predictions))
         ],
     }
 
@@ -236,50 +227,42 @@ def _fit_report(result: fitting.FitResult, dataset_rows, predictions) -> dict:
 @click.option("--initial-c", type=float, default=2.6, help="refindex: initial offset.")
 def fit(config_path, dataset_path, mode, output, initial_a, initial_nu0, initial_c):
     """Weighted least-squares fits; writes a JSON report."""
-    try:
-        cfg = _load(config_path)
-        if mode == "refindex":
-            points = datasets.read_refractive_points(dataset_path)
-            initial = fitting.RefractiveModel(initial_a, initial_nu0, initial_c)
-            result = fitting.fit_refractive(points, initial, max_iter=cfg.max_iterations)
-            model = fitting.RefractiveModel(*result.values)
-            predictions = model.evaluate(points[:, 0])
-            rows = [
-                fitting.ObservationRow("cf", 1, 1, None, v, s)
-                for v, s in zip(
-                    points[:, 1],
-                    points[:, 2] if points.shape[1] == 3 else np.ones(len(points)),
-                )
-            ]
-            report = _fit_report(result, rows, predictions)
+    cfg = _load(config_path)
+    if mode == "refindex":
+        points = datasets.read_refractive_points(dataset_path)
+        initial = fitting.RefractiveModel(initial_a, initial_nu0, initial_c)
+        result = fitting.fit_refractive(points, initial, max_iter=cfg.max_iterations)
+        predictions = fitting.RefractiveModel(*result.values).evaluate(points[:, 0])
+        sigmas = points[:, 2] if points.shape[1] == 3 else np.ones(len(points))
+        report = _fit_report(result, points[:, 1], sigmas, predictions)
+    else:
+        data = datasets.read_dataset(dataset_path, j=cfg.system.j)
+        if mode == "cf_aj":
+            result = fitting.fit_cf_aj(
+                data, cfg.cf, cfg.hyperfine.a_j, cfg.system,
+                max_iter=cfg.max_iterations,
+            )
+            best_cf, best_aj = fitting.cf_parameters_from_result(
+                result, cfg.cf, cfg.hyperfine.a_j
+            )
+            predictions = fitting.predict_lines_first_order(
+                best_cf, best_aj, data.rows, cfg.system
+            )
         else:
-            data = datasets.read_dataset(dataset_path)
-            if mode == "cf_aj":
-                result = fitting.fit_cf_aj(
-                    data, cfg.cf, cfg.hyperfine.a_j, cfg.system,
-                    max_iter=cfg.max_iterations,
-                )
-                best_cf, best_aj = fitting.cf_parameters_from_result(
-                    result, cfg.cf, cfg.hyperfine.a_j
-                )
-                predictions = fitting.predict_lines_first_order(
-                    best_cf, best_aj, data.rows, cfg.system
-                )
-            else:
-                result = fitting.fit_b(
-                    data, cfg.cf, cfg.hyperfine.a_j, cfg.system,
-                    initial_b=cfg.hyperfine.b_quad or 0.04,
-                    max_iter=cfg.max_iterations,
-                )
-                best_hf = HyperfineConstants(cfg.hyperfine.a_j, float(result.values[0]))
-                predictions = fitting.predict_lines_exact(
-                    cfg.cf, best_hf, data.rows, cfg.system
-                )
-            report = _fit_report(result, data.rows, predictions)
-        report["mode"] = mode
-        _emit(json.dumps(report, indent=2) + "\n", output)
-    except Exception as exc:  # noqa: BLE001
-        _fail(exc)
+            result = fitting.fit_b(
+                data, cfg.cf, cfg.hyperfine.a_j, cfg.system,
+                initial_b=cfg.hyperfine.b_quad or 0.04,
+                max_iter=cfg.max_iterations,
+            )
+            best_hf = HyperfineConstants(cfg.hyperfine.a_j, float(result.values[0]))
+            predictions = fitting.predict_lines_exact(
+                cfg.cf, best_hf, data.rows, cfg.system
+            )
+        report = _fit_report(
+            result, [r.value for r in data.rows], [r.sigma for r in data.rows], predictions
+        )
+    report["mode"] = mode
+    _emit(json.dumps(report, indent=2) + "\n", output)
 
 
 @main.command()
@@ -289,27 +272,27 @@ def fit(config_path, dataset_path, mode, output, initial_a, initial_nu0, initial
 @click.option("--output", type=click.Path(), default=None)
 def analyze(dataset_path, fmt, output):
     """Difference series, slopes and the quadratic-correction coefficients."""
-    try:
-        if dataset_path is None:
-            dataset_path = bundled_path(MEASURED_LINES)
-        data = datasets.read_dataset(dataset_path)
-        series = {}
-        for (ni, nf), which in analysis.FAMILY_INDEX.items():
-            lines = [
-                spectra.TransitionLine(row.n_init, row.n_final, row.m_z, row.value, row.sigma)
-                for row in data.rows
-                if row.kind == "hf" and (row.n_init, row.n_final) == (ni, nf)
-            ]
-            if len(lines) == 0:
-                raise DatasetError(
-                    f"dataset lacks the 8.{ni}-8.{nf} family needed for the analysis"
-                )
-            series[which] = analysis.difference_series(lines)
+    if dataset_path is None:
+        dataset_path = bundled_path(MEASURED_LINES)
+    data = datasets.read_dataset(dataset_path)
+    series = {}
+    for (ni, nf), which in analysis.FAMILY_INDEX.items():
+        lines = [
+            spectra.TransitionLine(row.n_init, row.n_final, row.m_z, row.value, row.sigma)
+            for row in data.rows
+            if row.kind == "hf" and (row.n_init, row.n_final) == (ni, nf)
+        ]
+        if len(lines) == 0:
+            family = format_transition(datasets.DATASET_J, ni, nf)
+            raise DatasetError(f"dataset lacks the {family} family needed for the analysis")
+        series[which] = analysis.difference_series(lines)
 
-        slopes = {which: analysis.fit_slope(s) for which, s in series.items()}
-        lam1 = analysis.extract_lambda1(series[2], series[3])
-        lam2, lam3 = analysis.extract_lambda23(series[1], series[2], series[3])
+    slopes = {which: analysis.fit_slope(s) for which, s in series.items()}
+    lam1 = analysis.extract_lambda1(series[2], series[3])
+    lam2, lam3 = analysis.extract_lambda23(series[1], series[2], series[3])
+    lambdas = {"lambda1": lam1, "lambda2": lam2, "lambda3": lam3}
 
+    if fmt == "json":
         report = {
             "difference_series": {
                 f"D{which}": {
@@ -327,26 +310,19 @@ def analyze(dataset_path, fmt, output):
                 for which in sorted(slopes)
             },
             "lambda": {
-                "lambda1": {"value_cm1": float(_num(lam1.value)), "error_cm1": float(_num(lam1.error))},
-                "lambda2": {"value_cm1": float(_num(lam2.value)), "error_cm1": float(_num(lam2.error))},
-                "lambda3": {"value_cm1": float(_num(lam3.value)), "error_cm1": float(_num(lam3.error))},
+                name: {"value_cm1": float(_num(est.value)), "error_cm1": float(_num(est.error))}
+                for name, est in lambdas.items()
             },
         }
-        if fmt == "json":
-            text = json.dumps(report, indent=2) + "\n"
-        else:
-            rows = ["quantity,value_cm1,error_cm1"]
-            for which in sorted(slopes):
-                s = slopes[which]
-                rows.append(f"slope(D{which}),{_num(s.slope)},{_num(s.slope_err)}")
-                rows.append(f"s{which},{_num(-s.slope)},{_num(s.slope_err)}")
-            rows.append(f"lambda1,{_num(lam1.value)},{_num(lam1.error)}")
-            rows.append(f"lambda2,{_num(lam2.value)},{_num(lam2.error)}")
-            rows.append(f"lambda3,{_num(lam3.value)},{_num(lam3.error)}")
-            text = "\n".join(rows) + "\n"
-        _emit(text, output)
-    except Exception as exc:  # noqa: BLE001
-        _fail(exc)
+        text = json.dumps(report, indent=2) + "\n"
+    else:
+        rows = []
+        for which in sorted(slopes):
+            s = slopes[which]
+            rows += [[f"slope(D{which})", s.slope, s.slope_err], [f"s{which}", -s.slope, s.slope_err]]
+        rows += [[name, est.value, est.error] for name, est in lambdas.items()]
+        text = _csv(["quantity", "value_cm1", "error_cm1"], rows)
+    _emit(text, output)
 
 
 @main.command()
@@ -356,28 +332,26 @@ def analyze(dataset_path, fmt, output):
 @click.option("--output", type=click.Path(), required=True)
 def synth(config_path, transition_labels, output):
     """Synthesize an absorbance spectrum and write it as two-column CSV."""
-    try:
-        cfg = _load(config_path)
-        if cfg.grid is None:
-            raise ConfigError("config has no [grid] section; synthesis needs one")
-        start, stop, step = cfg.grid
-        grid = np.arange(start, stop + 0.5 * step, step)
-        pairs = (
-            [parse_transition_label(t) for t in transition_labels]
-            if transition_labels
-            else cfg.transitions
-        )
-        lines = []
-        if pairs:
-            hf_lvls = hf_levels_exact(cfg.cf, cfg.hyperfine, cfg.system)
-            weights = spectra.boltzmann_weights(hf_lvls, cfg.temperature)
-            for ni, nf in pairs:
-                lines.extend(spectra.transition_lines(hf_lvls, ni, nf, weights=weights))
-        shape = spectra.PeakModel(cfg.lineshape, 0.0, cfg.fwhm, cfg.amplitude)
-        spectrum = spectra.synthesize(lines, shape, grid, cfg.isotope)
-        datasets.write_spectrum(output, spectrum)
-    except Exception as exc:  # noqa: BLE001
-        _fail(exc)
+    cfg = _load(config_path)
+    if cfg.grid is None:
+        raise ConfigError("config has no [grid] section; synthesis needs one")
+    start, stop, step = cfg.grid
+    grid = np.arange(start, stop + 0.5 * step, step)
+    pairs = (
+        [parse_transition_label(t, cfg.system.j) for t in transition_labels]
+        if transition_labels
+        else cfg.transitions
+    )
+    lines = []
+    if pairs:
+        hf_lvls = hf_levels_exact(cfg.cf, cfg.hyperfine, cfg.system)
+        _check_levels(pairs, max(h.n for h in hf_lvls), cfg.system.j)
+        weights = spectra.boltzmann_weights(hf_lvls, cfg.temperature)
+        for ni, nf in pairs:
+            lines.extend(spectra.transition_lines(hf_lvls, ni, nf, weights=weights))
+    shape = spectra.PeakModel(cfg.lineshape, 0.0, cfg.fwhm, cfg.amplitude)
+    spectrum = spectra.synthesize(lines, shape, grid, cfg.isotope)
+    datasets.write_spectrum(output, spectrum)
 
 
 if __name__ == "__main__":

@@ -12,15 +12,18 @@ The bundled reference configuration and datasets live in the package's
 """
 
 import configparser
+import math
 import os
-from dataclasses import dataclass, field
+from collections.abc import Callable
+from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
+from typing import Any
 
 from .angular import SpinSystem
 from .hamiltonian import CFParameters, HyperfineConstants
-from .spectra import IsotopeConfig
+from .spectra import PEAK_SHAPES, IsotopeConfig
 
 SCHEMA_VERSION = 1
 
@@ -43,70 +46,111 @@ def parse_half_integer(text: str) -> float:
         raise ConfigError(f"cannot parse {text!r} as a (half-)integer") from exc
 
 
-def _parse_bool(text: str) -> bool:
-    lowered = text.strip().lower()
-    if lowered in ("1", "true", "yes", "on"):
-        return True
-    if lowered in ("0", "false", "no", "off"):
-        return False
-    raise ConfigError(f"cannot parse {text!r} as a boolean")
+def format_level(j: float, n: int) -> str:
+    """Level n of the manifold j as '<manifold>.<n>': '8.1', or '7.5.2' for j = 15/2."""
+    return f"{int(j) if float(j).is_integer() else j}.{n}"
 
 
-def _parse_transitions(text: str) -> list[tuple[int, int]]:
-    out = []
-    for item in text.replace(",", " ").split():
-        out.append(parse_transition_label(item))
-    return out
-
-
-def parse_transition_label(label: str) -> tuple[int, int]:
-    """'8.1-8.2' -> (1, 2): transition between levels of the ground manifold."""
+def parse_level(label: str, j: float) -> int:
+    """'8.2' -> 2: the inverse of format_level; the manifold must be j."""
+    manifold, _, n = label.strip().rpartition(".")
     try:
-        left, right = label.strip().split("-")
-        ni = int(left.split(".")[1])
-        nf = int(right.split(".")[1])
-    except (ValueError, IndexError) as exc:
-        raise ConfigError(
-            f"cannot parse transition label {label!r}; expected like '8.1-8.2'"
-        ) from exc
-    return ni, nf
+        level, in_manifold = int(n), float(manifold) == j
+    except ValueError as exc:
+        raise ConfigError(f"cannot parse level {label!r}; expected like {format_level(j, 1)!r}") from exc
+    if level < 1:
+        raise ConfigError(f"level index must be >= 1 in {label!r}")
+    if not in_manifold:
+        raise ConfigError(f"level {label!r} is outside the configured manifold: expected like {format_level(j, 1)!r}")
+    return level
+
+
+def format_transition(j: float, n_init: int, n_final: int) -> str:
+    """The transition from level n_init to n_final of the manifold j: '8.1-8.2'."""
+    return f"{format_level(j, n_init)}-{format_level(j, n_final)}"
+
+
+def parse_transition_label(label: str, j: float) -> tuple[int, int]:
+    """'8.1-8.2' -> (1, 2): the inverse of format_transition."""
+    parts = label.strip().split("-")
+    if len(parts) != 2:
+        raise ConfigError(f"cannot parse transition label {label!r}; expected like {format_transition(j, 1, 2)!r}")
+    return parse_level(parts[0], j), parse_level(parts[1], j)
+
+
+def _checked(parse: Callable[[str], Any], ok: Callable[[Any], bool], rule: str) -> Callable[[str], Any]:
+    """A value parser that also requires ok(value); its ConfigError states the rule."""
+
+    def checked(text: str):
+        value = parse(text)
+        if not ok(value):
+            raise ConfigError(f"must be {rule}, got {text.strip()!r}")
+        return value
+
+    return checked
+
+
+#: a finite float; datasets read their numeric cells with it too
+parse_finite = _checked(float, math.isfinite, "finite")
+_positive = _checked(parse_finite, lambda v: v > 0, "positive")
+_nonnegative = _checked(parse_finite, lambda v: v >= 0, "nonnegative")
+_spin = _checked(parse_half_integer, lambda v: v >= 0 and (2 * v).is_integer(), "an integer or half-integer >= 0")
+_count = _checked(int, lambda v: v >= 1, "at least 1")
+_shape = _checked(lambda text: text.strip().lower(), lambda v: v in PEAK_SHAPES, f"one of {PEAK_SHAPES}")
+_BOOLEANS = {"1": True, "true": True, "yes": True, "on": True,
+             "0": False, "false": False, "no": False, "off": False}
+_bool = _checked(lambda text: _BOOLEANS.get(text.strip().lower()), lambda v: v is not None, "a boolean like true or false")
+
+
+def _labels(text: str) -> tuple[str, ...]:
+    """Transition labels; they are parsed once [system] j is known."""
+    return tuple(text.replace(",", " ").split())
 
 
 @dataclass
 class RunConfig:
-    """Validated configuration for the command-line tools."""
+    """Validated configuration for the command-line tools; see load_config."""
 
-    system: SpinSystem = field(default_factory=SpinSystem)
-    g_j: float = 1.25
-    cf: CFParameters = field(
-        default_factory=lambda: CFParameters(0.0, 0.0, 0.0, 0.0, 0.0)
-    )
-    hyperfine: HyperfineConstants = field(
-        default_factory=lambda: HyperfineConstants(0.0, 0.0)
-    )
-    temperature: float = 3.5
-    grid: tuple[float, float, float] | None = None
-    isotope: IsotopeConfig = field(default_factory=lambda: IsotopeConfig(enabled=False))
-    lineshape: str = "gaussian"
-    fwhm: float = 0.009
-    amplitude: float = 1.0
-    transitions: list[tuple[int, int]] = field(default_factory=list)
-    max_iterations: int = 200
-    schema_version: int = SCHEMA_VERSION
+    system: SpinSystem
+    g_j: float
+    cf: CFParameters
+    hyperfine: HyperfineConstants
+    temperature: float
+    grid: tuple[float, float, float] | None
+    isotope: IsotopeConfig
+    lineshape: str
+    fwhm: float
+    amplitude: float
+    transitions: list[tuple[int, int]]
+    max_iterations: int
+    schema_version: int
 
 
-# section -> key -> attribute path on RunConfig; values parsed per _PARSERS
-_SCHEMA: dict[str, tuple[str, ...]] = {
-    "meta": ("schema_version",),
-    "system": ("j", "i", "g_j"),
-    "cf": ("b20", "b40", "b44", "b4m4", "b60", "b64", "b6m4"),
-    "hyperfine": ("a_j", "b_quad"),
-    "conditions": ("temperature_k",),
-    "grid": ("start_cm1", "stop_cm1", "step_cm1"),
-    "isotope": ("enabled", "splitting_cm1", "satellite_ratio"),
-    "lineshape": ("shape", "fwhm_cm1", "amplitude"),
-    "transitions": ("include",),
-    "fit": ("max_iterations",),
+_CF_KEYS = ("b20", "b40", "b44", "b4m4", "b60", "b64", "b6m4")
+_GRID_KEYS = ("start_cm1", "stop_cm1", "step_cm1")
+
+#: section -> key -> (parser, default); key names are unique across sections.
+#: A None default marks a key that must be present (meta.schema_version, and
+#: every [grid] key once the section exists).
+_SCHEMA: dict[str, dict[str, tuple[Callable[[str], Any], Any]]] = {
+    "meta": {"schema_version": (int, None)},
+    "system": {"j": (_spin, 8.0), "i": (_spin, 3.5), "g_j": (parse_half_integer, 1.25)},
+    "cf": {key: (parse_finite, 0.0) for key in _CF_KEYS},
+    "hyperfine": {"a_j": (parse_finite, 0.0), "b_quad": (parse_finite, 0.0)},
+    "conditions": {"temperature_k": (_positive, 3.5)},
+    "grid": {key: (parse_finite, None) for key in _GRID_KEYS},
+    "isotope": {
+        "enabled": (_bool, False),
+        "splitting_cm1": (parse_finite, 0.0098),
+        "satellite_ratio": (_nonnegative, 0.33),
+    },
+    "lineshape": {
+        "shape": (_shape, "gaussian"),
+        "fwhm_cm1": (_positive, 0.009),
+        "amplitude": (parse_finite, 1.0),
+    },
+    "transitions": {"include": (_labels, ())},
+    "fit": {"max_iterations": (_count, 200)},
 }
 
 
@@ -121,7 +165,7 @@ def load_config(path: str | Path) -> RunConfig:
     try:
         with open(path, encoding="utf-8") as handle:
             parser.read_file(handle, source=str(path))
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except configparser.Error as exc:
         raise ConfigError(f"config parse error in {path}: {exc}") from exc
@@ -133,76 +177,51 @@ def load_config(path: str | Path) -> RunConfig:
             if key not in _SCHEMA[section]:
                 raise ConfigError(f"{path}: unknown key '{key}' in section [{section}]")
 
-    def get(section: str, key: str, parse, default):
-        if parser.has_option(section, key):
-            raw = parser.get(section, key)
-            try:
-                return parse(raw)
-            except (ValueError, ConfigError) as exc:
-                raise ConfigError(
-                    f"{path}: bad value for {section}.{key}: {exc}"
-                ) from exc
-        return default
+    def bad(section: str, key: str, exc: Exception) -> ConfigError:
+        return ConfigError(f"{path}: bad value for {section}.{key}: {exc}")
 
-    version = get("meta", "schema_version", int, None)
-    if version is None:
+    v: dict[str, Any] = {}
+    for section, keys in _SCHEMA.items():
+        for key, (parse, default) in keys.items():
+            v[key] = default
+            if parser.has_option(section, key):
+                try:
+                    v[key] = parse(parser.get(section, key))
+                except ValueError as exc:
+                    raise bad(section, key, exc) from exc
+
+    if v["schema_version"] is None:
         raise ConfigError(f"{path}: missing required key meta.schema_version")
-    if version != SCHEMA_VERSION:
-        raise ConfigError(
-            f"{path}: unsupported schema_version {version} (expected {SCHEMA_VERSION})"
-        )
-
-    system = SpinSystem(
-        j=get("system", "j", parse_half_integer, 8.0),
-        i=get("system", "i", parse_half_integer, 3.5),
-    )
-    cf = CFParameters(
-        b20=get("cf", "b20", float, 0.0),
-        b40=get("cf", "b40", float, 0.0),
-        b44=get("cf", "b44", float, 0.0),
-        b60=get("cf", "b60", float, 0.0),
-        b64=get("cf", "b64", float, 0.0),
-        b6m4=get("cf", "b6m4", float, 0.0),
-        b4m4=get("cf", "b4m4", float, 0.0),
-    )
-    hyperfine = HyperfineConstants(
-        a_j=get("hyperfine", "a_j", float, 0.0),
-        b_quad=get("hyperfine", "b_quad", float, 0.0),
-    )
+    if v["schema_version"] != SCHEMA_VERSION:
+        raise ConfigError(f"{path}: unsupported schema_version {v['schema_version']} (expected {SCHEMA_VERSION})")
     grid = None
     if parser.has_section("grid"):
-        grid = (
-            get("grid", "start_cm1", float, None),
-            get("grid", "stop_cm1", float, None),
-            get("grid", "step_cm1", float, None),
-        )
-        if any(v is None for v in grid):
+        grid = tuple(v[key] for key in _GRID_KEYS)
+        if any(value is None for value in grid):
             raise ConfigError(f"{path}: section [grid] needs start_cm1, stop_cm1, step_cm1")
         if not (grid[1] > grid[0] and grid[2] > 0):
             raise ConfigError(f"{path}: invalid grid {grid}")
-    isotope = IsotopeConfig(
-        splitting=get("isotope", "splitting_cm1", float, 0.0098),
-        satellite_ratio=get("isotope", "satellite_ratio", float, 0.33),
-        enabled=get("isotope", "enabled", _parse_bool, False),
-    )
-    shape = get("lineshape", "shape", str, "gaussian").strip().lower()
-    if shape not in ("gaussian", "lorentzian"):
-        raise ConfigError(f"{path}: unknown line shape {shape!r}")
+    try:
+        transitions = [parse_transition_label(label, v["j"]) for label in v["include"]]
+    except ConfigError as exc:
+        raise bad("transitions", "include", exc) from exc
 
     return RunConfig(
-        system=system,
-        g_j=get("system", "g_j", parse_half_integer, 1.25),
-        cf=cf,
-        hyperfine=hyperfine,
-        temperature=get("conditions", "temperature_k", float, 3.5),
+        system=SpinSystem(j=v["j"], i=v["i"]),
+        g_j=v["g_j"],
+        cf=CFParameters(**{key: v[key] for key in _CF_KEYS}),
+        hyperfine=HyperfineConstants(a_j=v["a_j"], b_quad=v["b_quad"]),
+        temperature=v["temperature_k"],
         grid=grid,
-        isotope=isotope,
-        lineshape=shape,
-        fwhm=get("lineshape", "fwhm_cm1", float, 0.009),
-        amplitude=get("lineshape", "amplitude", float, 1.0),
-        transitions=get("transitions", "include", _parse_transitions, []),
-        max_iterations=get("fit", "max_iterations", int, 200),
-        schema_version=version,
+        isotope=IsotopeConfig(
+            splitting=v["splitting_cm1"], satellite_ratio=v["satellite_ratio"], enabled=v["enabled"]
+        ),
+        lineshape=v["shape"],
+        fwhm=v["fwhm_cm1"],
+        amplitude=v["amplitude"],
+        transitions=transitions,
+        max_iterations=v["max_iterations"],
+        schema_version=v["schema_version"],
     )
 
 

@@ -472,7 +472,7 @@ def fit_refractive(
     sigmas = points[:, 2] if points.shape[1] == 3 else np.ones_like(nu)
     lo, hi = float(nu.min()), float(nu.max())
     if lo <= initial.nu0 <= hi:
-        raise ValueError(
+        raise DatasetError(
             f"initial pole position {initial.nu0} lies inside the data range "
             f"[{lo}, {hi}]"
         )

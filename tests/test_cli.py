@@ -404,3 +404,91 @@ def test_output_matches_benchmark_recording(tmp_path, name):
     assert result.exit_code == 0, result.output
     data = (tmp_path / "synth.csv").read_bytes() if name == "synth" else result.stdout_bytes
     assert hashlib.sha256(data).hexdigest() == RECORDED[name]
+
+
+# ------------------------------------------------------- boundary rules
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("hf", "--transition", "5.1-9.2"),
+        ("hf", "--transition", "8.1-8.2.7"),
+        ("synth", "--transition", "3.1-3.3", "--output"),
+    ],
+    ids=["hf-5.1-9.2", "hf-8.1-8.2.7", "synth-3.1-3.3"],
+)
+def test_transition_in_another_manifold_exits_config(tmp_path, args):
+    out = tmp_path / "synth.csv"
+    result = invoke(*args, *([str(out)] if args[0] == "synth" else []))
+    assert result.exit_code == EXIT_CONFIG
+    assert "manifold" in result.output
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("row", ["jz:3.1,,5.4,0.02", "7.1-7.2,1/2,7.3,0.01"])
+def test_fit_row_in_another_manifold_exits_dataset(tmp_path, row):
+    lines = bundled_path(MEASURED_LINES).read_text().splitlines()
+    path = tmp_path / "lines.csv"
+    path.write_text("\n".join(lines + [row]) + "\n")
+    result = invoke("fit", "--mode", "b", "--dataset", str(path))
+    assert result.exit_code == EXIT_DATASET
+    assert f":{len(lines) + 1}:" in result.output
+    assert "manifold" in result.output
+
+
+@pytest.mark.parametrize("row", ["8.1-8.2,1/2,nan,0.01", "8.1-8.2,1/2,inf,0.01", "8.1-8.2,1/2,7.3,inf"])
+@pytest.mark.parametrize("mode", ["cf_aj", "b"])
+def test_fit_non_finite_value_exits_dataset(tmp_path, mode, row):
+    lines = bundled_path(MEASURED_LINES).read_text().splitlines()
+    path = tmp_path / "lines.csv"
+    path.write_text("\n".join(lines + [row]) + "\n")
+    result = invoke("fit", "--mode", mode, "--dataset", str(path))
+    assert result.exit_code == EXIT_DATASET
+    assert f":{len(lines) + 1}: bad numeric field" in result.output
+
+
+def test_fit_refindex_non_finite_exits_dataset(tmp_path):
+    data = tmp_path / "n.csv"
+    data.write_text("nu_cm1,n\n10,2.5\n20,2.51\n30,nan\n40,2.53\n50,2.55\n")
+    result = invoke("fit", "--mode", "refindex", "--dataset", str(data))
+    assert result.exit_code == EXIT_DATASET
+    assert ":4: bad numeric field" in result.output
+
+
+def test_fit_refindex_pole_inside_data_exits_dataset(tmp_path):
+    data = tmp_path / "n.csv"
+    data.write_text("nu_cm1,n\n" + "".join(f"{50 + 5 * k},{2.4 + 0.01 * k}\n" for k in range(9)))
+    result = invoke("fit", "--mode", "refindex", "--dataset", str(data), "--initial-nu0", "60")
+    assert result.exit_code == EXIT_DATASET
+    assert "initial pole position 60.0 lies inside the data range [50.0, 90.0]" in result.output
+
+
+@pytest.mark.parametrize("args", [("levels", "--bogus"), ("hf",), ("levels", "--format", "xml"), ("nosuch",)])
+def test_usage_errors_exit_2(args):
+    result = invoke(*args)
+    assert result.exit_code == 2
+    assert "Usage:" in result.output
+
+
+def test_synth_unknown_transition_exits_config(tmp_path):
+    result = invoke("synth", "--transition", "8.1-8.99", "--output", str(tmp_path / "x.csv"))
+    assert result.exit_code == EXIT_CONFIG
+    assert "unknown transition 8.1-8.99: have levels 1..13" in result.output
+    config = tmp_path / "far.ini"
+    config.write_text(
+        MINIMAL_CONFIG
+        + "\n[grid]\nstart_cm1 = 1.0\nstop_cm1 = 2.0\nstep_cm1 = 0.01\n"
+        + "\n[transitions]\ninclude = 8.1-8.20\n"
+    )
+    result = invoke("synth", "--config", str(config), "--output", str(tmp_path / "y.csv"))
+    assert result.exit_code == EXIT_CONFIG
+    assert "unknown transition 8.1-8.20" in result.output
+
+
+@pytest.mark.parametrize("sigma", ["0", "-0.01"])
+def test_fit_refindex_nonpositive_sigma_exits_dataset(tmp_path, sigma):
+    data = tmp_path / "n.csv"
+    data.write_text(f"nu_cm1,n,sigma_n\n10,2.5,0.01\n20,2.51,{sigma}\n30,2.52,0.01\n40,2.53,0.01\n50,2.55,0.01\n")
+    result = invoke("fit", "--mode", "refindex", "--dataset", str(data))
+    assert result.exit_code == EXIT_DATASET
+    assert ":3: sigma_n must be positive" in result.output

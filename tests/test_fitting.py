@@ -371,3 +371,14 @@ def test_refractive_pole_inside_rejected():
         fit_refractive(data, RefractiveModel(-1.0, 40.0, 2.5))
     with pytest.raises(ValueError, match="points"):
         fit_refractive(data[:3], RefractiveModel(-1.0, 100.0, 2.5))
+
+
+def test_refractive_pole_inside_is_a_dataset_error():
+    """The starting pole falls inside the data: a mismatch between the data and
+    the starting model, reported as a DatasetError with the range."""
+    from hfspec.datasets import DatasetError
+
+    nu = np.linspace(50.0, 90.0, 9)
+    data = np.column_stack([nu, np.full(nu.size, 2.45)])
+    with pytest.raises(DatasetError, match=r"initial pole position 60.0 lies inside the data range \[50.0, 90.0\]"):
+        fit_refractive(data, RefractiveModel(-11.0, 60.0, 2.6))
