@@ -29,7 +29,7 @@ from typing import NamedTuple
 import numpy as np
 from numpy.typing import NDArray
 
-from .fitting import LSQSolution, damped_least_squares
+from .fitting import LSQSolution, covariance_from_jacobian, damped_least_squares
 from .spectra import PeakModel, Spectrum, TransitionLine
 
 #: difference-series index per (n_init, n_final) family
@@ -53,10 +53,6 @@ class DifferenceSeries:
     m_z: NDArray[np.float64]
     values: NDArray[np.float64]
     sigmas: NDArray[np.float64] | None = None
-
-    @property
-    def points(self) -> list[tuple[float, float]]:
-        return list(zip(self.m_z.tolist(), self.values.tolist()))
 
 
 @dataclass(frozen=True)
@@ -162,9 +158,7 @@ def extract_lambda23(
     return lam2, lam3
 
 
-def _half_max_window(
-    grid: NDArray[np.float64], smooth: NDArray[np.float64], top: int
-) -> tuple[int, int]:
+def _half_max_window(smooth: NDArray[np.float64], top: int) -> tuple[int, int]:
     """Indices of the contiguous half-maximum region around sample ``top``."""
     half = smooth[top] / 2.0
     above = smooth >= half
@@ -183,38 +177,22 @@ def _initial_peaks(
     n_peaks: int,
     shape: str,
 ) -> tuple[NDArray[np.float64], NDArray[np.float64], float]:
-    """Deterministic initialization for the peak fit.
+    """Deterministic initialization for the peak fit by greedy subtraction.
 
-    The signal is smoothed over 3 grid points and initial centers sit on the
-    ``n_peaks`` tallest strict local maxima, with the initial FWHM taken from
-    the half-maximum crossing width of the tallest one.  When blending leaves
-    fewer maxima than peaks, the remaining centers are seeded by greedy
-    subtraction: repeatedly place a trial profile on the residual maximum,
-    with its width read off the residual's half-maximum crossings, and
-    subtract it.  Amplitudes start at the (residual) signal under each center.
+    The signal is smoothed over 3 grid points.  Then, once per peak, a trial
+    profile is placed on the residual maximum, with its width read off the
+    residual's half-maximum crossings and its amplitude the residual there,
+    and is subtracted.  The initial FWHM is the median of those widths.
+    Local maxima are not used as seeds: noise adds maxima, and a center
+    seeded on a noise spike lets the fit lose the weaker of two blended peaks.
     """
-    smooth = signal.copy()
-    smooth[1:-1] = (signal[:-2] + signal[1:-1] + signal[2:]) / 3.0
+    residual = signal.copy()
+    residual[1:-1] = (signal[:-2] + signal[1:-1] + signal[2:]) / 3.0
     spacing = grid[1] - grid[0]
-    interior = np.arange(1, len(smooth) - 1)
-    is_max = (smooth[interior] > smooth[interior - 1]) & (
-        smooth[interior] >= smooth[interior + 1]
-    )
-    candidates = interior[is_max]
-    order = np.argsort(-smooth[candidates], kind="stable")
-    tallest = int(candidates[order][0]) if len(candidates) else int(np.argmax(smooth))
-    left, right = _half_max_window(grid, smooth, tallest)
-    fwhm0 = max(grid[right] - grid[left], 2.0 * spacing)
-
-    if len(candidates) >= n_peaks:
-        chosen = sorted(candidates[order][:n_peaks])
-        return grid[chosen], np.maximum(smooth[chosen], 1e-12), float(fwhm0)
-
-    residual = smooth.copy()
     centers, amps, widths = [], [], []
     for _ in range(n_peaks):
         top = int(np.argmax(residual))
-        left, right = _half_max_window(grid, residual, top)
+        left, right = _half_max_window(residual, top)
         width = max(grid[right] - grid[left], 2.0 * spacing)
         height = max(residual[top], 1e-12)
         centers.append(grid[top])
@@ -224,10 +202,7 @@ def _initial_peaks(
         residual = residual - trial.profile(grid)
 
     order = np.argsort(centers)
-    centers = np.asarray(centers)[order]
-    amps = np.asarray(amps)[order]
-    fwhm0 = float(np.median(widths))
-    return centers, amps, fwhm0
+    return np.asarray(centers)[order], np.asarray(amps)[order], float(np.median(widths))
 
 
 def fit_peaks(
@@ -243,8 +218,10 @@ def fit_peaks(
     peak or a single shared FWHM.  Initialization is deterministic (see
     ``_initial_peaks``); centers are bounded to the grid and widths to
     [grid spacing, grid span].  Returns the fitted peaks sorted by center and
-    the parameter covariance (scaled by the residual variance) in the order
-    (centers..., amplitudes..., fwhm(s)...).
+    the parameter covariance (``covariance_from_jacobian`` scaled by the
+    residual variance) in the order (centers..., amplitudes..., fwhm(s)...).
+    A parameter in a flat direction, such as the center and FWHM of a peak
+    whose amplitude fell to 0, has variance inf.
 
     Raises ConvergenceError if the optimizer does not converge within
     ``max_iter``; failures are reported, never silently clipped.
@@ -300,9 +277,9 @@ def fit_peaks(
     )
 
     dof = max(len(grid) - len(x0), 1)
-    variance = solution.chi2 / dof
-    normal = solution.jacobian.T @ solution.jacobian
-    cov = variance * np.linalg.pinv(normal)
+    cov, _, flat = covariance_from_jacobian(solution.jacobian, solution.x_scale)
+    cov = solution.chi2 / dof * cov
+    cov[flat, flat] = np.inf
 
     centers, amps, widths = unpack(solution.x)
     peaks = [

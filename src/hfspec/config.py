@@ -22,7 +22,7 @@ from pathlib import Path
 from typing import Any
 
 from .angular import SpinSystem
-from .hamiltonian import CFParameters, HyperfineConstants
+from .hamiltonian import CF_COEFFICIENTS, CFParameters, HyperfineConstants
 from .spectra import PEAK_SHAPES, IsotopeConfig
 
 SCHEMA_VERSION = 1
@@ -126,7 +126,6 @@ class RunConfig:
     schema_version: int
 
 
-_CF_KEYS = ("b20", "b40", "b44", "b4m4", "b60", "b64", "b6m4")
 _GRID_KEYS = ("start_cm1", "stop_cm1", "step_cm1")
 
 #: section -> key -> (parser, default); key names are unique across sections.
@@ -135,7 +134,7 @@ _GRID_KEYS = ("start_cm1", "stop_cm1", "step_cm1")
 _SCHEMA: dict[str, dict[str, tuple[Callable[[str], Any], Any]]] = {
     "meta": {"schema_version": (int, None)},
     "system": {"j": (_spin, 8.0), "i": (_spin, 3.5), "g_j": (parse_half_integer, 1.25)},
-    "cf": {key: (parse_finite, 0.0) for key in _CF_KEYS},
+    "cf": {key: (parse_finite, 0.0) for key in CF_COEFFICIENTS},
     "hyperfine": {"a_j": (parse_finite, 0.0), "b_quad": (parse_finite, 0.0)},
     "conditions": {"temperature_k": (_positive, 3.5)},
     "grid": {key: (parse_finite, None) for key in _GRID_KEYS},
@@ -161,7 +160,9 @@ def load_config(path: str | Path) -> RunConfig:
     parser's line diagnostics for syntax errors).
     """
     path = Path(path)
-    parser = configparser.ConfigParser(interpolation=None)
+    # no file can name the section "" (a header needs one character), so
+    # [DEFAULT] is an ordinary section and the unknown-section rule refuses it
+    parser = configparser.ConfigParser(interpolation=None, default_section="")
     try:
         with open(path, encoding="utf-8") as handle:
             parser.read_file(handle, source=str(path))
@@ -209,7 +210,7 @@ def load_config(path: str | Path) -> RunConfig:
     return RunConfig(
         system=SpinSystem(j=v["j"], i=v["i"]),
         g_j=v["g_j"],
-        cf=CFParameters(**{key: v[key] for key in _CF_KEYS}),
+        cf=CFParameters(**{key: v[key] for key in CF_COEFFICIENTS}),
         hyperfine=HyperfineConstants(a_j=v["a_j"], b_quad=v["b_quad"]),
         temperature=v["temperature_k"],
         grid=grid,

@@ -32,13 +32,15 @@ _COLUMNS = ["transition", "m_z", "energy_cm1", "sigma_cm1"]
 
 
 def _rows_with_numbers(path: Path):
-    """Yield (line_number, fields) for non-comment, non-blank CSV lines."""
+    """Yield (line_number, fields) for non-comment, non-blank CSV records; the
+    number is the file line on which the record ends."""
     try:
         with open(path, encoding="utf-8", newline="") as handle:
-            for number, row in enumerate(csv.reader(handle), start=1):
+            reader = csv.reader(handle)
+            for row in reader:
                 if not row or (row[0].lstrip().startswith("#")):
                     continue
-                yield number, [cell.strip() for cell in row]
+                yield reader.line_num, [cell.strip() for cell in row]
     except FileNotFoundError as exc:
         raise DatasetError(f"dataset file not found: {path}") from exc
     except (UnicodeDecodeError, csv.Error) as exc:
@@ -83,7 +85,7 @@ def read_dataset(path: str | Path, j: float = DATASET_J) -> TransitionDataset:
             raise DatasetError(f"{path}:{number}: {exc}") from exc
     if not header_seen:
         raise DatasetError(f"{path}: empty dataset (no header)")
-    return TransitionDataset(rows, metadata={"source": str(path)})
+    return TransitionDataset(rows)
 
 
 def write_dataset(path: str | Path, dataset: TransitionDataset) -> None:

@@ -19,15 +19,17 @@ the spectrum is stationary) are reported as unidentifiable with infinite
 error rather than silently inverted.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.typing import NDArray
 
 from .angular import SpinSystem
-from .hamiltonian import CFParameters, HyperfineConstants, cf_levels, hf_levels_exact
+from .hamiltonian import (CF_COEFFICIENTS, CFParameters, HyperfineConstants, _cf_step, _hf_levels,
+                          cf_levels)
 
-CF_AJ_PARAM_NAMES = ("b20", "b40", "b44", "b60", "b64", "b6m4", "a_j")
+#: free parameters of fit_cf_aj: every CF coefficient but the gauged b4m4, then a_j
+CF_AJ_PARAM_NAMES = tuple(name for name in CF_COEFFICIENTS if name != "b4m4") + ("a_j",)
 
 ROW_KINDS = ("hf", "cf", "moment")
 
@@ -86,13 +88,9 @@ class ObservationRow:
 
 @dataclass
 class TransitionDataset:
-    """Rows plus free-form provenance metadata (source, temperature, doping)."""
+    """The rows of one measured dataset."""
 
     rows: list[ObservationRow]
-    metadata: dict = field(default_factory=dict)
-
-    def __len__(self) -> int:
-        return len(self.rows)
 
 
 @dataclass(frozen=True)
@@ -399,26 +397,30 @@ def predict_lines_exact(
     (Kramers degeneracy makes the branch choice immaterial); cf rows are
     hyperfine-averaged means; moment rows come from the CF eigenvectors.
     """
-    labelled = hf_levels_exact(params, hf, system)
-    energy = {(h.n, h.sigma, h.m_z): h.energy for h in labelled}
-    base_levels = cf_levels(params, system)
-    _check_level_range(rows, len(base_levels), system.i)
-    out = np.empty(len(rows))
-    for k, row in enumerate(rows):
-        if row.kind == "moment":
-            out[k] = base_levels[row.n_init - 1].jz_expect
-        elif row.kind == "cf":
-            diffs = [
-                energy[(row.n_final, +1, m)] - energy[(row.n_init, +1, m)]
-                for m in system.m_i
-            ]
-            out[k] = float(np.mean(diffs))
-        else:
-            out[k] = (
-                energy[(row.n_final, +1, row.m_z)]
-                - energy[(row.n_init, +1, row.m_z)]
-            )
-    return out
+    return _exact_predictor(params, rows, system)(hf)
+
+
+def _exact_predictor(params: CFParameters, rows: list[ObservationRow], system: SpinSystem):
+    """predict_lines_exact as a function of the hyperfine constants alone;
+    H_CF is solved, and the rows' levels checked, once."""
+    cf = _cf_step(params, system)
+    levels = cf[2]
+    _check_level_range(rows, len(levels), system.i)
+
+    def predict(hf: HyperfineConstants) -> NDArray[np.float64]:
+        energy = {(h.n, h.sigma, h.m_z): h.energy for h in _hf_levels(cf, hf, system)}
+        out = np.empty(len(rows))
+        for k, row in enumerate(rows):
+            if row.kind == "moment":
+                out[k] = levels[row.n_init - 1].jz_expect
+            elif row.kind == "cf":
+                diffs = [energy[(row.n_final, +1, m)] - energy[(row.n_init, +1, m)] for m in system.m_i]
+                out[k] = float(np.mean(diffs))
+            else:
+                out[k] = energy[(row.n_final, +1, row.m_z)] - energy[(row.n_init, +1, row.m_z)]
+        return out
+
+    return predict
 
 
 def fit_b(
@@ -431,18 +433,16 @@ def fit_b(
 ) -> FitResult:
     """One-parameter fit of the quadrupolar constant at fixed CF parameters.
 
-    Each objective evaluation diagonalizes the full electron-nuclear
-    Hamiltonian; see ``predict_lines_exact``.
+    H_CF is solved once per fit; each objective evaluation diagonalizes the
+    full electron-nuclear Hamiltonian; see ``predict_lines_exact``.
     """
     _check_enough_rows(len(dataset.rows), 1, "rows")
     sigmas = np.array([row.sigma for row in dataset.rows])
     data = np.array([row.value for row in dataset.rows])
+    predict = _exact_predictor(params, dataset.rows, system)
 
     def residual(x: NDArray[np.float64]) -> NDArray[np.float64]:
-        predicted = predict_lines_exact(
-            params, HyperfineConstants(a_j, float(x[0])), dataset.rows, system
-        )
-        return (data - predicted) / sigmas
+        return (data - predict(HyperfineConstants(a_j, float(x[0])))) / sigmas
 
     x_scale = np.array([max(abs(initial_b), 1e-3)])
     solution = damped_least_squares(

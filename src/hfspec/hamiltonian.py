@@ -26,6 +26,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .angular import (
+    SUPPORTED_STEVENS,
     OperatorMatrix,
     SpinSystem,
     jdoti_matrix,
@@ -51,6 +52,9 @@ SECTOR_PURITY_TOL = 1e-8
 HF_CLUSTER_GAP = 1e-7
 #: lowest weight a label may have on its assigned energy cluster
 LABEL_CUT = 0.5
+#: CFParameters field of each Stevens coefficient, in SUPPORTED_STEVENS
+#: order: B_k^q is "b<k><q>", with "m" for a negative q (b4m4 is B_4^-4)
+CF_COEFFICIENTS = tuple(f"b{k}{'m' if q < 0 else ''}{abs(q)}" for k, q in SUPPORTED_STEVENS)
 
 
 class SymmetryError(ValueError):
@@ -84,20 +88,12 @@ class CFParameters:
                 raise ValueError(f"CF parameter {name} must be finite, got {value}")
 
     def items(self) -> list[tuple[str, float]]:
-        return [(name, getattr(self, name)) for name in
-                ("b20", "b40", "b44", "b4m4", "b60", "b64", "b6m4")]
+        """(name, coefficient) pairs in CF_COEFFICIENTS order."""
+        return [(name, getattr(self, name)) for name in CF_COEFFICIENTS]
 
     def terms(self) -> list[tuple[int, int, float]]:
-        """(k, q, coefficient) triplets in a fixed order."""
-        return [
-            (2, 0, self.b20),
-            (4, 0, self.b40),
-            (4, 4, self.b44),
-            (4, -4, self.b4m4),
-            (6, 0, self.b60),
-            (6, 4, self.b64),
-            (6, -4, self.b6m4),
-        ]
+        """(k, q, coefficient) triplets in SUPPORTED_STEVENS order."""
+        return [(k, q, getattr(self, name)) for (k, q), name in zip(SUPPORTED_STEVENS, CF_COEFFICIENTS)]
 
 
 @dataclass(frozen=True)
@@ -202,14 +198,11 @@ def _sectors(system: SpinSystem) -> NDArray[np.int64]:
     return np.mod(system.m_j, 4).astype(int)
 
 
-def _sector_weights(vec: NDArray[np.complex128], sectors: NDArray[np.int64]) -> NDArray[np.float64]:
-    return np.bincount(sectors, weights=np.abs(vec) ** 2, minlength=4)
-
-
 def _split_cluster_by_sector(
     vecs: NDArray[np.complex128], sectors: NDArray[np.int64]
 ) -> dict[int, list[NDArray[np.complex128]]]:
-    """Resolve a degenerate eigenspace into sector-pure orthonormal vectors.
+    """Resolve a degenerate eigenspace into sector-pure orthonormal vectors,
+    and check each one's purity.
 
     Projecting the cluster basis onto each M mod 4 sector and keeping the
     left singular vectors with singular value near 1 recovers the symmetry-
@@ -237,11 +230,14 @@ def _split_cluster_by_sector(
             f"(cluster size {size}, sector members {total}); "
             "the Hamiltonian breaks S4 symmetry"
         )
+    for sector_members in members.values():
+        for vec in sector_members:
+            _check_purity(vec, sectors)
     return members
 
 
 def _check_purity(vec: NDArray[np.complex128], sectors: NDArray[np.int64]) -> int:
-    weights = _sector_weights(vec, sectors)
+    weights = np.bincount(sectors, weights=np.abs(vec) ** 2, minlength=4)
     sector = int(np.argmax(weights))
     if 1.0 - weights[sector] > SECTOR_PURITY_TOL:
         raise SymmetryError(
@@ -290,41 +286,35 @@ def classify_levels(
     for group in clusters:
         energy = float(np.mean(shifted[group]))
         if len(group) == 1:
-            vec = _fix_phase(eigvecs[:, group[0]])
-            sector = _check_purity(vec, sectors)
+            sector = _check_purity(eigvecs[:, group[0]], sectors)
             if sector in (SIGMA_PLUS_SECTOR, SIGMA_MINUS_SECTOR):
                 raise SymmetryError(
                     f"non-degenerate eigenvector in doublet sector {sector}; "
                     "time-reversal partner is missing"
                 )
-            irrep = "G1" if sector == 0 else "G2"
-            jz_exp = float(np.real(vec.conj() @ jz @ vec))
-            levels.append(CFLevel(0, energy, irrep, 1, jz_exp, {+1: vec}))
+            members = {sector: [eigvecs[:, group[0]]]}
         else:
             members = _split_cluster_by_sector(eigvecs[:, group], sectors)
-            for s in (0, 2):
-                for vec in members.get(s, []):
-                    vec = _fix_phase(vec)
-                    _check_purity(vec, sectors)
-                    irrep = "G1" if s == 0 else "G2"
-                    jz_exp = float(np.real(vec.conj() @ jz @ vec))
-                    levels.append(CFLevel(0, energy, irrep, 1, jz_exp, {+1: vec}))
-            plus = members.get(SIGMA_PLUS_SECTOR, [])
-            minus = members.get(SIGMA_MINUS_SECTOR, [])
-            if len(plus) != len(minus):
-                raise SymmetryError(
-                    f"unpaired doublet members in degenerate cluster "
-                    f"(sector 3: {len(plus)}, sector 1: {len(minus)})"
-                )
-            # order multiple doublets within one cluster by <J_z> for determinism
-            plus = sorted(plus, key=lambda v: np.real(v.conj() @ jz @ v))
-            minus = sorted(minus, key=lambda v: -np.real(v.conj() @ jz @ v))
-            for vp, vm in zip(plus, minus):
-                vp, vm = _fix_phase(vp), _fix_phase(vm)
-                _check_purity(vp, sectors)
-                _check_purity(vm, sectors)
-                jz_exp = float(np.real(vp.conj() @ jz @ vp))
-                levels.append(CFLevel(0, energy, "G34", 2, jz_exp, {+1: vp, -1: vm}))
+        for s in (0, 2):
+            for vec in members.get(s, []):
+                vec = _fix_phase(vec)
+                irrep = "G1" if s == 0 else "G2"
+                jz_exp = float(np.real(vec.conj() @ jz @ vec))
+                levels.append(CFLevel(0, energy, irrep, 1, jz_exp, {+1: vec}))
+        plus = members.get(SIGMA_PLUS_SECTOR, [])
+        minus = members.get(SIGMA_MINUS_SECTOR, [])
+        if len(plus) != len(minus):
+            raise SymmetryError(
+                f"unpaired doublet members in degenerate cluster "
+                f"(sector 3: {len(plus)}, sector 1: {len(minus)})"
+            )
+        # order multiple doublets within one cluster by <J_z> for determinism
+        plus = sorted(plus, key=lambda v: np.real(v.conj() @ jz @ v))
+        minus = sorted(minus, key=lambda v: -np.real(v.conj() @ jz @ v))
+        for vp, vm in zip(plus, minus):
+            vp, vm = _fix_phase(vp), _fix_phase(vm)
+            jz_exp = float(np.real(vp.conj() @ jz @ vp))
+            levels.append(CFLevel(0, energy, "G34", 2, jz_exp, {+1: vp, -1: vm}))
 
     levels.sort(key=lambda lv: lv.energy)
     return [
@@ -333,10 +323,20 @@ def classify_levels(
     ]
 
 
+#: a solved crystal field: (H_CF, its lowest eigenvalue, the classified levels)
+_CFStep = tuple[OperatorMatrix, float, list[CFLevel]]
+
+
+def _cf_step(params: CFParameters, system: SpinSystem) -> _CFStep:
+    """Build H_CF, diagonalize it and classify its levels."""
+    cf_op = build_cf_hamiltonian(params, system)
+    eigvals, eigvecs = diagonalize(cf_op)
+    return cf_op, eigvals[0], classify_levels(eigvals, eigvecs, system)
+
+
 def cf_levels(params: CFParameters, system: SpinSystem) -> list[CFLevel]:
     """Diagonalize H_CF and classify: the standard entry point."""
-    eigvals, eigvecs = diagonalize(build_cf_hamiltonian(params, system))
-    return classify_levels(eigvals, eigvecs, system)
+    return _cf_step(params, system)[2]
 
 
 def linear_sum_assignment(
@@ -444,11 +444,12 @@ def hf_levels_exact(
     falls below ``LABEL_CUT``: the hyperfine coupling is then too strong for
     perturbative labelling to mean anything, and we report rather than guess.
     """
-    cf_op = build_cf_hamiltonian(params, system)
-    cf_vals, cf_vecs = diagonalize(cf_op)
-    levels = classify_levels(cf_vals, cf_vecs, system)
-    e_ground = cf_vals[0]
+    return _hf_levels(_cf_step(params, system), hf, system)
 
+
+def _hf_levels(cf: _CFStep, hf: HyperfineConstants, system: SpinSystem) -> list[HFLevel]:
+    """hf_levels_exact on a crystal field that ``_cf_step`` has solved."""
+    cf_op, e_ground, levels = cf
     full = np.kron(cf_op.matrix, np.eye(system.dim_i)) + build_hf_hamiltonian(hf, system).matrix
     eigvals, eigvecs = np.linalg.eigh(full)
     eigvals = eigvals - e_ground

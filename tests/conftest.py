@@ -85,7 +85,7 @@ def synthetic_cf_dataset(cf_params, a_j, system, rng=None):
         ObservationRow(r.kind, r.n_init, r.n_final, r.m_z, float(v), r.sigma)
         for r, v in zip(rows, values)
     ]
-    return TransitionDataset(rows, metadata={"source": "synthetic"})
+    return TransitionDataset(rows)
 
 
 def restricted_three_level_deltas(levels, a_j, system):

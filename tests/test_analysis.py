@@ -250,3 +250,38 @@ def test_residual_history_monotone():
     solution = damped_least_squares(residual, np.array([0.4, 1.0, 0.1]), bounds=bounds)
     history = np.array(solution.chi2_history)
     assert np.all(np.diff(history) <= 0)
+
+
+def _criterion_10_doublet(grid):
+    return PeakModel("gaussian", 23.527, 0.0090, 1.0).profile(grid) + PeakModel(
+        "gaussian", 23.527 + 0.0098, 0.0090, 0.33
+    ).profile(grid)
+
+
+@pytest.mark.parametrize("noise", [0.001, 0.003, 0.01])
+def test_noisy_isotope_doublet_splitting(noise):
+    """The criterion 10 doublet with Gaussian noise at 0.1-1 % of the main
+    peak's height: every seed recovers the splitting within 4e-4 cm^-1."""
+    grid = np.arange(23.48, 23.58, 0.0005)
+    clean = _criterion_10_doublet(grid)
+    for seed in range(20):
+        signal = clean + noise * np.random.default_rng(seed).standard_normal(grid.size)
+        peaks, _ = fit_peaks(Spectrum(grid, signal), 2, "gaussian")
+        splitting = peaks[1].center - peaks[0].center
+        assert abs(splitting - 0.0098) < 4e-4, f"seed {seed}: splitting {splitting:.5f}"
+
+
+def test_zero_amplitude_peak_has_infinite_variance():
+    """Two profiles fitted to one noisy peak: the spare profile's amplitude
+    falls to the bound 0, which leaves its center and FWHM flat, so their
+    variances are inf while every other parameter keeps a finite one."""
+    grid = np.arange(23.48, 23.58, 0.0005)
+    signal = PeakModel("gaussian", 23.527, 0.0090, 1.0).profile(grid)
+    signal = signal + 0.003 * np.random.default_rng(1).standard_normal(grid.size)
+    peaks, cov = fit_peaks(Spectrum(grid, signal), 2, "gaussian")
+    assert [p.amplitude == 0.0 for p in peaks] == [False, True]
+    variance = np.diag(cov)
+    flat = [1, 5]  # (centers..., amplitudes..., fwhms...) of the second peak
+    assert np.all(np.isinf(variance[flat]))
+    kept = np.delete(variance, flat)
+    assert np.all(np.isfinite(kept)) and np.all(kept > 0)

@@ -11,6 +11,7 @@ from click.testing import CliRunner
 from hfspec.cli import (
     EXIT_CONFIG,
     EXIT_DATASET,
+    EXIT_MODEL,
     main,
 )
 from hfspec.config import MEASURED_LINES, REFERENCE_CONFIG, bundled_path
@@ -20,6 +21,10 @@ runner = CliRunner()
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 #: SHA-256 of each benchmark command's output, recorded at the seed commit
 RECORDED = json.loads((PERFBENCH / "cli_expected.json").read_text())
+#: seven more commands: arguments and SHA-256 of stdout, NUL, stderr, NUL and
+#: the exit code (then NUL and the file for --output), recorded in fresh
+#: interpreters before the model core was reduced to one path per job
+MORE_RECORDED = json.loads((Path(__file__).resolve().parent / "cli_recorded.json").read_text())
 
 
 def invoke(*args):
@@ -406,6 +411,26 @@ def test_output_matches_benchmark_recording(tmp_path, name):
     assert hashlib.sha256(data).hexdigest() == RECORDED[name]
 
 
+
+def _write_refindex_points(path: Path) -> None:
+    """31 points of n = -11.1/(nu - 110) + 2.62 at nu = 10, 12, ..., 70 cm^-1."""
+    nu = np.linspace(10.0, 70.0, 31)
+    path.write_text("nu_cm1,n\n" + "".join(f"{x:.8g},{-11.1 / (x - 110.0) + 2.62:.10g}\n" for x in nu))
+
+
+@pytest.mark.parametrize("name", sorted(MORE_RECORDED))
+def test_output_matches_recording(tmp_path, name):
+    """stdout, stderr and exit code of each command, run in process, hash to
+    the recording in tests/cli_recorded.json."""
+    paths = {"{refindex}": tmp_path / "refindex.csv", "{output}": tmp_path / "out.csv"}
+    _write_refindex_points(paths["{refindex}"])
+    result = runner.invoke(main, [str(paths.get(a, a)) for a in MORE_RECORDED[name]["args"]])
+    blob = result.stdout_bytes + b"\0" + result.stderr_bytes + b"\0" + str(result.exit_code).encode()
+    if paths["{output}"].exists():
+        blob += b"\0" + paths["{output}"].read_bytes()
+    assert hashlib.sha256(blob).hexdigest() == MORE_RECORDED[name]["sha256"]
+
+
 # ------------------------------------------------------- boundary rules
 
 @pytest.mark.parametrize(
@@ -492,3 +517,36 @@ def test_fit_refindex_nonpositive_sigma_exits_dataset(tmp_path, sigma):
     result = invoke("fit", "--mode", "refindex", "--dataset", str(data))
     assert result.exit_code == EXIT_DATASET
     assert ":3: sigma_n must be positive" in result.output
+
+
+@pytest.mark.parametrize(
+    "command,good,bad,code",
+    [
+        ("hf", "8.1-8.2", "8.1-8.99", EXIT_CONFIG),
+        ("synth", "8.1-8.2", "8.1-8.99", EXIT_CONFIG),
+        ("fit", "8.1-8.2,1/2,7.3,0.01", "8.1-8.18,1/2,7.3,0.01", EXIT_DATASET),
+    ],
+    ids=["hf", "synth", "fit-b"],
+)
+def test_unknown_level_is_refused_before_labelling(tmp_path, command, good, bad, code):
+    """A model too strongly coupled to label (exit 7) still reports a
+    transition or dataset row naming an unknown level as such first."""
+    config = tmp_path / "strong.ini"
+    config.write_text(
+        MINIMAL_CONFIG.replace("a_j = 0.02703", "a_j = 1.0")
+        + "\n[grid]\nstart_cm1 = 1.0\nstop_cm1 = 2.0\nstep_cm1 = 0.01\n"
+    )
+
+    def run(level):
+        if command == "fit":
+            path = tmp_path / "lines.csv"
+            path.write_text(bundled_path(MEASURED_LINES).read_text() + level + "\n")
+            return invoke("fit", "--mode", "b", "--config", str(config), "--dataset", str(path))
+        output = ["--output", str(tmp_path / "x.csv")] if command == "synth" else []
+        return invoke(command, "--config", str(config), "--transition", level, *output)
+
+    result = run(good)
+    assert result.exit_code == EXIT_MODEL, result.output
+    result = run(bad)
+    assert result.exit_code == code, result.output
+    assert "8.99" in result.output or "level index out of range" in result.output

@@ -101,6 +101,17 @@ def test_non_utf8_config_is_config_error(tmp_path):
         load_config(path)
 
 
+
+@pytest.mark.parametrize("more", ["", "\n[cf]\nb20 = 1.0\n"], ids=["meta-only", "with-cf"])
+def test_default_section_rejected(tmp_path, more):
+    """An INI [DEFAULT] section would leak its keys into every section; it is
+    refused like any other unknown section, whichever sections follow."""
+    path = _write(tmp_path, "[DEFAULT]\nschema_version = 1\n\n" + HEADER + more)
+    with pytest.raises(ConfigError, match=r"unknown section \[DEFAULT\]"):
+        load_config(path)
+    result = CliRunner().invoke(main, ["levels", "--config", str(path)])
+    assert result.exit_code == EXIT_CONFIG, result.output
+
 # ------------------------------------------------------------- level labels
 
 @pytest.mark.parametrize("j,n,label", [(8.0, 1, "8.1"), (8.0, 13, "8.13"), (7.5, 2, "7.5.2")])

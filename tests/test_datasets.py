@@ -62,6 +62,16 @@ def test_dataset_error_carries_row_number(tmp_path):
         read_dataset(bad)
 
 
+def test_error_names_the_physical_line_after_a_multiline_cell(tmp_path):
+    """A quoted cell may span two lines; later diagnostics still name the
+    line of the file that holds the bad value."""
+    bad = tmp_path / "ml.csv"
+    bad.write_text(
+        'transition,m_z,energy_cm1,sigma_cm1\n"8.1-8.2\n",1/2,7.3,0.01\n8.1-8.2,3/2,x,0.01\n'
+    )
+    with pytest.raises(DatasetError, match=r"ml\.csv:4:"):
+        read_dataset(bad)
+
 def test_spectrum_round_trip(tmp_path):
     grid = np.linspace(0.0, 1.0, 50)
     spec = Spectrum(grid, np.sin(grid))

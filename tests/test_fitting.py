@@ -291,6 +291,19 @@ def test_fit_b_on_measured_lines(measured, cf_params, system):
     assert 0.02 < result.params["b_quad"] < 0.06
 
 
+
+def test_fit_b_classifies_h_cf_once(monkeypatch, measured, cf_params, system):
+    """fit_b holds its CF parameters fixed, so H_CF is solved and classified
+    once per fit, not once per model evaluation."""
+    from hfspec import hamiltonian
+
+    calls = []
+    classify = hamiltonian.classify_levels
+    monkeypatch.setattr(hamiltonian, "classify_levels", lambda *args: calls.append(1) or classify(*args))
+    result = fit_b(measured, cf_params, A_J_REF, system)
+    assert result.n_iter > 1
+    assert len(calls) == 1
+
 def test_fit_b_synthetic_round_trip(cf_params, system):
     truth = HyperfineConstants(A_J_REF, 0.059)
     rows = []

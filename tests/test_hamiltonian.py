@@ -26,6 +26,22 @@ def test_single_term_linearity(system):
     assert np.array_equal(h.matrix, build_stevens(2, 0, system.j).matrix)
 
 
+
+def test_one_coefficient_table():
+    """CF_COEFFICIENTS names every CFParameters field once, in
+    SUPPORTED_STEVENS order, and fit_cf_aj frees all but the gauged b4m4."""
+    from dataclasses import fields
+
+    from hfspec.angular import SUPPORTED_STEVENS
+    from hfspec.fitting import CF_AJ_PARAM_NAMES
+    from hfspec.hamiltonian import CF_COEFFICIENTS
+
+    assert sorted(CF_COEFFICIENTS) == sorted(f.name for f in fields(CFParameters))
+    params = CFParameters(1.0, 2.0, 3.0, 4.0, 5.0, b6m4=6.0, b4m4=7.0)
+    assert params.terms() == [(k, q, getattr(params, name)) for (k, q), name in zip(SUPPORTED_STEVENS, CF_COEFFICIENTS)]
+    assert params.terms()[3] == (4, -4, 7.0)
+    assert CF_AJ_PARAM_NAMES == ("b20", "b40", "b44", "b60", "b64", "b6m4", "a_j")
+
 def test_reference_spectrum_span(cf_params, system):
     vals, _ = diagonalize(build_cf_hamiltonian(cf_params, system))
     vals = vals - vals[0]

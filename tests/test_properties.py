@@ -1,10 +1,15 @@
 """Property tests over random S4 parameter sets around the Ho:LiYF4 reference."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hfspec import CF_HO_LIYF4, HO_LIYF4, HYPERFINE_HO_LIYF4
+from hfspec.config import MEASURED_LINES, bundled_path
+from hfspec.datasets import read_dataset, write_dataset
+from hfspec.fitting import (ObservationRow, TransitionDataset, _exact_predictor, predict_lines_exact,
+                            predict_lines_first_order)
 from hfspec.hamiltonian import (
     CFParameters,
     HyperfineConstants,
@@ -16,7 +21,7 @@ from hfspec.hamiltonian import (
     hf_levels_exact,
 )
 from hfspec.angular import build_jplus, build_jz
-from hfspec.perturbation import delta_full, lambda_from_model, quadratic_m2_coefficient
+from hfspec.perturbation import delta_full, k_correction, lambda_from_model, quadratic_m2_coefficient
 
 CF_NAMES = ("b20", "b40", "b44", "b60", "b64")
 
@@ -122,3 +127,68 @@ def test_product_overlaps_equal_kron_columns(point):
     expected = np.abs(np.array(columns).conj() @ eigvecs) ** 2
     assert labels == expected_labels
     np.testing.assert_allclose(overlaps, expected, rtol=0, atol=1e-13)
+
+
+#: the bundled hf rows plus one hyperfine-averaged row and one moment row
+ALL_KINDS = read_dataset(bundled_path(MEASURED_LINES)).rows + [
+    ObservationRow("cf", 1, 4, None, 0.0, 0.05),
+    ObservationRow("moment", 6, None, None, 0.0, 0.02),
+]
+
+
+@property_settings
+@given(s4_points)
+def test_held_cf_step_predicts_like_predict_lines_exact(point):
+    """fit_b's predictor, with H_CF solved once, gives the bits of a fresh
+    predict_lines_exact at every b_quad it is asked for."""
+    cf, hf = _model(point)
+    system = HO_LIYF4
+    predict = _exact_predictor(cf, ALL_KINDS, system)
+    for b_quad in (hf.b_quad, 0.0, 0.5 * hf.b_quad):
+        trial = HyperfineConstants(hf.a_j, b_quad)
+        try:
+            expected = predict_lines_exact(cf, trial, ALL_KINDS, system)
+        except LabelingError:
+            with pytest.raises(LabelingError):
+                predict(trial)
+            continue
+        assert predict(trial).tobytes() == expected.tobytes()
+
+
+@property_settings
+@given(s4_points)
+def test_k_antisymmetric(point):
+    cf, hf = _model(point)
+    system = HO_LIYF4
+    levels = cf_levels(cf, system)
+    for i, j in ((1, 2), (1, 3), (2, 3)):
+        for m_z in system.m_i:
+            k_ij = k_correction(i, j, m_z, levels, hf.a_j, system)
+            assert k_ij == -k_correction(j, i, m_z, levels, hf.a_j, system)
+
+
+@property_settings
+@given(s4_points)
+def test_three_level_lambda_sum_rule(point):
+    """In the three-level model without quadrupole, lambda2 + lambda3 = -2 lambda1."""
+    cf, hf = _model(point)
+    system = HO_LIYF4
+    lam = lambda_from_model(cf_levels(cf, system)[:3], HyperfineConstants(hf.a_j, 0.0), system)
+    assert lam.lambda2 + lam.lambda3 == pytest.approx(-2 * lam.lambda1, rel=0, abs=1e-12)
+
+
+@property_settings
+@given(s4_points)
+def test_dataset_write_read_round_trip(tmp_path_factory, point):
+    """Rows predicted at the point come back from write_dataset and
+    read_dataset with their kinds, levels and m_z, and with values and
+    sigmas at the 8 significant digits written."""
+    cf, hf = _model(point)
+    values = predict_lines_first_order(cf, hf.a_j, ALL_KINDS, HO_LIYF4)
+    rows = [ObservationRow(r.kind, r.n_init, r.n_final, r.m_z, float(v), r.sigma) for r, v in zip(ALL_KINDS, values)]
+    path = tmp_path_factory.mktemp("round") / "rows.csv"
+    write_dataset(path, TransitionDataset(rows))
+    back = read_dataset(path).rows
+    assert [(r.kind, r.n_init, r.n_final, r.m_z) for r in back] == [(r.kind, r.n_init, r.n_final, r.m_z) for r in rows]
+    assert [r.value for r in back] == [float(f"{r.value:.8g}") for r in rows]
+    assert [r.sigma for r in back] == [r.sigma for r in rows]
