@@ -31,9 +31,7 @@ from .hamiltonian import (
 )
 from .perturbation import (
     LambdaCoefficients,
-    delta_doublet,
     delta_full,
-    delta_singlet,
     k_correction,
     lambda_from_exact,
     lambda_from_model,

@@ -43,6 +43,7 @@ from .hamiltonian import (
     _cf_step,
     _hf_levels,
     cf_levels,
+    quadrupole_undefined,
 )
 
 EXIT_CONFIG = 3
@@ -97,6 +98,12 @@ def _check_levels(pairs: list[tuple[int, int]], n_levels: int, j: float) -> None
     for ni, nf in pairs:
         if max(ni, nf) > n_levels:
             raise ConfigError(f"unknown transition {format_transition(j, ni, nf)}: have levels 1..{n_levels}")
+
+
+def _finite(ctx: click.Context, param: click.Parameter, value: float) -> float:
+    if not np.isfinite(value):
+        raise click.BadParameter(f"must be finite, got {value}")
+    return value
 
 
 def _load(config_path: str | None) -> RunConfig:
@@ -224,12 +231,14 @@ def _fit_report(result: fitting.FitResult, measured, sigmas, predictions) -> dic
 @click.option("--dataset", "dataset_path", type=click.Path(), required=True)
 @click.option("--mode", type=click.Choice(["cf_aj", "b", "refindex"]), required=True)
 @click.option("--output", type=click.Path(), default=None)
-@click.option("--initial-a", type=float, default=-11.0, help="refindex: initial amplitude.")
-@click.option("--initial-nu0", type=float, default=110.0, help="refindex: initial pole.")
-@click.option("--initial-c", type=float, default=2.6, help="refindex: initial offset.")
+@click.option("--initial-a", type=float, default=-11.0, callback=_finite, help="refindex: initial amplitude.")
+@click.option("--initial-nu0", type=float, default=110.0, callback=_finite, help="refindex: initial pole.")
+@click.option("--initial-c", type=float, default=2.6, callback=_finite, help="refindex: initial offset.")
 def fit(config_path, dataset_path, mode, output, initial_a, initial_nu0, initial_c):
     """Weighted least-squares fits; writes a JSON report."""
     cfg = _load(config_path)
+    if mode == "b" and (why := quadrupole_undefined(cfg.system)):
+        raise ConfigError(f"fit --mode b fits the quadrupolar constant: {why}")
     if mode == "refindex":
         points = datasets.read_refractive_points(dataset_path)
         initial = fitting.RefractiveModel(initial_a, initial_nu0, initial_c)
@@ -277,21 +286,29 @@ def analyze(dataset_path, fmt, output):
     if dataset_path is None:
         dataset_path = bundled_path(MEASURED_LINES)
     data = datasets.read_dataset(dataset_path)
-    series = {}
+    series, slopes, ladders = {}, {}, {}
     for (ni, nf), which in analysis.FAMILY_INDEX.items():
         lines = [
             spectra.TransitionLine(row.n_init, row.n_final, row.m_z, row.value, row.sigma)
             for row in data.rows
             if row.kind == "hf" and (row.n_init, row.n_final) == (ni, nf)
         ]
+        family = format_transition(datasets.DATASET_J, ni, nf)
         if len(lines) == 0:
-            family = format_transition(datasets.DATASET_J, ni, nf)
             raise DatasetError(f"dataset lacks the {family} family needed for the analysis")
-        series[which] = analysis.difference_series(lines)
-
-    slopes = {which: analysis.fit_slope(s) for which, s in series.items()}
-    lam1 = analysis.extract_lambda1(series[2], series[3])
-    lam2, lam3 = analysis.extract_lambda23(series[1], series[2], series[3])
+        try:
+            series[which] = analysis.difference_series(lines)
+            slopes[which] = analysis.fit_slope(series[which])
+        except ValueError as exc:
+            raise DatasetError(f"{dataset_path}: {family} family: {exc}") from exc
+        low, high = min(ln.m_z for ln in lines), max(ln.m_z for ln in lines)
+        ladders[family] = f"{datasets.format_half_integer(low)}..{datasets.format_half_integer(high)}"
+    try:
+        lam1 = analysis.extract_lambda1(series[2], series[3])
+        lam2, lam3 = analysis.extract_lambda23(series[1], series[2], series[3])
+    except ValueError as exc:
+        grids = ", ".join(f"{family} m_z {ladder}" for family, ladder in ladders.items())
+        raise DatasetError(f"{dataset_path}: {exc}: {grids}") from exc
     lambdas = {"lambda1": lam1, "lambda2": lam2, "lambda3": lam3}
 
     if fmt == "json":

@@ -22,7 +22,7 @@ from pathlib import Path
 from typing import Any
 
 from .angular import SpinSystem
-from .hamiltonian import CF_COEFFICIENTS, CFParameters, HyperfineConstants
+from .hamiltonian import CF_COEFFICIENTS, CFParameters, HyperfineConstants, quadrupole_undefined
 from .spectra import PEAK_SHAPES, IsotopeConfig
 
 SCHEMA_VERSION = 1
@@ -202,13 +202,16 @@ def load_config(path: str | Path) -> RunConfig:
             raise ConfigError(f"{path}: section [grid] needs start_cm1, stop_cm1, step_cm1")
         if not (grid[1] > grid[0] and grid[2] > 0):
             raise ConfigError(f"{path}: invalid grid {grid}")
+    system = SpinSystem(j=v["j"], i=v["i"])
+    if v["b_quad"] != 0.0 and (why := quadrupole_undefined(system)):
+        raise ConfigError(f"{path}: bad value for hyperfine.b_quad: {why}")
     try:
         transitions = [parse_transition_label(label, v["j"]) for label in v["include"]]
     except ConfigError as exc:
         raise bad("transitions", "include", exc) from exc
 
     return RunConfig(
-        system=SpinSystem(j=v["j"], i=v["i"]),
+        system=system,
         g_j=v["g_j"],
         cf=CFParameters(**{key: v[key] for key in CF_COEFFICIENTS}),
         hyperfine=HyperfineConstants(a_j=v["a_j"], b_quad=v["b_quad"]),

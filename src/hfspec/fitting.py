@@ -312,7 +312,7 @@ def predict_lines_first_order(
     """Transition energies from H_CF plus the first-order hyperfine shift.
 
     An hf row (i -> f, m_z) is predicted as E_f - E_i + a_j (jz_f - jz_i) m_z
-    with jz the sigma = +1 branch moment (zero for singlets); cf rows as the
+    with jz the sigma = +1 branch moment (0 for singlets); cf rows as the
     plain CF energy difference (the first-order shift averages out over m_z);
     moment rows as jz of the requested level.
     """
@@ -328,9 +328,7 @@ def predict_lines_first_order(
         final = by_n[row.n_final]
         out[k] = final.energy - init.energy
         if row.kind == "hf":
-            jz_i = init.jz_expect if init.degeneracy == 2 else 0.0
-            jz_f = final.jz_expect if final.degeneracy == 2 else 0.0
-            out[k] += a_j * (jz_f - jz_i) * row.m_z
+            out[k] += a_j * (final.jz_expect - init.jz_expect) * row.m_z
     return out
 
 

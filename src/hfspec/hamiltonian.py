@@ -115,6 +115,8 @@ class CFLevel:
     ``vectors`` maps the branch index sigma to the eigenvector over the M
     basis; singlets carry only sigma = +1.  ``jz_expect`` is <J_z> of the
     sigma = +1 branch (signed; the sigma = -1 branch has the opposite sign).
+    A singlet's is exactly 0.0: a non-degenerate level of an integer-j ion
+    has no moment, by time reversal.
     """
 
     n: int
@@ -125,10 +127,8 @@ class CFLevel:
     vectors: dict[int, NDArray[np.complex128]]
 
     def jz_branch(self, sigma: int) -> float:
-        """<J_z> of one branch; zero for singlets up to numerical noise."""
-        if self.degeneracy == 1:
-            return self.jz_expect
-        return self.jz_expect if sigma == +1 else -self.jz_expect
+        """<J_z> of one branch."""
+        return sigma * self.jz_expect
 
     def branches(self) -> tuple[int, ...]:
         return tuple(sorted(self.vectors, reverse=True))
@@ -159,6 +159,13 @@ def build_cf_hamiltonian(params: CFParameters, system: SpinSystem) -> OperatorMa
     return OperatorMatrix(mat)
 
 
+def quadrupole_undefined(system: SpinSystem) -> str:
+    """Why the quadrupolar term is undefined on ``system``, or "" where it is defined."""
+    if system.i >= 1 and system.j >= 1:
+        return ""
+    return f"quadrupolar coupling requires i >= 1 and j >= 1, got j={system.j}, i={system.i}"
+
+
 def build_hf_hamiltonian(hf: HyperfineConstants, system: SpinSystem) -> OperatorMatrix:
     """Electron-nuclear coupling on the (2j+1)(2i+1) product space.
 
@@ -172,11 +179,9 @@ def build_hf_hamiltonian(hf: HyperfineConstants, system: SpinSystem) -> Operator
     j, i = system.j, system.i
     mat = hf.a_j * jdoti_matrix(j, i)
     if hf.b_quad != 0.0:
+        if why := quadrupole_undefined(system):
+            raise ValueError(why)
         denom = 2 * i * (2 * i - 1) * j * (2 * j - 1)
-        if denom == 0.0:
-            raise ValueError(
-                f"quadrupolar coupling requires i >= 1 and j >= 1, got j={j}, i={i}"
-            )
         mat = mat + (hf.b_quad / denom) * quadrupole_matrix(j, i)
     return OperatorMatrix(mat)
 
@@ -261,8 +266,9 @@ def classify_levels(
 
     Eigenvalues within ``DEGENERACY_TOL`` form one level.  Each level is
     resolved into sector-pure members; sectors 0 and 2 give G1 and G2
-    singlets, a sector 1/3 pair gives a G34 doublet whose sigma = +1 branch
-    is the sector-3 member.  Energies are shifted so the ground level is 0.
+    singlets with <J_z> = 0, a sector 1/3 pair gives a G34 doublet whose
+    sigma = +1 branch is the sector-3 member.  Energies are shifted so the
+    ground level is 0.
 
     Raises SymmetryError when an eigenvector has mixed-sector support beyond
     tolerance, which signals a symmetry-breaking Hamiltonian.
@@ -299,8 +305,8 @@ def classify_levels(
             for vec in members.get(s, []):
                 vec = _fix_phase(vec)
                 irrep = "G1" if s == 0 else "G2"
-                jz_exp = float(np.real(vec.conj() @ jz @ vec))
-                levels.append(CFLevel(0, energy, irrep, 1, jz_exp, {+1: vec}))
+                # time reversal leaves a singlet no moment; <vec|J_z|vec> is rounding noise
+                levels.append(CFLevel(0, energy, irrep, 1, 0.0, {+1: vec}))
         plus = members.get(SIGMA_PLUS_SECTOR, [])
         minus = members.get(SIGMA_MINUS_SECTOR, [])
         if len(plus) != len(minus):

@@ -15,7 +15,10 @@ parent crystal-field level is
 with dE = E_n - E_phi.  The nuclear ladder factors are tied to their
 electronic channel: J+ transfers one quantum from the nucleus to the electron
 (intermediate m_z - 1), J- the reverse.  S4 selection rules make most matrix
-elements vanish, which is what the irrep-resolved forms below spell out.
+elements vanish; the one formula sums them all, zeros included.  A singlet
+has <J_z> = 0 exactly (``classify_levels`` sets it), so its first-order term
+vanishes and its correction is even in m_z; a doublet's sigma = -1 branch at
+-m_z mirrors its sigma = +1 branch at m_z.
 
 Passing a truncated ``levels`` list restricts the intermediate-state sums,
 which is how the three-level model built from the K_{i,j} terms is obtained.
@@ -55,26 +58,8 @@ def _level(levels: list[CFLevel], n: int) -> CFLevel:
     raise ValueError(f"level {n} not present in the supplied level list")
 
 
-def _operators(levels: list[CFLevel]):
-    dim = len(levels[0].vectors[+1])
-    j = (dim - 1) / 2.0
-    return j, jz_matrix(j), jplus_matrix(j), jminus_matrix(j)
-
-
-def _ladder_factors(i: float, m_z: float) -> tuple[float, float]:
-    """Nuclear factors paired with the J- and J+ channels, in that order."""
-    ii1 = i * (i + 1)
-    return ii1 - m_z * (m_z + 1), ii1 - m_z * (m_z - 1)
-
-
-def _quadrupole_term(
-    vec: NDArray[np.complex128], jz, j: float, i: float, b_quad: float, m_z: float
-) -> float:
-    if b_quad == 0.0:
-        return 0.0
-    o20 = float(np.real(vec.conj() @ (3 * jz @ jz) @ vec)) - j * (j + 1)
-    denom = 4 * i * (2 * i - 1) * j * (2 * j - 1)
-    return b_quad * o20 / denom * (3 * m_z**2 - i * (i + 1))
+def _operators(system: SpinSystem):
+    return jz_matrix(system.j), jplus_matrix(system.j), jminus_matrix(system.j)
 
 
 def _delta_over_m(
@@ -94,10 +79,12 @@ def _delta_over_m(
     level = _level(levels, n)
     if sigma not in level.vectors:
         raise ValueError(f"level {n} has no sigma={sigma:+d} branch")
-    j, jz, jp, jm = _operators(levels)
+    jz, jp, jm = _operators(system)
     psi = level.vectors[sigma]
     jz_psi, jm_psi, jp_psi = jz @ psi, jm @ psi, jp @ psi
-    fm, fp = _ladder_factors(system.i, m_z)
+    j, i = system.j, system.i
+    # nuclear factors paired with the J- and J+ channels
+    fm, fp = i * (i + 1) - m_z * (m_z + 1), i * (i + 1) - m_z * (m_z - 1)
     m2 = m_z**2
 
     delta = hf.a_j * level.jz_branch(sigma) * m_z
@@ -118,7 +105,11 @@ def _delta_over_m(
             delta += (hf.a_j**2 / de) * (
                 el_z * m2 + 0.25 * el_m * fm + 0.25 * el_p * fp
             )
-    return delta + _quadrupole_term(psi, jz, j, system.i, hf.b_quad, m_z)
+    quad = 0.0
+    if hf.b_quad != 0.0:
+        o20 = float(np.real(psi.conj() @ (3 * jz @ jz) @ psi)) - j * (j + 1)
+        quad = hf.b_quad * o20 / (4 * i * (2 * i - 1) * j * (2 * j - 1)) * (3 * m2 - i * (i + 1))
+    return delta + quad
 
 
 def delta_full(
@@ -131,95 +122,10 @@ def delta_full(
 ) -> float:
     """General second-order correction of level (n, sigma) at nuclear projection m_z.
 
-    Sums over every branch of every other level in ``levels``; reduces to the
-    doublet and singlet forms once the selection rules zero the forbidden
-    matrix elements.
+    Sums over every branch of every other level in ``levels``; the one
+    second-order formula, for doublets and singlets alike.
     """
     return float(_delta_over_m(n, sigma, np.asarray(m_z, dtype=float), levels, hf, system))
-
-
-def delta_doublet(
-    m_z: float,
-    sigma: int,
-    levels: list[CFLevel],
-    hf: HyperfineConstants,
-    system: SpinSystem,
-) -> float:
-    """Ground-doublet correction, written out by irrep of the admixed level.
-
-    First order a_j <J_z> m_z; G1 and G2 singlets enter through one ladder
-    channel each (the other vanishes by S4), the remaining doublets through
-    J_z only.  Satisfies delta(+1, m) = delta(-1, -m).
-    """
-    ground = _level(levels, 1)
-    if ground.degeneracy != 2:
-        raise ValueError("ground level is not a doublet")
-    if sigma not in ground.vectors:
-        raise ValueError(f"ground level has no sigma={sigma:+d} branch")
-    j, jz, jp, jm = _operators(levels)
-    psi = ground.vectors[sigma]
-    fm, fp = _ladder_factors(system.i, m_z)
-
-    delta = hf.a_j * ground.jz_branch(sigma) * m_z
-    for other in levels:
-        if other.n == 1:
-            continue
-        de = ground.energy - other.energy
-        if abs(de) < 1e-9:
-            raise ZeroDivisionError(f"level {other.n} degenerate with the ground level")
-        if other.irrep in ("G1", "G2"):
-            phi = other.vectors[+1]
-            el_m = abs(np.vdot(phi, jm @ psi)) ** 2
-            el_p = abs(np.vdot(phi, jp @ psi)) ** 2
-            delta += (hf.a_j**2 / (4 * de)) * (el_m * fm + el_p * fp)
-        else:
-            for sig2 in other.branches():
-                phi = other.vectors[sig2]
-                delta += (hf.a_j**2 / de) * abs(np.vdot(phi, jz @ psi)) ** 2 * m_z**2
-    return delta + _quadrupole_term(psi, jz, j, system.i, hf.b_quad, m_z)
-
-
-def delta_singlet(
-    n: int,
-    m_z: float,
-    levels: list[CFLevel],
-    hf: HyperfineConstants,
-    system: SpinSystem,
-) -> float:
-    """Correction of one of the two lowest excited singlets (n = 2 or 3).
-
-    No first-order shift (vanishing moment).  Same-irrep singlets contribute
-    through J_z; each doublet contributes through both ladder channels, whose
-    nuclear factors combine to I(I+1) - m_z^2, making the result even in m_z.
-    The dominant term is the repulsion from the ground doublet.
-    """
-    if n not in (2, 3):
-        raise ValueError(f"singlet correction is defined for n = 2 or 3, got n={n}")
-    level = _level(levels, n)
-    if level.degeneracy != 1:
-        raise ValueError(f"level {n} is not a singlet")
-    j, jz, jp, jm = _operators(levels)
-    psi = level.vectors[+1]
-    fm, fp = _ladder_factors(system.i, m_z)
-
-    delta = 0.0
-    for other in levels:
-        if other.n == n:
-            continue
-        de = level.energy - other.energy
-        if abs(de) < 1e-9:
-            raise ZeroDivisionError(f"level {other.n} degenerate with level {n}")
-        if other.degeneracy == 1:
-            if other.irrep == level.irrep:
-                phi = other.vectors[+1]
-                delta += (hf.a_j**2 / de) * abs(np.vdot(phi, jz @ psi)) ** 2 * m_z**2
-        else:
-            for sig2 in other.branches():
-                phi = other.vectors[sig2]
-                el_m = abs(np.vdot(phi, jm @ psi)) ** 2
-                el_p = abs(np.vdot(phi, jp @ psi)) ** 2
-                delta += (hf.a_j**2 / (4 * de)) * (el_m * fm + el_p * fp)
-    return delta + _quadrupole_term(psi, jz, j, system.i, hf.b_quad, m_z)
 
 
 def k_correction(
@@ -240,7 +146,7 @@ def k_correction(
         raise ValueError(f"K indices must lie in 1..3, got ({i}, {j})")
     if i == j and i != 1:
         raise ValueError(f"K_({i},{i}) is not defined")
-    _, jz_op, jp, jm = _operators(levels)
+    jz_op, jp, jm = _operators(system)
     ground = _level(levels, 1)
 
     if (i, j) == (1, 1):

@@ -21,9 +21,11 @@ runner = CliRunner()
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 #: SHA-256 of each benchmark command's output, recorded at the seed commit
 RECORDED = json.loads((PERFBENCH / "cli_expected.json").read_text())
-#: seven more commands: arguments and SHA-256 of stdout, NUL, stderr, NUL and
+#: nine more commands: arguments and SHA-256 of stdout, NUL, stderr, NUL and
 #: the exit code (then NUL and the file for --output), recorded in fresh
-#: interpreters before the model core was reduced to one path per job
+#: interpreters before the model core was reduced to one path per job (the
+#: two hf --compare runs of 8.1-8.3 and 8.2-8.3: before the singlet moment
+#: was set to exactly 0)
 MORE_RECORDED = json.loads((Path(__file__).resolve().parent / "cli_recorded.json").read_text())
 
 
@@ -550,3 +552,57 @@ def test_unknown_level_is_refused_before_labelling(tmp_path, command, good, bad,
     result = run(bad)
     assert result.exit_code == code, result.output
     assert "8.99" in result.output or "level index out of range" in result.output
+
+
+@pytest.mark.parametrize("command", ["levels", "hf", "synth"])
+@pytest.mark.parametrize("i", ["1/2", "0"])
+def test_quadrupole_with_small_nuclear_spin_exits_config(tmp_path, command, i):
+    config = tmp_path / "small_i.ini"
+    config.write_text(MINIMAL_CONFIG.replace("i = 7/2", f"i = {i}"))
+    args = {"levels": [], "hf": ["--transition", "8.1-8.2"], "synth": ["--transition", "8.1-8.2", "--output", str(tmp_path / "x.csv")]}
+    result = invoke(command, "--config", str(config), *args[command])
+    assert result.exit_code == EXIT_CONFIG, result.output
+    assert "quadrupolar coupling requires i >= 1 and j >= 1" in result.output
+
+
+@pytest.mark.parametrize("i", ["1/2", "0"])
+def test_fit_b_with_small_nuclear_spin_exits_config(tmp_path, i):
+    """fit --mode b fits the quadrupolar constant, so it needs i >= 1 even
+    when the configured b_quad is 0."""
+    config = tmp_path / "small_i.ini"
+    config.write_text(MINIMAL_CONFIG.replace("i = 7/2", f"i = {i}").replace("b_quad = 0.04", "b_quad = 0"))
+    result = invoke("fit", "--mode", "b", "--config", str(config), "--dataset", str(bundled_path(MEASURED_LINES)))
+    assert result.exit_code == EXIT_CONFIG, result.output
+    assert "quadrupolar coupling requires i >= 1 and j >= 1" in result.output
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400"])
+@pytest.mark.parametrize("flag", ["--initial-a", "--initial-nu0", "--initial-c"])
+def test_fit_refindex_non_finite_start_is_usage_error(tmp_path, flag, value):
+    data = tmp_path / "refindex.csv"
+    _write_refindex_points(data)
+    result = invoke("fit", "--mode", "refindex", "--dataset", str(data), f"{flag}={value}")
+    assert result.exit_code == 2, result.output
+    assert flag in result.output and "finite" in result.output
+
+
+@pytest.mark.parametrize(
+    "edit,message",
+    [
+        (lambda rows: rows[:3] + rows[4:], "complete unit-spaced ladder"),
+        (lambda rows: rows[1:], "mismatched m_z grids"),
+        (lambda rows: rows[:1] + rows, "duplicate m_z"),
+        (lambda rows: rows[:3], "need at least 3 points"),
+    ],
+    ids=["missing-middle", "missing-first", "duplicated", "three-rows"],
+)
+def test_analyze_broken_ladder_exits_dataset(tmp_path, edit, message):
+    """Each edit applies to the 8.1-8.2 family only; the message names the family."""
+    lines = bundled_path(MEASURED_LINES).read_text().splitlines()
+    family = [line for line in lines if line.startswith("8.1-8.2,")]
+    others = [line for line in lines if not line.startswith("8.1-8.2,")]
+    path = tmp_path / "lines.csv"
+    path.write_text("\n".join(others + edit(family)) + "\n")
+    result = invoke("analyze", "--dataset", str(path))
+    assert result.exit_code == EXIT_DATASET, result.output
+    assert message in result.output and "8.1-8.2" in result.output

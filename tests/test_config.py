@@ -112,6 +112,20 @@ def test_default_section_rejected(tmp_path, more):
     result = CliRunner().invoke(main, ["levels", "--config", str(path)])
     assert result.exit_code == EXIT_CONFIG, result.output
 
+SMALL_SPINS = [("8", "1/2"), ("8", "0"), ("1/2", "7/2"), ("0", "1")]
+
+
+@pytest.mark.parametrize("j,i", SMALL_SPINS)
+def test_quadrupole_needs_spins_of_one(tmp_path, j, i):
+    """A quadrupolar constant is refused on a spin system without one, and
+    allowed at zero."""
+    system = f"{HEADER}\n[system]\nj = {j}\ni = {i}\n"
+    assert load_config(_write(tmp_path, system + "\n[hyperfine]\nb_quad = 0\n")).hyperfine.b_quad == 0.0
+    path = _write(tmp_path, system + "\n[hyperfine]\nb_quad = 0.04\n")
+    with pytest.raises(ConfigError, match=r"hyperfine\.b_quad: quadrupolar coupling requires i >= 1 and j >= 1"):
+        load_config(path)
+
+
 # ------------------------------------------------------------- level labels
 
 @pytest.mark.parametrize("j,n,label", [(8.0, 1, "8.1"), (8.0, 13, "8.13"), (7.5, 2, "7.5.2")])

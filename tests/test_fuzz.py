@@ -151,3 +151,14 @@ def test_cli_junk_dataset_cell_exits_dataset(tmp_path, line, column, text):
 def test_cli_junk_refractive_cell_exits_dataset(tmp_path, line, column, text):
     path = _write(tmp_path, "junk.csv", _replace_cell(REFRACTIVE, line, column, text))
     assert _exit_code("fit", "--mode", "refindex", "--dataset", str(path)) == EXIT_DATASET
+
+
+@fuzz
+@given(line=st.sampled_from(ROW_LINES[1:]), duplicate=st.booleans())
+def test_cli_deleted_or_duplicated_row_exits_dataset(line, duplicate, tmp_path):
+    """Without one data row (not the header), or with one twice, a family's
+    ladder is broken: analyze refuses it as a dataset error naming the family."""
+    kept = LINES[:line] + LINES[line:line + 1] * (2 if duplicate else 0) + LINES[line + 1:]
+    result = CliRunner().invoke(main, ["analyze", "--dataset", str(_write(tmp_path, "rows.csv", "\n".join(kept) + "\n"))])
+    assert result.exit_code == EXIT_DATASET, result.output
+    assert LINES[line].split(",")[0] in result.output

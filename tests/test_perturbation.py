@@ -3,9 +3,7 @@ import pytest
 
 from hfspec.hamiltonian import HyperfineConstants, hf_levels_exact
 from hfspec.perturbation import (
-    delta_doublet,
     delta_full,
-    delta_singlet,
     k_correction,
     lambda_from_exact,
     lambda_from_model,
@@ -19,8 +17,8 @@ NO_COUPLING = HyperfineConstants(0.0, 0.0)
 
 def test_zero_coupling_gives_zero(levels, system, m_grid):
     for m in m_grid:
-        assert delta_doublet(m, +1, levels, NO_COUPLING, system) == 0.0
-        assert delta_singlet(2, m, levels, NO_COUPLING, system) == 0.0
+        assert delta_full(1, +1, m, levels, NO_COUPLING, system) == 0.0
+        assert delta_full(2, +1, m, levels, NO_COUPLING, system) == 0.0
         assert delta_full(3, +1, m, levels, NO_COUPLING, system) == 0.0
 
 
@@ -28,40 +26,24 @@ def test_first_order_slope_alone(levels, system, m_grid):
     # truncating the level list to the ground doublet leaves only the
     # first-order term: slope = a_j <J_z> = 0.02703 * 5.40 ~ 0.146
     hf = HyperfineConstants(0.02703, 0.0)
-    deltas = [delta_doublet(m, +1, levels[:1], hf, system) for m in m_grid]
+    deltas = [delta_full(1, +1, m, levels[:1], hf, system) for m in m_grid]
     slope = np.polyfit(m_grid, deltas, 1)[0]
     assert slope == pytest.approx(0.1460, abs=0.001)
-
-
-def test_delta_full_matches_doublet_form(levels, hyperfine, system, m_grid):
-    for sigma in (+1, -1):
-        for m in m_grid:
-            general = delta_full(1, sigma, m, levels, hyperfine, system)
-            structured = delta_doublet(m, sigma, levels, hyperfine, system)
-            assert general == pytest.approx(structured, abs=1e-12)
-
-
-@pytest.mark.parametrize("n", [2, 3])
-def test_delta_full_matches_singlet_form(n, levels, hyperfine, system, m_grid):
-    for m in m_grid:
-        general = delta_full(n, +1, m, levels, hyperfine, system)
-        structured = delta_singlet(n, m, levels, hyperfine, system)
-        assert general == pytest.approx(structured, abs=1e-12)
 
 
 def test_singlet_corrections_even_in_m(levels, hyperfine, system, m_grid):
     for n in (2, 3):
         for m in m_grid:
-            a = delta_singlet(n, m, levels, hyperfine, system)
-            b = delta_singlet(n, -m, levels, hyperfine, system)
-            assert a == pytest.approx(b, abs=1e-14)
+            a = delta_full(n, +1, m, levels, hyperfine, system)
+            b = delta_full(n, +1, -m, levels, hyperfine, system)
+            assert a == pytest.approx(b, rel=0, abs=1e-14)
 
 
 def test_time_reversal_pairing(levels, hyperfine, system, m_grid):
     for m in m_grid:
-        plus = delta_doublet(m, +1, levels, hyperfine, system)
-        minus = delta_doublet(-m, -1, levels, hyperfine, system)
-        assert plus == pytest.approx(minus, abs=1e-14)
+        plus = delta_full(1, +1, m, levels, hyperfine, system)
+        minus = delta_full(1, -1, -m, levels, hyperfine, system)
+        assert plus == pytest.approx(minus, rel=0, abs=1e-14)
 
 
 def test_singlet_dominated_by_ground_repulsion(levels, system, m_grid):
@@ -73,13 +55,13 @@ def test_singlet_dominated_by_ground_repulsion(levels, system, m_grid):
     others = [lv for lv in levels if lv.n != 1]
     ground_parts, rests = [], []
     for m in m_grid:
-        full = delta_singlet(2, m, levels, hf, system)
+        full = delta_full(2, +1, m, levels, hf, system)
         no_ground = delta_full(2, +1, m, others, hf, system)
         ground_parts.append(full - no_ground)
         rests.append(no_ground)
     assert np.mean(np.abs(ground_parts)) > np.mean(np.abs(rests))
     # at the ladder center the ground repulsion dominates outright
-    mid = delta_singlet(2, 0.5, levels, hf, system)
+    mid = delta_full(2, +1, 0.5, levels, hf, system)
     assert mid > 0  # pushed up from below
     assert abs(ground_parts[4]) > abs(rests[4])
 

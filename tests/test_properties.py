@@ -192,3 +192,38 @@ def test_dataset_write_read_round_trip(tmp_path_factory, point):
     assert [(r.kind, r.n_init, r.n_final, r.m_z) for r in back] == [(r.kind, r.n_init, r.n_final, r.m_z) for r in rows]
     assert [r.value for r in back] == [float(f"{r.value:.8g}") for r in rows]
     assert [r.sigma for r in back] == [r.sigma for r in rows]
+
+
+@property_settings
+@given(s4_points)
+def test_singlets_have_no_moment(point):
+    cf, _ = _model(point)
+    singlets = [lv for lv in cf_levels(cf, HO_LIYF4) if lv.degeneracy == 1]
+    assert singlets and all(lv.jz_expect == 0.0 for lv in singlets)
+
+
+@property_settings
+@given(s4_points)
+def test_singlet_corrections_even_in_m(point):
+    cf, hf = _model(point)
+    system = HO_LIYF4
+    levels = cf_levels(cf, system)
+    for level in levels:
+        if level.degeneracy == 1:
+            for m_z in system.m_i[system.m_i > 0]:
+                even = delta_full(level.n, +1, m_z, levels, hf, system)
+                assert even == pytest.approx(delta_full(level.n, +1, -m_z, levels, hf, system), rel=0, abs=1e-14)
+
+
+@property_settings
+@given(s4_points)
+def test_doublet_branches_mirror_in_m(point):
+    """Time reversal: the sigma = -1 branch at -m_z has the sigma = +1 branch's correction at m_z."""
+    cf, hf = _model(point)
+    system = HO_LIYF4
+    levels = cf_levels(cf, system)
+    for level in levels:
+        if level.degeneracy == 2:
+            for m_z in system.m_i:
+                plus = delta_full(level.n, +1, m_z, levels, hf, system)
+                assert plus == pytest.approx(delta_full(level.n, -1, -m_z, levels, hf, system), rel=0, abs=1e-14)
