@@ -40,9 +40,8 @@ from .hamiltonian import (
     HyperfineConstants,
     LabelingError,
     SymmetryError,
-    _cf_step,
-    _hf_levels,
     cf_levels,
+    hf_levels_exact,
     quadrupole_undefined,
 )
 
@@ -152,10 +151,9 @@ def hf(config_path, transition, compare, fmt, output):
     """Hyperfine-resolved line positions for one transition."""
     cfg = _load(config_path)
     ni, nf = parse_transition_label(transition, cfg.system.j)
-    cf = _cf_step(cfg.cf, cfg.system)
-    lvls = cf[2]
+    lvls = cf_levels(cfg.cf, cfg.system)
     _check_levels([(ni, nf)], len(lvls), cfg.system.j)
-    hf_lvls = _hf_levels(cf, cfg.hyperfine, cfg.system)
+    hf_lvls = hf_levels_exact(cfg.cf, cfg.hyperfine, cfg.system)
     lines = spectra.transition_lines(hf_lvls, ni, nf)
 
     by_n = {lv.n: lv for lv in lvls}
@@ -363,9 +361,8 @@ def synth(config_path, transition_labels, output):
     )
     lines = []
     if pairs:
-        cf = _cf_step(cfg.cf, cfg.system)
-        _check_levels(pairs, len(cf[2]), cfg.system.j)
-        hf_lvls = _hf_levels(cf, cfg.hyperfine, cfg.system)
+        _check_levels(pairs, len(cf_levels(cfg.cf, cfg.system)), cfg.system.j)
+        hf_lvls = hf_levels_exact(cfg.cf, cfg.hyperfine, cfg.system)
         weights = spectra.boltzmann_weights(hf_lvls, cfg.temperature)
         for ni, nf in pairs:
             lines.extend(spectra.transition_lines(hf_lvls, ni, nf, weights=weights))

@@ -33,6 +33,17 @@ REFERENCE_CONFIG = "reference.ini"
 MEASURED_LINES = "hf_transitions.csv"
 EXPECTED_LEVELS = "cf_levels_expected.csv"
 
+#: largest electron-nuclear product dimension (2j+1)(2i+1) accepted; Ho:LiYF4
+#: has 136, and one dense complex matrix of the cap takes 16 MB
+MAX_PRODUCT_DIM = 1024
+#: most synthesis grid points accepted, floor((stop - start) / step) + 1; the
+#: bundled grid has 3201
+MAX_GRID_POINTS = 1_000_000
+#: largest magnitude of a CF coefficient or hyperfine constant, cm^-1: far
+#: above any physical value, and far enough inside the float range that no
+#: Hamiltonian entry built from one overflows, up to MAX_PRODUCT_DIM
+MAX_COUPLING = 1e100
+
 
 class ConfigError(ValueError):
     """A configuration file failed to parse or validate."""
@@ -42,7 +53,7 @@ def parse_half_integer(text: str) -> float:
     """Accept '7/2', '3.5' or '8' style spin values."""
     try:
         return float(Fraction(text.strip()))
-    except (ValueError, ZeroDivisionError) as exc:
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
         raise ConfigError(f"cannot parse {text!r} as a (half-)integer") from exc
 
 
@@ -94,6 +105,8 @@ def _checked(parse: Callable[[str], Any], ok: Callable[[Any], bool], rule: str) 
 parse_finite = _checked(float, math.isfinite, "finite")
 _positive = _checked(parse_finite, lambda v: v > 0, "positive")
 _nonnegative = _checked(parse_finite, lambda v: v >= 0, "nonnegative")
+_coupling = _checked(parse_finite, lambda v: abs(v) <= MAX_COUPLING,
+                     f"at most MAX_COUPLING = {MAX_COUPLING:g} in magnitude")
 _spin = _checked(parse_half_integer, lambda v: v >= 0 and (2 * v).is_integer(), "an integer or half-integer >= 0")
 _count = _checked(int, lambda v: v >= 1, "at least 1")
 _shape = _checked(lambda text: text.strip().lower(), lambda v: v in PEAK_SHAPES, f"one of {PEAK_SHAPES}")
@@ -134,8 +147,8 @@ _GRID_KEYS = ("start_cm1", "stop_cm1", "step_cm1")
 _SCHEMA: dict[str, dict[str, tuple[Callable[[str], Any], Any]]] = {
     "meta": {"schema_version": (int, None)},
     "system": {"j": (_spin, 8.0), "i": (_spin, 3.5), "g_j": (parse_half_integer, 1.25)},
-    "cf": {key: (parse_finite, 0.0) for key in CF_COEFFICIENTS},
-    "hyperfine": {"a_j": (parse_finite, 0.0), "b_quad": (parse_finite, 0.0)},
+    "cf": {key: (_coupling, 0.0) for key in CF_COEFFICIENTS},
+    "hyperfine": {"a_j": (_coupling, 0.0), "b_quad": (_coupling, 0.0)},
     "conditions": {"temperature_k": (_positive, 3.5)},
     "grid": {key: (parse_finite, None) for key in _GRID_KEYS},
     "isotope": {
@@ -202,6 +215,15 @@ def load_config(path: str | Path) -> RunConfig:
             raise ConfigError(f"{path}: section [grid] needs start_cm1, stop_cm1, step_cm1")
         if not (grid[1] > grid[0] and grid[2] > 0):
             raise ConfigError(f"{path}: invalid grid {grid}")
+        # floor(x) + 1 > cap exactly when x >= cap; x may overflow to inf
+        if (grid[1] - grid[0]) / grid[2] >= MAX_GRID_POINTS:
+            raise ConfigError(f"{path}: grid {grid} has more than MAX_GRID_POINTS = {MAX_GRID_POINTS} points")
+    dim = (2 * v["j"] + 1) * (2 * v["i"] + 1)
+    if dim > MAX_PRODUCT_DIM:
+        raise ConfigError(
+            f"{path}: [system] j = {v['j']:g}, i = {v['i']:g} give a product dimension (2j+1)(2i+1) = {dim:g}, "
+            f"above MAX_PRODUCT_DIM = {MAX_PRODUCT_DIM}"
+        )
     system = SpinSystem(j=v["j"], i=v["i"])
     if v["b_quad"] != 0.0 and (why := quadrupole_undefined(system)):
         raise ConfigError(f"{path}: bad value for hyperfine.b_quad: {why}")

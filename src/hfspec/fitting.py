@@ -25,8 +25,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .angular import SpinSystem
-from .hamiltonian import (CF_COEFFICIENTS, CFParameters, HyperfineConstants, _cf_step, _hf_levels,
-                          cf_levels)
+from .hamiltonian import CF_COEFFICIENTS, CFParameters, HyperfineConstants, cf_levels, hf_levels_exact
 
 #: free parameters of fit_cf_aj: every CF coefficient but the gauged b4m4, then a_j
 CF_AJ_PARAM_NAMES = tuple(name for name in CF_COEFFICIENTS if name != "b4m4") + ("a_j",)
@@ -400,13 +399,12 @@ def predict_lines_exact(
 
 def _exact_predictor(params: CFParameters, rows: list[ObservationRow], system: SpinSystem):
     """predict_lines_exact as a function of the hyperfine constants alone;
-    H_CF is solved, and the rows' levels checked, once."""
-    cf = _cf_step(params, system)
-    levels = cf[2]
+    the rows' levels are checked once."""
+    levels = cf_levels(params, system)
     _check_level_range(rows, len(levels), system.i)
 
     def predict(hf: HyperfineConstants) -> NDArray[np.float64]:
-        energy = {(h.n, h.sigma, h.m_z): h.energy for h in _hf_levels(cf, hf, system)}
+        energy = {(h.n, h.sigma, h.m_z): h.energy for h in hf_levels_exact(params, hf, system)}
         out = np.empty(len(rows))
         for k, row in enumerate(rows):
             if row.kind == "moment":
@@ -431,8 +429,9 @@ def fit_b(
 ) -> FitResult:
     """One-parameter fit of the quadrupolar constant at fixed CF parameters.
 
-    H_CF is solved once per fit; each objective evaluation diagonalizes the
-    full electron-nuclear Hamiltonian; see ``predict_lines_exact``.
+    H_CF is solved once per fit, as the point ``cf_levels`` remembers; each
+    objective evaluation diagonalizes the full electron-nuclear Hamiltonian;
+    see ``predict_lines_exact``.
     """
     _check_enough_rows(len(dataset.rows), 1, "rows")
     sigmas = np.array([row.sigma for row in dataset.rows])

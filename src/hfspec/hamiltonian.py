@@ -20,7 +20,9 @@ throughout, for hyperfine levels as well, so that hyperfine corrections read
 directly as (energy - parent CF energy).
 """
 
+from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from numpy.typing import NDArray
@@ -52,6 +54,9 @@ SECTOR_PURITY_TOL = 1e-8
 HF_CLUSTER_GAP = 1e-7
 #: lowest weight a label may have on its assigned energy cluster
 LABEL_CUT = 0.5
+#: parameter points whose crystal-field and electron-nuclear solves are
+#: remembered: the last one only, which is all a forward model or fit_b repeats
+SOLVE_CACHE_SIZE = 1
 #: CFParameters field of each Stevens coefficient, in SUPPORTED_STEVENS
 #: order: B_k^q is "b<k><q>", with "m" for a negative q (b4m4 is B_4^-4)
 CF_COEFFICIENTS = tuple(f"b{k}{'m' if q < 0 else ''}{abs(q)}" for k, q in SUPPORTED_STEVENS)
@@ -116,7 +121,9 @@ class CFLevel:
     basis; singlets carry only sigma = +1.  ``jz_expect`` is <J_z> of the
     sigma = +1 branch (signed; the sigma = -1 branch has the opposite sign).
     A singlet's is exactly 0.0: a non-degenerate level of an integer-j ion
-    has no moment, by time reversal.
+    has no moment, by time reversal.  The vectors are made read-only on
+    construction, since ``cf_levels`` hands the same levels to every caller
+    at one parameter point; writing to one raises ValueError.
     """
 
     n: int
@@ -125,6 +132,10 @@ class CFLevel:
     degeneracy: int
     jz_expect: float
     vectors: dict[int, NDArray[np.complex128]]
+
+    def __post_init__(self) -> None:
+        for vec in self.vectors.values():
+            vec.setflags(write=False)
 
     def jz_branch(self, sigma: int) -> float:
         """<J_z> of one branch."""
@@ -329,20 +340,26 @@ def classify_levels(
     ]
 
 
-#: a solved crystal field: (H_CF, its lowest eigenvalue, the classified levels)
-_CFStep = tuple[OperatorMatrix, float, list[CFLevel]]
-
-
-def _cf_step(params: CFParameters, system: SpinSystem) -> _CFStep:
-    """Build H_CF, diagonalize it and classify its levels."""
+@lru_cache(maxsize=SOLVE_CACHE_SIZE)
+def _cf_step(
+    params: CFParameters, system: SpinSystem
+) -> tuple[OperatorMatrix, float, tuple[CFLevel, ...]]:
+    """Build H_CF, diagonalize it and classify its levels: (H_CF, its lowest
+    eigenvalue, the levels).  Remembered for the last point solved."""
     cf_op = build_cf_hamiltonian(params, system)
     eigvals, eigvecs = diagonalize(cf_op)
-    return cf_op, eigvals[0], classify_levels(eigvals, eigvecs, system)
+    return cf_op, eigvals[0], tuple(classify_levels(eigvals, eigvecs, system))
 
 
 def cf_levels(params: CFParameters, system: SpinSystem) -> list[CFLevel]:
-    """Diagonalize H_CF and classify: the standard entry point."""
-    return _cf_step(params, system)[2]
+    """Diagonalize H_CF and classify: the standard entry point.
+
+    The last parameter point solved is remembered (``SOLVE_CACHE_SIZE``), so
+    asking again for it, here or through ``hf_levels_exact``, returns the
+    same numbers without a new solve.  Each call returns a fresh list, but the
+    levels in it are shared between calls, and their vectors are read-only.
+    """
+    return list(_cf_step(params, system)[2])
 
 
 def linear_sum_assignment(
@@ -414,7 +431,7 @@ def _augment(
 
 
 def _product_overlaps(
-    levels: list[CFLevel], eigvecs: NDArray[np.complex128], system: SpinSystem
+    levels: Sequence[CFLevel], eigvecs: NDArray[np.complex128], system: SpinSystem
 ) -> tuple[list[tuple[int, int, float]], NDArray[np.float64]]:
     """Labels (n, sigma, m_z) of the CF x nuclear product states, and the
     squared overlap of each with each eigenvector (labels x eigenstates).
@@ -449,13 +466,18 @@ def hf_levels_exact(
     Raises LabelingError when a label's weight on its assigned energy cluster
     falls below ``LABEL_CUT``: the hyperfine coupling is then too strong for
     perturbative labelling to mean anything, and we report rather than guess.
+
+    Like ``cf_levels``, the last point solved is remembered and each call
+    returns a fresh list of (immutable) levels.  A refusal is not
+    remembered: a point that cannot be labelled raises again on every call.
     """
-    return _hf_levels(_cf_step(params, system), hf, system)
+    return list(_hf_step(params, hf, system))
 
 
-def _hf_levels(cf: _CFStep, hf: HyperfineConstants, system: SpinSystem) -> list[HFLevel]:
-    """hf_levels_exact on a crystal field that ``_cf_step`` has solved."""
-    cf_op, e_ground, levels = cf
+@lru_cache(maxsize=SOLVE_CACHE_SIZE)
+def _hf_step(params: CFParameters, hf: HyperfineConstants, system: SpinSystem) -> tuple[HFLevel, ...]:
+    """Solve and label H_CF + H_HF; see ``hf_levels_exact``."""
+    cf_op, e_ground, levels = _cf_step(params, system)
     full = np.kron(cf_op.matrix, np.eye(system.dim_i)) + build_hf_hamiltonian(hf, system).matrix
     eigvals, eigvecs = np.linalg.eigh(full)
     eigvals = eigvals - e_ground
@@ -490,4 +512,4 @@ def _hf_levels(cf: _CFStep, hf: HyperfineConstants, system: SpinSystem) -> list[
         energy = float(eigvals[col])
         out.append(HFLevel(n, sigma, m_z, energy, energy - by_level[n].energy))
     out.sort(key=lambda h: (h.n, -h.sigma, h.m_z))
-    return out
+    return tuple(out)

@@ -6,10 +6,20 @@ from hfspec import (
     HO_LIYF4,
     HYPERFINE_HO_LIYF4,
     cf_levels,
+    hamiltonian,
     hf_levels_exact,
 )
 from hfspec.config import MEASURED_LINES, bundled_path
 from hfspec.datasets import read_dataset
+
+
+@pytest.fixture(autouse=True)
+def cold_solves():
+    """Start every test with nothing remembered by the crystal-field and
+    electron-nuclear solves, so a test counting solves or swapping a solver
+    sees its own calls."""
+    hamiltonian._cf_step.cache_clear()
+    hamiltonian._hf_step.cache_clear()
 
 
 @pytest.fixture(scope="session")

@@ -6,8 +6,12 @@ from click.testing import CliRunner
 from hfspec.angular import SpinSystem
 from hfspec.cli import EXIT_CONFIG, main
 from hfspec.config import (
+    MAX_GRID_POINTS,
+    MAX_PRODUCT_DIM,
+    REFERENCE_CONFIG,
     ConfigError,
     RunConfig,
+    bundled_path,
     format_level,
     load_config,
     parse_level,
@@ -68,6 +72,10 @@ BAD_VALUES = [
     ("fit", "max_iterations", "0"),
     ("transitions", "include", "5.1-5.3"),
     ("transitions", "include", "8.1-8.3.2"),
+    ("system", "j", "1e400"),
+    ("system", "g_j", "-1e400"),
+    ("cf", "b64", "-1e306"),
+    ("hyperfine", "a_j", "1.0000001e100"),
 ]
 
 
@@ -92,6 +100,54 @@ def test_grid_values_must_be_finite(tmp_path, key):
     text = HEADER + "\n[grid]\n" + "".join(f"{k} = {v}\n" for k, v in grid.items())
     with pytest.raises(ConfigError, match=rf"grid\.{key}"):
         load_config(_write(tmp_path, text))
+
+
+def test_bundled_config_is_inside_the_caps():
+    cfg = load_config(bundled_path(REFERENCE_CONFIG))
+    start, stop, step = cfg.grid
+    assert cfg.system.dim == 136 <= MAX_PRODUCT_DIM
+    assert int((stop - start) / step) + 1 == 3201 <= MAX_GRID_POINTS
+
+
+#: spin systems just above the product-dimension cap, and one far above it;
+#: load_config refuses them from (2j+1)(2i+1) alone, building nothing
+OVERSIZED_SPINS = [("600", "0"), ("8", "30"), ("1e300", "7/2")]
+
+
+@pytest.mark.parametrize("j,i", OVERSIZED_SPINS)
+def test_product_dimension_above_cap_refused(tmp_path, j, i):
+    path = _write(tmp_path, f"{HEADER}\n[system]\nj = {j}\ni = {i}\n")
+    with pytest.raises(ConfigError, match=f"MAX_PRODUCT_DIM = {MAX_PRODUCT_DIM}"):
+        load_config(path)
+    result = CliRunner().invoke(main, ["levels", "--config", str(path)])
+    assert result.exit_code == EXIT_CONFIG, result.output
+    assert "MAX_PRODUCT_DIM" in result.output
+
+
+def test_product_dimension_at_cap_accepted(tmp_path):
+    """(2j+1)(2i+1) = 1024 itself is allowed: j = 63.5, i = 7/2."""
+    path = _write(tmp_path, f"{HEADER}\n[system]\nj = 127/2\ni = 7/2\n")
+    assert load_config(path).system.dim == MAX_PRODUCT_DIM
+
+
+#: grids of exactly MAX_GRID_POINTS + 1 points, and of far more
+OVERSIZED_GRIDS = [("0", "1000000", "1"), ("0", "1", "1e-9"), ("-1e308", "1e308", "1")]
+
+
+@pytest.mark.parametrize("start,stop,step", OVERSIZED_GRIDS)
+def test_grid_above_cap_refused(tmp_path, start, stop, step):
+    path = _write(tmp_path, f"{HEADER}\n[grid]\nstart_cm1 = {start}\nstop_cm1 = {stop}\nstep_cm1 = {step}\n")
+    with pytest.raises(ConfigError, match=f"MAX_GRID_POINTS = {MAX_GRID_POINTS}"):
+        load_config(path)
+    result = CliRunner().invoke(main, ["levels", "--config", str(path)])
+    assert result.exit_code == EXIT_CONFIG, result.output
+    assert "MAX_GRID_POINTS" in result.output
+
+
+def test_grid_at_cap_accepted(tmp_path):
+    """floor((stop - start) / step) + 1 = MAX_GRID_POINTS is allowed."""
+    path = _write(tmp_path, f"{HEADER}\n[grid]\nstart_cm1 = 0\nstop_cm1 = 999999\nstep_cm1 = 1\n")
+    assert load_config(path).grid == (0.0, 999999.0, 1.0)
 
 
 def test_non_utf8_config_is_config_error(tmp_path):

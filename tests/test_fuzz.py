@@ -2,6 +2,8 @@
 
 Malformed INI and CSV files may only raise ConfigError or DatasetError, and
 through the command line only exit 3 or 4: never exit 1 or a traceback.
+Numeric values, however large or small, also exit 0 or 7 (a model the
+numbers define but that cannot be labelled).
 """
 
 import numpy as np
@@ -10,7 +12,7 @@ from click.testing import CliRunner
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from hfspec.cli import EXIT_CONFIG, EXIT_DATASET, main
+from hfspec.cli import EXIT_CONFIG, EXIT_DATASET, EXIT_MODEL, main
 from hfspec.config import MEASURED_LINES, REFERENCE_CONFIG, ConfigError, RunConfig, bundled_path, load_config
 from hfspec.datasets import DatasetError, read_dataset, read_refractive_points
 from hfspec.fitting import TransitionDataset
@@ -30,6 +32,16 @@ contents = st.binary(max_size=300) | st.text(max_size=300).map(lambda t: t.encod
 junk = st.text(
     st.characters(blacklist_categories=("Nd", "Cs"), blacklist_characters=',"#\r\n'), min_size=1, max_size=12
 ).filter(lambda t: t.strip() != "")
+
+#: a number as a configuration file may spell it: an integer, a float, a
+#: decimal with an exponent reaching past the float range both ways, or a
+#: fraction (allowed for spins), possibly with a zero denominator
+numbers = (
+    st.integers(-10**6, 10**6).map(str)
+    | st.floats(allow_nan=False, allow_infinity=False).map(repr)
+    | st.builds("{}e{}".format, st.integers(-999, 999), st.integers(-400, 400))
+    | st.builds("{}/{}".format, st.integers(-200, 200), st.integers(0, 20))
+)
 
 REFERENCE = bundled_path(REFERENCE_CONFIG).read_text().splitlines()
 VALUE_LINES = [k for k, line in enumerate(REFERENCE) if "=" in line]
@@ -131,6 +143,16 @@ def test_cli_junk_config_value_exits_config(tmp_path, line, text):
     (a line shape, a boolean word, or transition labels)."""
     path = _write(tmp_path, "junk.ini", _replace_value(REFERENCE, line, text))
     assert _exit_code("levels", "--config", str(path)) in (0, EXIT_CONFIG)
+
+
+@fuzz
+@given(line=st.sampled_from(VALUE_LINES), text=numbers)
+def test_cli_numeric_config_value_never_exits_1(tmp_path, line, text):
+    """Any number in place of any value either runs, is refused by a rule of
+    the schema (a range, a cap), or gives a model that cannot be labelled."""
+    path = _write(tmp_path, "number.ini", _replace_value(REFERENCE, line, text))
+    assert _exit_code("hf", "--config", str(path), "--transition", "8.1-8.2", "--compare") in (
+        0, EXIT_CONFIG, EXIT_MODEL)
 
 
 @fuzz

@@ -1,6 +1,9 @@
+import pickle
+
 import numpy as np
 import pytest
 
+from hfspec import hamiltonian
 from hfspec.angular import SpinSystem, build_jplus, build_jz, build_stevens, OperatorMatrix
 from hfspec.hamiltonian import (
     CFParameters,
@@ -247,3 +250,57 @@ def test_hf_hamiltonian_equals_inline_assembly(hyperfine, system):
         3 * jdoti @ jdoti + 1.5 * jdoti - i * (i + 1) * j * (j + 1) * eye
     )
     assert np.array_equal(build_hf_hamiltonian(hyperfine, system).matrix, expected)
+
+
+# ------------------------------------------------------------ remembered solves
+
+
+def test_forward_model_solves_each_hamiltonian_once(monkeypatch, cf_params, hyperfine, system):
+    """Levels, hyperfine levels, both lambda routes and a spectrum at one
+    point, from cold: one 17-dim H_CF solve and one 136-dim H solve."""
+    from hfspec.perturbation import lambda_from_exact, lambda_from_model
+    from hfspec.spectra import PeakModel, boltzmann_weights, synthesize, transition_lines
+
+    rows = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a, *args: rows.append(len(a)) or eigh(a, *args))
+    levels = cf_levels(cf_params, system)
+    hf_lvls = hf_levels_exact(cf_params, hyperfine, system)
+    lambda_from_model(levels, hyperfine, system)
+    lambda_from_exact(cf_params, hyperfine, system)
+    lines = transition_lines(hf_lvls, 1, 3, weights=boltzmann_weights(hf_lvls, 3.5))
+    synthesize(lines, PeakModel("gaussian", 0.0, 0.009, 1.0), np.linspace(22.5, 24.1, 50))
+    assert rows == [system.dim_j, system.dim]
+
+
+def test_returned_lists_are_fresh(cf_params, hyperfine, system):
+    """A caller emptying or refilling a result does not reach the next caller."""
+    levels = cf_levels(cf_params, system)
+    expected = list(levels)
+    levels.clear()
+    assert cf_levels(cf_params, system) == expected
+    hf_lvls = hf_levels_exact(cf_params, hyperfine, system)
+    expected = list(hf_lvls)
+    hf_lvls[0] = None
+    assert hf_levels_exact(cf_params, hyperfine, system) == expected
+
+
+def test_level_vectors_are_read_only(levels):
+    for level in levels:
+        for vec in level.vectors.values():
+            with pytest.raises(ValueError, match="read-only"):
+                vec[0] = 1.0
+
+
+def test_refused_point_is_refused_again(cf_params, hyperfine, system):
+    """A LabelingError is not remembered: the point raises on every call,
+    and a good point solved after it gives its cold-cache bits."""
+    cold = pickle.dumps(hf_levels_exact(cf_params, hyperfine, system))
+    # forget it, so that the good point below is solved after the refusals
+    hamiltonian._cf_step.cache_clear()
+    hamiltonian._hf_step.cache_clear()
+    strong = HyperfineConstants(5.0, 0.0)
+    for _ in range(2):
+        with pytest.raises(LabelingError):
+            hf_levels_exact(cf_params, strong, system)
+    assert pickle.dumps(hf_levels_exact(cf_params, hyperfine, system)) == cold

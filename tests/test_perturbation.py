@@ -72,7 +72,7 @@ def test_quadrupole_sum_rule(levels, system, m_grid):
     hf = HyperfineConstants(0.0, 0.04)
     for n in (1, 2, 3):
         total = sum(delta_full(n, +1, m, levels, hf, system) for m in m_grid)
-        assert total == pytest.approx(0.0, abs=1e-12)
+        assert total == pytest.approx(0.0, rel=0, abs=1e-12)
 
 
 def test_delta_vs_exact_diagonalization_small_coupling(cf_params, levels, system, m_grid):
@@ -123,7 +123,7 @@ def test_k_antisymmetry(levels, system, m_grid):
 def test_k11_first_order_value(levels, system):
     # a_j <J_z> 7/2 = 0.02703 * 5.3948 * 3.5, approximately 0.511
     value = k_correction(1, 1, 3.5, levels, 0.02703, system)
-    assert value == pytest.approx(0.02703 * levels[0].jz_expect * 3.5, abs=1e-15)
+    assert value == pytest.approx(0.02703 * levels[0].jz_expect * 3.5, rel=0, abs=1e-15)
     assert value == pytest.approx(0.511, abs=1e-3)
     # first order is odd in m_z
     assert k_correction(1, 1, -3.5, levels, 0.02703, system) == -value
@@ -155,14 +155,14 @@ def test_k_assembly_matches_truncated_delta(levels, system, m_grid):
 
     for m in m_grid:
         d1 = k(1, 1, m) + k(1, 2, m) + k(1, 3, m)
-        assert d1 == pytest.approx(delta_full(1, +1, m, truncated, hf, system), abs=1e-12)
+        assert d1 == pytest.approx(delta_full(1, +1, m, truncated, hf, system), rel=0, abs=1e-12)
 
         d2 = even(lambda mm: k(2, 3, mm) + 2 * k(2, 1, mm), m)
         d3 = even(lambda mm: k(3, 2, mm) + 2 * k(3, 1, mm), m)
         t2 = even(lambda mm: delta_full(2, +1, mm, truncated, hf, system), m)
         t3 = even(lambda mm: delta_full(3, +1, mm, truncated, hf, system), m)
-        assert d2 == pytest.approx(t2, abs=1e-12)
-        assert d3 == pytest.approx(t3, abs=1e-12)
+        assert d2 == pytest.approx(t2, rel=0, abs=1e-12)
+        assert d3 == pytest.approx(t3, rel=0, abs=1e-12)
 
 
 def test_restricted_model_oracle(levels, system, m_grid):
@@ -175,9 +175,9 @@ def test_restricted_model_oracle(levels, system, m_grid):
         return k_correction(i, j, m, levels, a_j, system)
 
     for m in m_grid:
-        assert k(1, 1, m) + k(1, 2, m) + k(1, 3, m) == pytest.approx(d1[m], abs=1e-12)
-        assert k(2, 3, m) + 2 * k(2, 1, m) == pytest.approx(d2[m], abs=1e-12)
-        assert k(3, 2, m) + 2 * k(3, 1, m) == pytest.approx(d3[m], abs=1e-12)
+        assert k(1, 1, m) + k(1, 2, m) + k(1, 3, m) == pytest.approx(d1[m], rel=0, abs=1e-12)
+        assert k(2, 3, m) + 2 * k(2, 1, m) == pytest.approx(d2[m], rel=0, abs=1e-12)
+        assert k(3, 2, m) + 2 * k(3, 1, m) == pytest.approx(d3[m], rel=0, abs=1e-12)
 
 
 def test_lambda_reference_values(levels, hyperfine, system):
@@ -196,7 +196,7 @@ def test_lambda_zero_coupling(levels, system):
 def test_restricted_lambda_identity(levels, system):
     # exact algebraic identity of the three-level model without quadrupole
     lam = lambda_from_model(levels[:3], HyperfineConstants(0.02703, 0.0), system)
-    assert lam.lambda2 + lam.lambda3 == pytest.approx(-2 * lam.lambda1, abs=1e-12)
+    assert lam.lambda2 + lam.lambda3 == pytest.approx(-2 * lam.lambda1, rel=0, abs=1e-12)
 
 
 def test_lambda_model_close_to_exact(cf_params, levels, hyperfine, system):
@@ -209,7 +209,7 @@ def test_lambda_model_close_to_exact(cf_params, levels, hyperfine, system):
 def test_quadratic_regression_exact():
     m = np.arange(-3.5, 4.5)
     values = 0.7 - 0.3 * m + 0.045 * m**2
-    assert quadratic_m2_coefficient(m, values) == pytest.approx(0.045, abs=1e-14)
+    assert quadratic_m2_coefficient(m, values) == pytest.approx(0.045, rel=0, abs=1e-14)
 
 
 def test_convergence_order_in_coupling(cf_params, levels, system, m_grid):

@@ -1,11 +1,13 @@
 """Property tests over random S4 parameter sets around the Ho:LiYF4 reference."""
 
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hfspec import CF_HO_LIYF4, HO_LIYF4, HYPERFINE_HO_LIYF4
+from hfspec import CF_HO_LIYF4, HO_LIYF4, HYPERFINE_HO_LIYF4, hamiltonian
 from hfspec.config import MEASURED_LINES, bundled_path
 from hfspec.datasets import read_dataset, write_dataset
 from hfspec.fitting import (ObservationRow, TransitionDataset, _exact_predictor, predict_lines_exact,
@@ -21,7 +23,8 @@ from hfspec.hamiltonian import (
     hf_levels_exact,
 )
 from hfspec.angular import build_jplus, build_jz
-from hfspec.perturbation import delta_full, k_correction, lambda_from_model, quadratic_m2_coefficient
+from hfspec.perturbation import (delta_full, k_correction, lambda_from_exact, lambda_from_model,
+                                 quadratic_m2_coefficient)
 
 CF_NAMES = ("b20", "b40", "b44", "b60", "b64")
 
@@ -227,3 +230,24 @@ def test_doublet_branches_mirror_in_m(point):
             for m_z in system.m_i:
                 plus = delta_full(level.n, +1, m_z, levels, hf, system)
                 assert plus == pytest.approx(delta_full(level.n, -1, -m_z, levels, hf, system), rel=0, abs=1e-14)
+
+
+@property_settings
+@given(s4_points)
+def test_remembered_solves_equal_fresh_ones(point):
+    """Results read back from the remembered solves are the bits of a solve
+    from cold, and a refusal is raised again with the same message."""
+    cf, hf = _model(point)
+    system = HO_LIYF4
+
+    def results():
+        try:
+            return (cf_levels(cf, system), hf_levels_exact(cf, hf, system),
+                    lambda_from_exact(cf, hf, system), predict_lines_exact(cf, hf, ALL_KINDS, system))
+        except LabelingError as exc:
+            return str(exc)
+
+    hamiltonian._cf_step.cache_clear()
+    hamiltonian._hf_step.cache_clear()
+    cold = pickle.dumps(results())
+    assert pickle.dumps(results()) == cold
