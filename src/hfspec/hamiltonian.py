@@ -41,14 +41,14 @@ from .angular import (
 SIGMA_PLUS_SECTOR = 3
 SIGMA_MINUS_SECTOR = 1
 
-#: CF levels closer than this are treated as degenerate (doublets)
-DEGENERACY_TOL = 1e-6
+#: CF eigenvalues closer than this fraction of their span form one level
+DEGENERACY_RTOL = 1e-11
 #: largest |A - A^dagger| entry ``diagonalize`` accepts as Hermitian
 HERMITIAN_TOL = 1e-10
 #: maximum tolerated eigenvector weight outside its M mod 4 sector
 SECTOR_PURITY_TOL = 1e-8
 #: electron-nuclear eigenvalues closer than this (cm^-1) form one energy
-#: cluster when label confidence is judged.  Kept apart from DEGENERACY_TOL:
+#: cluster when label confidence is judged.  Kept apart from DEGENERACY_RTOL:
 #: widening it changes which states are pooled, and with them which
 #: parameter points are refused as unlabelable.
 HF_CLUSTER_GAP = 1e-7
@@ -275,11 +275,12 @@ def classify_levels(
 ) -> list[CFLevel]:
     """Group a crystal-field eigensystem into levels with irrep and branch labels.
 
-    Eigenvalues within ``DEGENERACY_TOL`` form one level.  Each level is
-    resolved into sector-pure members; sectors 0 and 2 give G1 and G2
-    singlets with <J_z> = 0, a sector 1/3 pair gives a G34 doublet whose
-    sigma = +1 branch is the sector-3 member.  Energies are shifted so the
-    ground level is 0.
+    Eigenvalues closer than ``DEGENERACY_RTOL`` times their span (all of
+    them when the span is 0) form one level, at any crystal-field scale.
+    Each level is resolved into sector-pure members; sectors 0 and 2 give G1
+    and G2 singlets with <J_z> = 0, a sector 1/3 pair gives a G34 doublet
+    whose sigma = +1 branch is the sector-3 member.  Energies are shifted so
+    the ground level is 0.
 
     Raises SymmetryError when an eigenvector has mixed-sector support beyond
     tolerance, which signals a symmetry-breaking Hamiltonian.
@@ -287,13 +288,13 @@ def classify_levels(
     sectors = _sectors(system)
     jz = jz_matrix(system.j)
     shifted = eigvals - eigvals[0]
-
+    tol = DEGENERACY_RTOL * shifted[-1]
     clusters: list[list[int]] = []
     idx = 0
     while idx < len(shifted):
         group = [idx]
         while group[-1] + 1 < len(shifted) and (
-            shifted[group[-1] + 1] - shifted[group[0]] < DEGENERACY_TOL
+            shifted[group[-1] + 1] - shifted[group[0]] <= tol
         ):
             group.append(group[-1] + 1)
         clusters.append(group)
@@ -492,8 +493,8 @@ def _hf_step(params: CFParameters, hf: HyperfineConstants, system: SpinSystem) -
     # Eigenvalues ascend, so each cluster is a contiguous run of columns.
     new_cluster = np.concatenate(([True], np.diff(eigvals) > HF_CLUSTER_GAP))
     cluster_of = np.cumsum(new_cluster) - 1
-    cluster_weight = np.add.reduceat(overlaps, np.flatnonzero(new_cluster), axis=1)
-    confidence = cluster_weight[rows, cluster_of[cols]]
+    cluster_weight = np.add.reduceat(overlaps.T, np.flatnonzero(new_cluster))
+    confidence = cluster_weight[cluster_of[cols], rows]
     failing = np.flatnonzero(confidence < LABEL_CUT)
     if failing.size:
         first = failing[0]
@@ -505,11 +506,9 @@ def _hf_step(params: CFParameters, hf: HyperfineConstants, system: SpinSystem) -
             "labelling"
         )
 
-    by_level = {lv.n: lv for lv in levels}
-    out = []
-    for row, col in zip(rows, cols):
-        n, sigma, m_z = labels[row]
-        energy = float(eigvals[col])
-        out.append(HFLevel(n, sigma, m_z, energy, energy - by_level[n].energy))
-    out.sort(key=lambda h: (h.n, -h.sigma, h.m_z))
-    return tuple(out)
+    # rows come back ascending, and labels already run in (n, -sigma, m_z) order
+    parent = {lv.n: lv.energy for lv in levels}
+    return tuple(
+        HFLevel(n, sigma, m_z, energy, energy - parent[n])
+        for (n, sigma, m_z), energy in zip(labels, eigvals[cols].tolist())
+    )

@@ -70,7 +70,7 @@ def _delta_over_m(
     hf: HyperfineConstants,
     system: SpinSystem,
 ) -> NDArray[np.float64]:
-    """``delta_full`` at every nuclear projection in the array ``m_z`` at once.
+    """``delta_full`` at every nuclear projection in the 1-d array ``m_z`` at once.
 
     The matrix elements are computed once per intermediate state; the sum
     over states runs in level order, as a scalar evaluation at each m_z
@@ -87,7 +87,8 @@ def _delta_over_m(
     fm, fp = i * (i + 1) - m_z * (m_z + 1), i * (i + 1) - m_z * (m_z - 1)
     m2 = m_z**2
 
-    delta = hf.a_j * level.jz_branch(sigma) * m_z
+    # per intermediate branch, as scalars: a_j^2 / dE and the J_z, J-, J+ elements
+    rows = []
     for other in levels:
         if other.n == n:
             continue
@@ -102,9 +103,12 @@ def _delta_over_m(
             el_z = abs(np.vdot(phi, jz_psi)) ** 2
             el_m = abs(np.vdot(phi, jm_psi)) ** 2
             el_p = abs(np.vdot(phi, jp_psi)) ** 2
-            delta += (hf.a_j**2 / de) * (
-                el_z * m2 + 0.25 * el_m * fm + 0.25 * el_p * fp
-            )
+            rows.append((hf.a_j**2 / de, el_z, 0.25 * el_m, 0.25 * el_p))
+    coef, el_z, el_m, el_p = np.array(rows).reshape(-1, 4, 1).transpose(1, 0, 2)
+    delta = hf.a_j * level.jz_branch(sigma) * m_z
+    # one term per intermediate branch, added in level order
+    for term in coef * (el_z * m2 + el_m * fm + el_p * fp):
+        delta += term
     quad = 0.0
     if hf.b_quad != 0.0:
         o20 = float(np.real(psi.conj() @ (3 * jz @ jz) @ psi)) - j * (j + 1)
@@ -125,7 +129,7 @@ def delta_full(
     Sums over every branch of every other level in ``levels``; the one
     second-order formula, for doublets and singlets alike.
     """
-    return float(_delta_over_m(n, sigma, np.asarray(m_z, dtype=float), levels, hf, system))
+    return float(_delta_over_m(n, sigma, np.array([m_z], dtype=float), levels, hf, system)[0])
 
 
 def k_correction(

@@ -20,6 +20,8 @@ KB_CM_PER_K = 0.695035
 
 #: FWHM = GAUSSIAN_FWHM_FACTOR * (Gaussian standard deviation)
 GAUSSIAN_FWHM_FACTOR = 2.0 * math.sqrt(2.0 * math.log(2.0))
+#: FWHMs from its center beyond which a Gaussian's exponent is below -800: exp gives 0.0
+GAUSSIAN_REACH = math.sqrt(800.0 / (4.0 * math.log(2.0)))
 
 PEAK_SHAPES = ("gaussian", "lorentzian")
 
@@ -177,24 +179,34 @@ def synthesize(
 
     ``shape`` supplies the profile type, FWHM and the amplitude scale; each
     line is placed at its energy with height shape.amplitude x intensity
-    (unit intensity when unspecified).
+    (unit intensity when unspecified).  A Gaussian peak is evaluated only
+    within ``GAUSSIAN_REACH`` FWHM of its center, beyond which it is exactly
+    0.0, so the sum equals the full-grid one bit for bit.  A Lorentzian, or a
+    Gaussian with FWHM outside (1e-150, 1e150), where FWHM^2 is not a normal
+    float, spans the whole grid.  A line whose (or whose satellite's) energy
+    or height is not finite raises ValueError.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.size == 0:
         raise ValueError("grid must be nonempty")
     if not shape.fwhm > 0:
         raise ValueError(f"fwhm must be positive, got {shape.fwhm}")
-    total = np.zeros_like(grid)
+    windowed = shape.shape == "gaussian" and 1e-150 < shape.fwhm < 1e150
+    reach = shape.fwhm * GAUSSIAN_REACH if windowed else math.inf
+    peaks = []
     for line in lines:
         height = shape.amplitude * (1.0 if line.intensity is None else line.intensity)
-        peak = PeakModel(shape.shape, line.energy, shape.fwhm, height)
-        total += peak.profile(grid)
+        peaks.append((line, line.energy, height))
         if isotope is not None and isotope.enabled:
-            satellite = PeakModel(
-                shape.shape,
-                line.energy + isotope.splitting,
-                shape.fwhm,
-                height * isotope.satellite_ratio,
-            )
-            total += satellite.profile(grid)
+            peaks.append((line, line.energy + isotope.splitting, height * isotope.satellite_ratio))
+    for line, center, height in peaks:
+        if not (math.isfinite(center) and math.isfinite(height)):
+            raise ValueError(f"{line} has a non-finite energy or height")
+    centers = np.array([center for _, center, _ in peaks])
+    starts = np.searchsorted(grid, centers - reach).tolist()
+    stops = np.searchsorted(grid, centers + reach, side="right").tolist()
+    total = np.zeros_like(grid)
+    for (_, center, height), lo, hi in zip(peaks, starts, stops):
+        if lo < hi:
+            total[lo:hi] += PeakModel(shape.shape, center, shape.fwhm, height).profile(grid[lo:hi])
     return Spectrum(grid, total)

@@ -89,6 +89,15 @@ def test_levels_zero_cf(tmp_path):
     assert sum(int(r.split(",")[3]) for r in rows) == 17
 
 
+def test_levels_large_axial_field(tmp_path):
+    """A large S4-symmetric crystal field is solved, not refused as S4-breaking."""
+    config = tmp_path / "axial.ini"
+    config.write_text(MINIMAL_CONFIG.replace("b20 = -2.66e-1", "b20 = 1e8"))
+    result = invoke("levels", "--config", str(config))
+    assert result.exit_code == 0, result.output
+    assert "breaks S4" not in result.output
+
+
 def test_levels_deterministic(tmp_path):
     a = invoke("levels", "--output", str(tmp_path / "a.csv"))
     b = invoke("levels", "--output", str(tmp_path / "b.csv"))

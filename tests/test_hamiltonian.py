@@ -97,6 +97,24 @@ def test_zero_cf_all_degenerate(system):
     assert all(lv.energy == 0.0 for lv in lvls)
 
 
+@pytest.mark.parametrize("scale", [1e-8, 1e-4, 1e4, 1e8])
+def test_level_grouping_is_independent_of_cf_scale(cf_params, levels, system, scale):
+    """Multiplying H_CF by a constant multiplies every level energy by it and
+    changes no irrep, degeneracy or moment."""
+    scaled = cf_levels(CFParameters(**{name: value * scale for name, value in cf_params.items()}), system)
+    span = levels[-1].energy
+    assert [(lv.irrep, lv.degeneracy) for lv in scaled] == [(lv.irrep, lv.degeneracy) for lv in levels]
+    for lv, ref in zip(scaled, levels):
+        assert lv.energy == pytest.approx(scale * ref.energy, rel=0, abs=1e-12 * scale * span)
+        assert lv.jz_expect == pytest.approx(ref.jz_expect, rel=0, abs=1e-12)
+
+
+def test_large_axial_field_is_not_refused_as_s4_breaking(cf_params, system):
+    lvls = cf_levels(CFParameters(**{**dict(cf_params.items()), "b20": 1e8}), system)
+    assert sum(lv.degeneracy for lv in lvls) == system.dim_j
+    assert lvls[0].energy == 0.0
+
+
 def test_classify_deterministic(cf_params, system):
     a = cf_levels(cf_params, system)
     b = cf_levels(cf_params, system)
@@ -304,3 +322,10 @@ def test_refused_point_is_refused_again(cf_params, hyperfine, system):
         with pytest.raises(LabelingError):
             hf_levels_exact(cf_params, strong, system)
     assert pickle.dumps(hf_levels_exact(cf_params, hyperfine, system)) == cold
+
+
+@pytest.mark.parametrize("a_j, b_quad", [(0.0, 0.0), (0.02703, 0.04), (0.05, -0.04)])
+def test_hf_levels_come_in_label_order(cf_params, system, a_j, b_quad):
+    """hf_levels_exact returns its levels in (n, -sigma, m_z) order without sorting."""
+    keys = [(h.n, -h.sigma, h.m_z) for h in hf_levels_exact(cf_params, HyperfineConstants(a_j, b_quad), system)]
+    assert keys == sorted(keys) and len(set(keys)) == system.dim

@@ -22,8 +22,8 @@ from hfspec.hamiltonian import (
     cf_levels,
     hf_levels_exact,
 )
-from hfspec.angular import build_jplus, build_jz
-from hfspec.perturbation import (delta_full, k_correction, lambda_from_exact, lambda_from_model,
+from hfspec.angular import build_jplus, build_jz, jminus_matrix, jplus_matrix, jz_matrix
+from hfspec.perturbation import (_delta_over_m, delta_full, k_correction, lambda_from_exact, lambda_from_model,
                                  quadratic_m2_coefficient)
 
 CF_NAMES = ("b20", "b40", "b44", "b60", "b64")
@@ -107,6 +107,56 @@ def test_lambda_from_model_equals_per_m_regression(point):
         assert [delta_full(n, +1, mz, levels, hf, system) for mz in m] == per_m[n]
     expected = tuple(2 * quadratic_m2_coefficient(m, per_m[n]) for n in (1, 2, 3))
     assert lambda_from_model(levels, hf, system).as_tuple() == expected
+
+
+def _delta_over_m_scalar_loop(n, sigma, m_z, levels, hf, system):
+    """Reference: ``perturbation._delta_over_m`` as it was before its m_z
+    arithmetic was stacked, adding one array term per intermediate branch."""
+    level = next(lv for lv in levels if lv.n == n)
+    jz, jp, jm = jz_matrix(system.j), jplus_matrix(system.j), jminus_matrix(system.j)
+    psi = level.vectors[sigma]
+    jz_psi, jm_psi, jp_psi = jz @ psi, jm @ psi, jp @ psi
+    j, i = system.j, system.i
+    fm, fp = i * (i + 1) - m_z * (m_z + 1), i * (i + 1) - m_z * (m_z - 1)
+    m2 = m_z**2
+    delta = hf.a_j * level.jz_branch(sigma) * m_z
+    for other in levels:
+        if other.n == n:
+            continue
+        de = level.energy - other.energy
+        for sig2 in other.branches():
+            phi = other.vectors[sig2]
+            el_z = abs(np.vdot(phi, jz_psi)) ** 2
+            el_m = abs(np.vdot(phi, jm_psi)) ** 2
+            el_p = abs(np.vdot(phi, jp_psi)) ** 2
+            delta += (hf.a_j**2 / de) * (el_z * m2 + 0.25 * el_m * fm + 0.25 * el_p * fp)
+    quad = 0.0
+    if hf.b_quad != 0.0:
+        o20 = float(np.real(psi.conj() @ (3 * jz @ jz) @ psi)) - j * (j + 1)
+        quad = hf.b_quad * o20 / (4 * i * (2 * i - 1) * j * (2 * j - 1)) * (3 * m2 - i * (i + 1))
+    return delta + quad
+
+
+@property_settings
+@given(s4_points, st.booleans())
+def test_stacked_delta_is_bit_identical_to_scalar_loop(point, quadrupole):
+    """Every level and branch, over the full and the three-level model, with
+    and without the quadrupolar term: the same bytes as the branch-by-branch
+    loop, at all m_z at once and one m_z at a time."""
+    cf, hf = _model(point)
+    if not quadrupole:
+        hf = HyperfineConstants(hf.a_j, 0.0)
+    system = HO_LIYF4
+    full = cf_levels(cf, system)
+    m = system.m_i
+    for levels in (full, full[:3]):
+        for level in levels:
+            for sigma in level.branches():
+                expected = _delta_over_m_scalar_loop(level.n, sigma, m, levels, hf, system)
+                got = _delta_over_m(level.n, sigma, m, levels, hf, system)
+                assert got.tobytes() == expected.tobytes()
+                one_at_a_time = [delta_full(level.n, sigma, mz, levels, hf, system) for mz in m]
+                assert np.array(one_at_a_time).tobytes() == expected.tobytes()
 
 
 @property_settings

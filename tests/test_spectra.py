@@ -1,9 +1,15 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hfspec.hamiltonian import HFLevel, HyperfineConstants, hf_levels_exact
 from hfspec.spectra import (
+    GAUSSIAN_REACH,
     KB_CM_PER_K,
+    PEAK_SHAPES,
     IsotopeConfig,
     PeakModel,
     Spectrum,
@@ -225,3 +231,107 @@ def test_spectrum_validation():
         Spectrum(np.array([0.0, 1.0, 0.5]), np.zeros(3))
     with pytest.raises(ValueError):
         Spectrum(np.array([0.0, 1.0]), np.zeros(3))
+
+
+def _synthesize_full_grid(lines, shape, grid, isotope=None):
+    """Reference: every profile evaluated on the whole grid and added in line
+    order, as ``synthesize`` did before it evaluated each peak only within
+    its reach."""
+    total = np.zeros_like(grid)
+    for line in lines:
+        height = shape.amplitude * (1.0 if line.intensity is None else line.intensity)
+        total += PeakModel(shape.shape, line.energy, shape.fwhm, height).profile(grid)
+        if isotope is not None and isotope.enabled:
+            satellite = PeakModel(
+                shape.shape, line.energy + isotope.splitting, shape.fwhm, height * isotope.satellite_ratio
+            )
+            total += satellite.profile(grid)
+    return total
+
+
+#: the bundled synthesis grid: 22.5 to 24.1 cm^-1 in steps of 0.0005
+GRID = np.arange(22.5, 24.1 + 0.00025, 0.0005)
+STEP, LO, HI = 0.0005, GRID[0], GRID[-1]
+
+
+@st.composite
+def synthesis_cases(draw):
+    """Lines inside the grid, at its edges, just inside or beyond a Gaussian's
+    reach and far outside; heights of 0, negative and 1e-300; FWHM from one
+    grid step to the span of the grid."""
+    fwhm = draw(st.floats(min_value=STEP, max_value=HI - LO))
+
+    def center():
+        kind = draw(st.sampled_from(["inside", "edge", "reach", "far"]))
+        if kind == "inside":
+            return draw(st.floats(min_value=LO, max_value=HI))
+        edge, outward = draw(st.sampled_from([(LO, -1.0), (HI, 1.0)]))
+        if kind == "edge":
+            return edge + draw(st.floats(min_value=-3.0, max_value=3.0)) * STEP
+        if kind == "reach":
+            return edge + outward * fwhm * (GAUSSIAN_REACH + draw(st.floats(min_value=-0.01, max_value=0.01)))
+        return edge + outward * draw(st.floats(min_value=1e3, max_value=1e300))
+
+    intensity = st.one_of(
+        st.none(), st.sampled_from([0.0, -0.0, -2.5, 1e-300]), st.floats(min_value=-5.0, max_value=5.0)
+    )
+    lines = [
+        TransitionLine(1, 2, 0.5, center(), intensity=draw(intensity))
+        for _ in range(draw(st.integers(min_value=0, max_value=8)))
+    ]
+    shape = PeakModel(draw(st.sampled_from(PEAK_SHAPES)), 0.0, fwhm, draw(st.sampled_from([1.0, -0.7, 1e-300])))
+    isotope = draw(st.sampled_from([None, IsotopeConfig(), IsotopeConfig(enabled=False),
+                                    IsotopeConfig(splitting=-0.3, satellite_ratio=1.5)]))
+    return lines, shape, isotope
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(synthesis_cases())
+def test_synthesize_is_bit_identical_to_full_grid_sum(case):
+    lines, shape, isotope = case
+    with np.errstate(over="ignore"):  # x^2 overflows for the far lines
+        spectrum = synthesize(lines, shape, GRID, isotope)
+        expected = _synthesize_full_grid(lines, shape, GRID, isotope)
+    assert spectrum.absorbance.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("fwhm", [1e-165, 1e-162, 3e-162, 1e-154])
+def test_tiny_fwhm_is_bit_identical_to_full_grid_sum(fwhm):
+    """Where FWHM^2 is subnormal or zero its rounding can move the exponent by
+    more than the reach allows for, so such a Gaussian spans the whole grid."""
+    rng = np.random.default_rng(7)
+    shape = PeakModel("gaussian", 0.0, fwhm, 1.0)
+    for _ in range(20):
+        grid = np.unique(rng.uniform(-100.0, 100.0, 200)) * fwhm
+        lines = [TransitionLine(1, 2, 0.5, c) for c in rng.uniform(-30.0, 30.0, 3) * fwhm]
+        with np.errstate(divide="ignore", invalid="ignore", under="ignore"):
+            spectrum = synthesize(lines, shape, grid)
+            expected = _synthesize_full_grid(lines, shape, grid)
+        assert spectrum.absorbance.tobytes() == expected.tobytes()
+
+
+def test_gaussian_is_exactly_zero_beyond_its_reach():
+    fwhm = 0.009
+    x = fwhm * GAUSSIAN_REACH * np.array([1.0, 1.0 + 1e-12, 2.0, 1e6])
+    assert np.all(PeakModel("gaussian", 0.0, fwhm, 1e300).profile(np.concatenate([x, -x])) == 0.0)
+    assert PeakModel("gaussian", 0.0, fwhm, 1.0).profile(np.array([0.9 * fwhm * GAUSSIAN_REACH]))[0] > 0.0
+
+
+@pytest.mark.parametrize("energy, intensity", [
+    (math.nan, None), (math.inf, None), (-math.inf, 1.0), (23.0, math.nan), (23.0, math.inf), (23.0, -math.inf),
+])
+@pytest.mark.parametrize("shape", PEAK_SHAPES)
+def test_non_finite_line_is_refused(energy, intensity, shape):
+    """A line at nan or +-inf, or with a non-finite height, is named in a
+    ValueError rather than turning the spectrum into nan or vanishing."""
+    good = TransitionLine(1, 2, -0.5, 23.1)
+    bad = TransitionLine(1, 3, 1.5, energy, intensity=intensity)
+    with pytest.raises(ValueError, match=r"TransitionLine\(n_init=1, n_final=3, m_z=1\.5, .*non-finite"):
+        synthesize([good, bad], PeakModel(shape, 0.0, 0.009, 1.0), GRID, IsotopeConfig())
+
+
+def test_non_finite_satellite_is_refused():
+    line = TransitionLine(1, 2, 0.5, 23.0)
+    with pytest.raises(ValueError, match="non-finite"):
+        synthesize([line], PeakModel("gaussian", 0.0, 0.009, 1.0), GRID,
+                   IsotopeConfig(satellite_ratio=math.inf))
