@@ -91,16 +91,20 @@ class OperatorMatrix:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
-    def hermiticity_defect(self) -> float:
-        return float(np.max(np.abs(self.matrix - self.matrix.conj().T)))
+
+# The forward model needs the same few operators on every call, so each
+# builder below runs once per argument and hands every caller the same
+# read-only matrix.
 
 
+@lru_cache(maxsize=8)
 def build_jz(j: float) -> OperatorMatrix:
     """Diagonal J_z with entries M = -j ... +j in ascending basis order."""
     j = _check_spin(j)
     return OperatorMatrix(np.diag(np.arange(-j, j + 1)).astype(complex))
 
 
+@lru_cache(maxsize=8)
 def build_jplus(j: float) -> OperatorMatrix:
     """Raising operator, <M+1|J+|M> = sqrt(j(j+1) - M(M+1))."""
     j = _check_spin(j)
@@ -112,11 +116,13 @@ def build_jplus(j: float) -> OperatorMatrix:
     return OperatorMatrix(mat)
 
 
+@lru_cache(maxsize=8)
 def build_jminus(j: float) -> OperatorMatrix:
-    """Lowering operator, the conjugate transpose of J+."""
+    """Lowering operator, the conjugate-transpose view of J+."""
     return OperatorMatrix(build_jplus(j).matrix.conj().T)
 
 
+@lru_cache(maxsize=64)
 def build_stevens(k: int, q: int, j: float) -> OperatorMatrix:
     """Stevens operator equivalent O_k^q acting within a fixed-j manifold.
 
@@ -172,41 +178,11 @@ def build_stevens(k: int, q: int, j: float) -> OperatorMatrix:
     return OperatorMatrix(mat)
 
 
-# Cached operator arrays.  The forward model needs the same few operators on
-# every call; these build each one once per j (or per (j, i)) and hand out the
-# same read-only array, bit-identical to the matrix of the matching build_*
-# function (layout included, so products with it round the same way).
-
-
-@lru_cache(maxsize=8)
-def jz_matrix(j: float) -> NDArray[np.complex128]:
-    """Cached, read-only ``build_jz(j).matrix``."""
-    return build_jz(j).matrix
-
-
-@lru_cache(maxsize=8)
-def jplus_matrix(j: float) -> NDArray[np.complex128]:
-    """Cached, read-only ``build_jplus(j).matrix``."""
-    return build_jplus(j).matrix
-
-
-@lru_cache(maxsize=8)
-def jminus_matrix(j: float) -> NDArray[np.complex128]:
-    """Cached, read-only J-, the conjugate-transpose view of ``jplus_matrix(j)``."""
-    return _frozen(jplus_matrix(j).conj()).T
-
-
-@lru_cache(maxsize=64)
-def stevens_matrix(k: int, q: int, j: float) -> NDArray[np.complex128]:
-    """Cached, read-only ``build_stevens(k, q, j).matrix``."""
-    return build_stevens(k, q, j).matrix
-
-
 @lru_cache(maxsize=8)
 def jdoti_matrix(j: float, i: float) -> NDArray[np.complex128]:
     """Cached, read-only J.I = J_z I_z + (J+ I- + J- I+)/2 on the (M, m_z) product basis."""
-    jz, jp = jz_matrix(j), jplus_matrix(j)
-    iz, ip = jz_matrix(i), jplus_matrix(i)
+    jz, jp = build_jz(j).matrix, build_jplus(j).matrix
+    iz, ip = build_jz(i).matrix, build_jplus(i).matrix
     return _frozen(
         np.kron(jz, iz)
         + 0.5 * (np.kron(jp, ip.conj().T) + np.kron(jp.conj().T, ip))

@@ -125,7 +125,6 @@ class RunConfig:
     """Validated configuration for the command-line tools; see load_config."""
 
     system: SpinSystem
-    g_j: float
     cf: CFParameters
     hyperfine: HyperfineConstants
     temperature: float
@@ -136,7 +135,6 @@ class RunConfig:
     amplitude: float
     transitions: list[tuple[int, int]]
     max_iterations: int
-    schema_version: int
 
 
 _GRID_KEYS = ("start_cm1", "stop_cm1", "step_cm1")
@@ -146,7 +144,7 @@ _GRID_KEYS = ("start_cm1", "stop_cm1", "step_cm1")
 #: every [grid] key once the section exists).
 _SCHEMA: dict[str, dict[str, tuple[Callable[[str], Any], Any]]] = {
     "meta": {"schema_version": (int, None)},
-    "system": {"j": (_spin, 8.0), "i": (_spin, 3.5), "g_j": (parse_half_integer, 1.25)},
+    "system": {"j": (_spin, 8.0), "i": (_spin, 3.5)},
     "cf": {key: (_coupling, 0.0) for key in CF_COEFFICIENTS},
     "hyperfine": {"a_j": (_coupling, 0.0), "b_quad": (_coupling, 0.0)},
     "conditions": {"temperature_k": (_positive, 3.5)},
@@ -234,7 +232,6 @@ def load_config(path: str | Path) -> RunConfig:
 
     return RunConfig(
         system=system,
-        g_j=v["g_j"],
         cf=CFParameters(**{key: v[key] for key in CF_COEFFICIENTS}),
         hyperfine=HyperfineConstants(a_j=v["a_j"], b_quad=v["b_quad"]),
         temperature=v["temperature_k"],
@@ -247,7 +244,6 @@ def load_config(path: str | Path) -> RunConfig:
         amplitude=v["amplitude"],
         transitions=transitions,
         max_iterations=v["max_iterations"],
-        schema_version=v["schema_version"],
     )
 
 

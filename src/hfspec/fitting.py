@@ -388,7 +388,7 @@ def predict_lines_exact(
     rows: list[ObservationRow],
     system: SpinSystem,
 ) -> NDArray[np.float64]:
-    """Predictions from the fully diagonalized electron-nuclear spectrum.
+    """Predictions from the exactly solved electron-nuclear spectrum.
 
     hf rows use the labelled level energies on the sigma = +1 branches
     (Kramers degeneracy makes the branch choice immaterial); cf rows are
@@ -430,7 +430,7 @@ def fit_b(
     """One-parameter fit of the quadrupolar constant at fixed CF parameters.
 
     H_CF is solved once per fit, as the point ``cf_levels`` remembers; each
-    objective evaluation diagonalizes the full electron-nuclear Hamiltonian;
+    objective evaluation solves the full electron-nuclear Hamiltonian;
     see ``predict_lines_exact``.
     """
     _check_enough_rows(len(dataset.rows), 1, "rows")

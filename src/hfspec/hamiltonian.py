@@ -31,10 +31,10 @@ from .angular import (
     SUPPORTED_STEVENS,
     OperatorMatrix,
     SpinSystem,
+    build_jz,
+    build_stevens,
     jdoti_matrix,
-    jz_matrix,
     quadrupole_matrix,
-    stevens_matrix,
 )
 
 #: sector (M mod 4) of the sigma = +1 doublet branch
@@ -43,8 +43,6 @@ SIGMA_MINUS_SECTOR = 1
 
 #: CF eigenvalues closer than this fraction of their span form one level
 DEGENERACY_RTOL = 1e-11
-#: largest |A - A^dagger| entry ``diagonalize`` accepts as Hermitian
-HERMITIAN_TOL = 1e-10
 #: maximum tolerated eigenvector weight outside its M mod 4 sector
 SECTOR_PURITY_TOL = 1e-8
 #: electron-nuclear eigenvalues closer than this (cm^-1) form one energy
@@ -166,7 +164,7 @@ def build_cf_hamiltonian(params: CFParameters, system: SpinSystem) -> OperatorMa
     mat = np.zeros((dim, dim), dtype=complex)
     for k, q, value in params.terms():
         if value != 0.0:
-            mat = mat + value * stevens_matrix(k, q, system.j)
+            mat = mat + value * build_stevens(k, q, system.j).matrix
     return OperatorMatrix(mat)
 
 
@@ -195,19 +193,6 @@ def build_hf_hamiltonian(hf: HyperfineConstants, system: SpinSystem) -> Operator
         denom = 2 * i * (2 * i - 1) * j * (2 * j - 1)
         mat = mat + (hf.b_quad / denom) * quadrupole_matrix(j, i)
     return OperatorMatrix(mat)
-
-
-def diagonalize(op: OperatorMatrix) -> tuple[NDArray[np.float64], NDArray[np.complex128]]:
-    """Eigenvalues (ascending) and orthonormal eigenvectors of a Hermitian operator.
-
-    Deterministic for identical input.  Raises ValueError if the matrix is
-    not Hermitian within ``HERMITIAN_TOL``.
-    """
-    defect = op.hermiticity_defect()
-    if defect > HERMITIAN_TOL:
-        raise ValueError(f"matrix is not Hermitian: max |A - A^dagger| = {defect:.3e}")
-    eigvals, eigvecs = np.linalg.eigh(op.matrix)
-    return eigvals, eigvecs
 
 
 def _sectors(system: SpinSystem) -> NDArray[np.int64]:
@@ -286,7 +271,7 @@ def classify_levels(
     tolerance, which signals a symmetry-breaking Hamiltonian.
     """
     sectors = _sectors(system)
-    jz = jz_matrix(system.j)
+    jz = build_jz(system.j).matrix
     shifted = eigvals - eigvals[0]
     tol = DEGENERACY_RTOL * shifted[-1]
     clusters: list[list[int]] = []
@@ -345,10 +330,10 @@ def classify_levels(
 def _cf_step(
     params: CFParameters, system: SpinSystem
 ) -> tuple[OperatorMatrix, float, tuple[CFLevel, ...]]:
-    """Build H_CF, diagonalize it and classify its levels: (H_CF, its lowest
+    """Build H_CF, solve it and classify its levels: (H_CF, its lowest
     eigenvalue, the levels).  Remembered for the last point solved."""
     cf_op = build_cf_hamiltonian(params, system)
-    eigvals, eigvecs = diagonalize(cf_op)
+    eigvals, eigvecs = np.linalg.eigh(cf_op.matrix)
     return cf_op, eigvals[0], tuple(classify_levels(eigvals, eigvecs, system))
 
 

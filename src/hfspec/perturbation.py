@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .angular import SpinSystem, jminus_matrix, jplus_matrix, jz_matrix
+from .angular import SpinSystem, build_jminus, build_jplus, build_jz
 from .hamiltonian import CFLevel, HyperfineConstants, hf_levels_exact
 
 
@@ -59,7 +59,7 @@ def _level(levels: list[CFLevel], n: int) -> CFLevel:
 
 
 def _operators(system: SpinSystem):
-    return jz_matrix(system.j), jplus_matrix(system.j), jminus_matrix(system.j)
+    return build_jz(system.j).matrix, build_jplus(system.j).matrix, build_jminus(system.j).matrix
 
 
 def _delta_over_m(
@@ -202,7 +202,7 @@ def lambda_from_model(
 def lambda_from_exact(
     params, hf: HyperfineConstants, system: SpinSystem
 ) -> LambdaCoefficients:
-    """Same coefficients extracted from the fully diagonalized spectrum."""
+    """Same coefficients extracted from the exactly solved spectrum."""
     hf_levels = hf_levels_exact(params, hf, system)
     m = system.m_i
     out = []

@@ -13,9 +13,6 @@ from .hamiltonian import CFParameters, HyperfineConstants
 #: Ho3+ electronic ground multiplet and the I = 7/2 holmium nuclear spin
 HO_LIYF4 = SpinSystem(j=8.0, i=3.5)
 
-#: Lande g-factor of the ground multiplet
-G_J = 1.25
-
 CF_HO_LIYF4 = CFParameters(
     b20=-2.66e-1,
     b40=1.68e-3,

@@ -10,11 +10,7 @@ from hfspec.angular import (
     build_jz,
     build_stevens,
     jdoti_matrix,
-    jminus_matrix,
-    jplus_matrix,
-    jz_matrix,
     quadrupole_matrix,
-    stevens_matrix,
 )
 
 SPINS = [0.5, 1.0, 1.5, 2.0, 3.5, 8.0]
@@ -92,9 +88,9 @@ def test_stevens_o44_couples_only_delta_m_4():
 
 @pytest.mark.parametrize("k,q", SUPPORTED_STEVENS)
 def test_stevens_hermitian_traceless(k, q):
-    op = build_stevens(k, q, 8.0)
-    assert op.hermiticity_defect() < 1e-12
-    assert abs(np.trace(op.matrix)) < 1e-9
+    mat = build_stevens(k, q, 8.0).matrix
+    assert np.max(np.abs(mat - mat.conj().T)) < 1e-12
+    assert abs(np.trace(mat)) < 1e-9
 
 
 @pytest.mark.parametrize("k,q", SUPPORTED_STEVENS)
@@ -130,21 +126,31 @@ def test_operator_matrix_validation():
 
 
 def test_cached_operators_equal_built_ones():
+    """Each builder runs once per argument: every call returns the same operator."""
     j = 8.0
-    assert np.array_equal(jz_matrix(j), build_jz(j).matrix)
-    assert np.array_equal(jplus_matrix(j), build_jplus(j).matrix)
-    assert np.array_equal(jminus_matrix(j), build_jminus(j).matrix)
+    assert build_jz(j) is build_jz(j)
+    assert build_jplus(j) is build_jplus(j)
+    assert build_jminus(j) is build_jminus(j)
     for k, q in SUPPORTED_STEVENS:
-        assert np.array_equal(stevens_matrix(k, q, j), build_stevens(k, q, j).matrix)
-    assert jz_matrix(j) is jz_matrix(j)
+        assert build_stevens(k, q, j) is build_stevens(k, q, j)
+    assert jdoti_matrix(j, 3.5) is jdoti_matrix(j, 3.5)
+    assert quadrupole_matrix(j, 3.5) is quadrupole_matrix(j, 3.5)
+
+
+def test_jminus_keeps_the_conjugate_transpose_layout():
+    """J- is the F-ordered view J+^dagger, so products with it round as before."""
+    for j in (0.5, 3.5, 8.0):
+        jm = build_jminus(j).matrix
+        assert np.array_equal(jm, build_jplus(j).matrix.conj().T)
+        assert jm.flags.f_contiguous
 
 
 def test_cached_operators_reject_writes():
     cached = (
-        jz_matrix(8.0),
-        jplus_matrix(8.0),
-        jminus_matrix(8.0),
-        stevens_matrix(6, 4, 8.0),
+        build_jz(8.0).matrix,
+        build_jplus(8.0).matrix,
+        build_jminus(8.0).matrix,
+        build_stevens(6, 4, 8.0).matrix,
         jdoti_matrix(8.0, 3.5),
         quadrupole_matrix(8.0, 3.5),
     )
@@ -154,5 +160,7 @@ def test_cached_operators_reject_writes():
 
 
 def test_cached_operator_rejects_invalid_spin():
-    with pytest.raises(ValueError):
-        jz_matrix(0.3)
+    # a refusal is not remembered: the same bad spin is refused again
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            build_jz(0.3)

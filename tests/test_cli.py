@@ -136,6 +136,15 @@ def test_unknown_config_key_rejected(tmp_path):
     assert "b99" in result.output
 
 
+def test_g_j_is_an_unknown_key(tmp_path):
+    """No computation reads a Lande factor, so the schema has no key for one."""
+    config = tmp_path / "g_j.ini"
+    config.write_text(MINIMAL_CONFIG.replace("i = 7/2\n", "i = 7/2\ng_j = 5/4\n"))
+    result = invoke("levels", "--config", str(config))
+    assert result.exit_code == EXIT_CONFIG
+    assert "unknown key 'g_j' in section [system]" in result.stderr
+
+
 # ------------------------------------------------------------------------- hf
 
 def test_hf_ground_ladder_spacing():
@@ -393,7 +402,6 @@ def test_bundled_reference_config_parses():
     cfg = load_config(bundled_path(REFERENCE_CONFIG))
     assert cfg.system.j == 8.0
     assert cfg.system.i == 3.5
-    assert cfg.g_j == 1.25
     assert cfg.hyperfine.a_j == 0.02703
     assert cfg.isotope.enabled
 

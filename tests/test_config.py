@@ -34,7 +34,6 @@ def test_every_default(tmp_path):
     cfg = load_config(_write(tmp_path, HEADER))
     assert cfg == RunConfig(
         system=SpinSystem(j=8.0, i=3.5),
-        g_j=1.25,
         cf=CFParameters(0.0, 0.0, 0.0, 0.0, 0.0, b6m4=0.0, b4m4=0.0),
         hyperfine=HyperfineConstants(0.0, 0.0),
         temperature=3.5,
@@ -45,7 +44,6 @@ def test_every_default(tmp_path):
         amplitude=1.0,
         transitions=[],
         max_iterations=200,
-        schema_version=1,
     )
 
 
@@ -73,7 +71,6 @@ BAD_VALUES = [
     ("transitions", "include", "5.1-5.3"),
     ("transitions", "include", "8.1-8.3.2"),
     ("system", "j", "1e400"),
-    ("system", "g_j", "-1e400"),
     ("cf", "b64", "-1e306"),
     ("hyperfine", "a_j", "1.0000001e100"),
 ]

@@ -22,7 +22,7 @@ from hfspec.hamiltonian import (
     cf_levels,
     hf_levels_exact,
 )
-from hfspec.angular import build_jplus, build_jz, jminus_matrix, jplus_matrix, jz_matrix
+from hfspec.angular import build_jminus, build_jplus, build_jz
 from hfspec.perturbation import (_delta_over_m, delta_full, k_correction, lambda_from_exact, lambda_from_model,
                                  quadratic_m2_coefficient)
 
@@ -65,6 +65,18 @@ def test_labels_unique_and_kramers_paired(point):
         if level.degeneracy == 2:
             for m in system.m_i:
                 assert abs(energy[(level.n, +1, m)] - energy[(level.n, -1, -m)]) <= 1e-9
+
+
+@property_settings
+@given(s4_points)
+def test_built_hamiltonians_are_hermitian(point):
+    """H_CF is exactly Hermitian and H_HF Hermitian to rounding, so the
+    eigensolver that reads one triangle sees the operator that was built."""
+    cf, hf = _model(point)
+    h_cf = build_cf_hamiltonian(cf, HO_LIYF4).matrix
+    assert np.array_equal(h_cf, h_cf.conj().T)
+    h_hf = build_hf_hamiltonian(hf, HO_LIYF4).matrix
+    assert np.max(np.abs(h_hf - h_hf.conj().T)) <= 1e-15 * np.max(np.abs(h_hf))
 
 
 def _delta_loop(n, m_z, levels, hf, system):
@@ -113,7 +125,7 @@ def _delta_over_m_scalar_loop(n, sigma, m_z, levels, hf, system):
     """Reference: ``perturbation._delta_over_m`` as it was before its m_z
     arithmetic was stacked, adding one array term per intermediate branch."""
     level = next(lv for lv in levels if lv.n == n)
-    jz, jp, jm = jz_matrix(system.j), jplus_matrix(system.j), jminus_matrix(system.j)
+    jz, jp, jm = build_jz(system.j).matrix, build_jplus(system.j).matrix, build_jminus(system.j).matrix
     psi = level.vectors[sigma]
     jz_psi, jm_psi, jp_psi = jz @ psi, jm @ psi, jp @ psi
     j, i = system.j, system.i
