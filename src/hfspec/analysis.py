@@ -209,17 +209,16 @@ def fit_peaks(
     spectrum: Spectrum,
     n_peaks: int,
     shape: str = "gaussian",
-    shared_fwhm: bool = False,
     max_iter: int = 200,
 ) -> tuple[list[PeakModel], NDArray[np.float64]]:
     """Nonlinear least-squares fit of ``n_peaks`` profiles to a spectrum.
 
-    Parameters per peak are center and amplitude, plus either one FWHM per
-    peak or a single shared FWHM.  Initialization is deterministic (see
-    ``_initial_peaks``); centers are bounded to the grid and widths to
-    [grid spacing, grid span].  Returns the fitted peaks sorted by center and
-    the parameter covariance (``covariance_from_jacobian`` scaled by the
-    residual variance) in the order (centers..., amplitudes..., fwhm(s)...).
+    Parameters per peak are center, amplitude and FWHM.  Initialization is
+    deterministic (see ``_initial_peaks``); centers are bounded to the grid and
+    widths to [grid spacing, grid span].  Returns the fitted peaks sorted by
+    center and the parameter covariance (``covariance_from_jacobian`` scaled
+    by the residual variance) in the order (centers..., amplitudes...,
+    fwhms...).
     A parameter in a flat direction, such as the center and FWHM of a peak
     whose amplitude fell to 0, has variance inf.
 
@@ -238,27 +237,17 @@ def fit_peaks(
     span = float(grid[-1] - grid[0])
     fwhm0 = float(np.clip(fwhm0, spacing, span))
 
-    n_widths = 1 if shared_fwhm else n_peaks
-    x0 = np.concatenate([centers0, amps0, np.full(n_widths, fwhm0)])
+    x0 = np.concatenate([centers0, amps0, np.full(n_peaks, fwhm0)])
     lo = np.concatenate(
-        [np.full(n_peaks, grid[0]), np.zeros(n_peaks), np.full(n_widths, spacing)]
+        [np.full(n_peaks, grid[0]), np.zeros(n_peaks), np.full(n_peaks, spacing)]
     )
     hi = np.concatenate(
-        [np.full(n_peaks, grid[-1]), np.full(n_peaks, np.inf), np.full(n_widths, span)]
+        [np.full(n_peaks, grid[-1]), np.full(n_peaks, np.inf), np.full(n_peaks, span)]
     )
 
-    def unpack(x):
-        centers = x[:n_peaks]
-        amps = x[n_peaks : 2 * n_peaks]
-        widths = x[2 * n_peaks :]
-        if shared_fwhm:
-            widths = np.full(n_peaks, widths[0])
-        return centers, amps, widths
-
     def model(x):
-        centers, amps, widths = unpack(x)
         total = np.zeros_like(grid)
-        for c, a, f in zip(centers, amps, widths):
+        for c, a, f in zip(*np.split(x, 3)):
             total += PeakModel(shape, float(c), float(f), float(a)).profile(grid)
         return total
 
@@ -269,7 +258,7 @@ def fit_peaks(
         [
             np.full(n_peaks, max(span, spacing)),
             np.maximum(amps0, 1e-8),
-            np.full(n_widths, fwhm0),
+            np.full(n_peaks, fwhm0),
         ]
     )
     solution: LSQSolution = damped_least_squares(
@@ -281,10 +270,6 @@ def fit_peaks(
     cov = solution.chi2 / dof * cov
     cov[flat, flat] = np.inf
 
-    centers, amps, widths = unpack(solution.x)
-    peaks = [
-        PeakModel(shape, float(c), float(f), float(a))
-        for c, a, f in zip(centers, amps, widths)
-    ]
+    peaks = [PeakModel(shape, float(c), float(f), float(a)) for c, a, f in zip(*np.split(solution.x, 3))]
     order = np.argsort([p.center for p in peaks])
     return [peaks[k] for k in order], cov

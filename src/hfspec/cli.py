@@ -99,12 +99,6 @@ def _check_levels(pairs: list[tuple[int, int]], n_levels: int, j: float) -> None
             raise ConfigError(f"unknown transition {format_transition(j, ni, nf)}: have levels 1..{n_levels}")
 
 
-def _finite(ctx: click.Context, param: click.Parameter, value: float) -> float:
-    if not np.isfinite(value):
-        raise click.BadParameter(f"must be finite, got {value}")
-    return value
-
-
 def _load(config_path: str | None) -> RunConfig:
     return load_config(bundled_path(REFERENCE_CONFIG) if config_path is None else config_path)
 
@@ -229,18 +223,14 @@ def _fit_report(result: fitting.FitResult, measured, sigmas, predictions) -> dic
 @click.option("--dataset", "dataset_path", type=click.Path(), required=True)
 @click.option("--mode", type=click.Choice(["cf_aj", "b", "refindex"]), required=True)
 @click.option("--output", type=click.Path(), default=None)
-@click.option("--initial-a", type=float, default=-11.0, callback=_finite, help="refindex: initial amplitude.")
-@click.option("--initial-nu0", type=float, default=110.0, callback=_finite, help="refindex: initial pole.")
-@click.option("--initial-c", type=float, default=2.6, callback=_finite, help="refindex: initial offset.")
-def fit(config_path, dataset_path, mode, output, initial_a, initial_nu0, initial_c):
+def fit(config_path, dataset_path, mode, output):
     """Weighted least-squares fits; writes a JSON report."""
     cfg = _load(config_path)
     if mode == "b" and (why := quadrupole_undefined(cfg.system)):
         raise ConfigError(f"fit --mode b fits the quadrupolar constant: {why}")
     if mode == "refindex":
         points = datasets.read_refractive_points(dataset_path)
-        initial = fitting.RefractiveModel(initial_a, initial_nu0, initial_c)
-        result = fitting.fit_refractive(points, initial, max_iter=cfg.max_iterations)
+        result = fitting.fit_refractive(points)
         predictions = fitting.RefractiveModel(*result.values).evaluate(points[:, 0])
         sigmas = points[:, 2] if points.shape[1] == 3 else np.ones(len(points))
         report = _fit_report(result, points[:, 1], sigmas, predictions)

@@ -102,10 +102,10 @@ def _checked(parse: Callable[[str], Any], ok: Callable[[Any], bool], rule: str) 
 
 
 #: a finite float; datasets read their numeric cells with it too
-parse_finite = _checked(float, math.isfinite, "finite")
-_positive = _checked(parse_finite, lambda v: v > 0, "positive")
-_nonnegative = _checked(parse_finite, lambda v: v >= 0, "nonnegative")
-_coupling = _checked(parse_finite, lambda v: abs(v) <= MAX_COUPLING,
+finite_float = _checked(float, math.isfinite, "finite")
+_positive = _checked(finite_float, lambda v: v > 0, "positive")
+_nonnegative = _checked(finite_float, lambda v: v >= 0, "nonnegative")
+_coupling = _checked(finite_float, lambda v: abs(v) <= MAX_COUPLING,
                      f"at most MAX_COUPLING = {MAX_COUPLING:g} in magnitude")
 _spin = _checked(parse_half_integer, lambda v: v >= 0 and (2 * v).is_integer(), "an integer or half-integer >= 0")
 _count = _checked(int, lambda v: v >= 1, "at least 1")
@@ -148,16 +148,16 @@ _SCHEMA: dict[str, dict[str, tuple[Callable[[str], Any], Any]]] = {
     "cf": {key: (_coupling, 0.0) for key in CF_COEFFICIENTS},
     "hyperfine": {"a_j": (_coupling, 0.0), "b_quad": (_coupling, 0.0)},
     "conditions": {"temperature_k": (_positive, 3.5)},
-    "grid": {key: (parse_finite, None) for key in _GRID_KEYS},
+    "grid": {key: (finite_float, None) for key in _GRID_KEYS},
     "isotope": {
         "enabled": (_bool, False),
-        "splitting_cm1": (parse_finite, 0.0098),
+        "splitting_cm1": (finite_float, 0.0098),
         "satellite_ratio": (_nonnegative, 0.33),
     },
     "lineshape": {
         "shape": (_shape, "gaussian"),
         "fwhm_cm1": (_positive, 0.009),
-        "amplitude": (parse_finite, 1.0),
+        "amplitude": (finite_float, 1.0),
     },
     "transitions": {"include": (_labels, ())},
     "fit": {"max_iterations": (_count, 200)},
@@ -216,6 +216,9 @@ def load_config(path: str | Path) -> RunConfig:
         # floor(x) + 1 > cap exactly when x >= cap; x may overflow to inf
         if (grid[1] - grid[0]) / grid[2] >= MAX_GRID_POINTS:
             raise ConfigError(f"{path}: grid {grid} has more than MAX_GRID_POINTS = {MAX_GRID_POINTS} points")
+        # at FWHM >= step every line, wherever it is centred, reaches half its height on the grid
+        if v["fwhm_cm1"] < grid[2]:
+            raise bad("lineshape", "fwhm_cm1", ValueError(f"must be at least grid.step_cm1 = {grid[2]:g}, got {v['fwhm_cm1']:g}"))
     dim = (2 * v["j"] + 1) * (2 * v["i"] + 1)
     if dim > MAX_PRODUCT_DIM:
         raise ConfigError(

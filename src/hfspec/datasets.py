@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import (format_level, format_transition, parse_finite, parse_half_integer,
+from .config import (finite_float, format_level, format_transition, parse_half_integer,
                      parse_level, parse_transition_label)
 from .fitting import DatasetError, ObservationRow, TransitionDataset
 from .spectra import Spectrum
@@ -50,7 +50,7 @@ def _rows_with_numbers(path: Path):
 def _number(path: Path, number: int, text: str) -> float:
     """One CSV cell as a finite float, or a DatasetError naming the line."""
     try:
-        return parse_finite(text)
+        return finite_float(text)
     except ValueError as exc:
         raise DatasetError(f"{path}:{number}: bad numeric field: {exc}") from exc
 

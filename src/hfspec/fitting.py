@@ -1,14 +1,16 @@
 """Weighted nonlinear least squares for spectroscopy parameter extraction.
 
 One damped Gauss-Newton engine (Levenberg-style damping, factor 10 up/down,
-central-difference Jacobians) drives three fits:
+central-difference Jacobians) drives two fits:
 
 * simultaneous crystal-field + dipolar-coupling fit against measured
   transition energies, predicted from H_CF plus the first-order hyperfine
   shift;
 * a one-parameter fit of the quadrupolar constant, with predictions from the
-  full electron-nuclear diagonalization;
-* the far-infrared refractive-index model n(nu) = a/(nu - nu0) + c.
+  full electron-nuclear diagonalization.
+
+The far-infrared refractive-index model n(nu) = a/(nu - nu0) + c is fitted by
+variable projection, a search over the pole alone that needs no start.
 
 Datasets mix hyperfine-resolved rows, hyperfine-averaged rows (predicted as
 the mean over m_z) and moment pseudo-observations constraining <J_z> of a
@@ -40,6 +42,13 @@ CHI2_RTOL = 1e-12
 STEP_ATOL = 1e-10
 #: scaled singular values below RCOND times the largest span flat directions
 RCOND = 1e-10
+#: fit_refractive looks for the pole at these multiples of the data span
+#: away from the nearest data point, on either side of the data
+POLE_RANGE = (1e-3, 1e3)
+#: ... first at this many log-spaced distances per side
+POLE_SCAN_POINTS = 61
+#: ... then refines the best one with this many golden-section steps
+GOLDEN_STEPS = 50
 
 
 class ConvergenceError(RuntimeError):
@@ -121,7 +130,7 @@ class FitResult:
 
 @dataclass(frozen=True)
 class RefractiveModel:
-    """Phenomenological index of refraction with a pole above the fit window."""
+    """Phenomenological index of refraction with a pole outside the fit window."""
 
     a: float
     nu0: float
@@ -166,8 +175,8 @@ def damped_least_squares(
     The normal matrix is damped with mu * diag(J^T J) (floored so that flat
     directions stay regular); mu shrinks by 10 on an accepted step and grows
     by 10 on a rejected one, so the accepted chi^2 sequence is monotonically
-    non-increasing.  A proposed step is rejected when it increases chi^2 or
-    produces non-finite residuals (e.g. a model evaluated outside its domain).
+    non-increasing.  A proposed step is rejected unless chi^2 stays or falls,
+    so a step to non-finite residuals (chi^2 nan or inf) is rejected too.
     Steps are clipped to ``bounds`` when given.
 
     Stops when the relative chi^2 drop falls below ``CHI2_RTOL`` or the step
@@ -209,7 +218,7 @@ def damped_least_squares(
             if hi is not None:
                 x_new = np.minimum(x_new, hi)
             r_new = np.asarray(fun(x_new), dtype=float)
-            chi2_new = float(r_new @ r_new) if np.all(np.isfinite(r_new)) else np.inf
+            chi2_new = float(r_new @ r_new)
             if chi2_new <= chi2:
                 drop = (chi2 - chi2_new) / max(chi2, 1e-300)
                 step_norm = float(np.linalg.norm(x_new - x))
@@ -336,50 +345,37 @@ def fit_cf_aj(
     initial: CFParameters,
     initial_aj: float,
     system: SpinSystem,
-    fixed: tuple[str, ...] = (),
     max_iter: int = 200,
 ) -> FitResult:
     """Simultaneous weighted fit of the CF coefficients and a_j.
 
     The q = -4 rank-4 coefficient stays pinned at its ``initial`` value (zero
-    by convention); any of the seven remaining parameters can be frozen via
-    ``fixed``.  Deterministic for fixed inputs.
+    by convention); the parameters ``CF_AJ_PARAM_NAMES`` are free.
+    Deterministic for fixed inputs.
     """
-    unknown = set(fixed) - set(CF_AJ_PARAM_NAMES)
-    if unknown:
-        raise ValueError(f"unknown parameter names in fixed: {sorted(unknown)}")
-    free = tuple(n for n in CF_AJ_PARAM_NAMES if n not in fixed)
-    if not free:
-        raise ValueError("all parameters are fixed")
-    _check_enough_rows(len(dataset.rows), len(free), "rows")
+    _check_enough_rows(len(dataset.rows), len(CF_AJ_PARAM_NAMES), "rows")
 
     full0 = dict(initial.items(), a_j=initial_aj)
-    values = np.array([full0[n] for n in free])
+    values = np.array([full0[n] for n in CF_AJ_PARAM_NAMES])
     sigmas = np.array([row.sigma for row in dataset.rows])
     data = np.array([row.value for row in dataset.rows])
 
-    def residual(xfree: NDArray[np.float64]) -> NDArray[np.float64]:
-        cf, a_j = _merge_cf_aj(initial, initial_aj, dict(zip(free, xfree)))
-        return (data - predict_lines_first_order(cf, a_j, dataset.rows, system)) / sigmas
+    def residual(x: NDArray[np.float64]) -> NDArray[np.float64]:
+        cf = replace(initial, **dict(zip(CF_AJ_PARAM_NAMES[:-1], x[:-1])))
+        return (data - predict_lines_first_order(cf, x[-1], dataset.rows, system)) / sigmas
 
     x_scale = np.maximum(np.abs(values), 1e-8)
     solution = damped_least_squares(residual, values, x_scale=x_scale, max_iter=max_iter)
-    return _build_result(free, solution, len(dataset.rows))
-
-
-def _merge_cf_aj(
-    template: CFParameters, template_aj: float, values: dict[str, float]
-) -> tuple[CFParameters, float]:
-    """``template`` and ``template_aj`` with the named fitted values put in."""
-    cf_values = {name: v for name, v in values.items() if name != "a_j"}
-    return replace(template, **cf_values), values.get("a_j", template_aj)
+    return _build_result(CF_AJ_PARAM_NAMES, solution, len(dataset.rows))
 
 
 def cf_parameters_from_result(
     result: FitResult, template: CFParameters, template_aj: float
 ) -> tuple[CFParameters, float]:
     """Merge fitted values back into a full parameter set."""
-    return _merge_cf_aj(template, template_aj, result.params)
+    values = result.params
+    a_j = values.pop("a_j", template_aj)
+    return replace(template, **values), a_j
 
 
 def predict_lines_exact(
@@ -448,40 +444,61 @@ def fit_b(
     return _build_result(("b_quad",), solution, len(dataset.rows))
 
 
-def fit_refractive(
-    points: NDArray[np.float64],
-    initial: RefractiveModel,
-    max_iter: int = 200,
-) -> FitResult:
-    """Least-squares fit of n(nu) = a/(nu - nu0) + c.
+def fit_refractive(points: NDArray[np.float64], initial: RefractiveModel | None = None) -> FitResult:
+    """Least-squares fit of n(nu) = a/(nu - nu0) + c by variable projection.
 
-    ``points`` has columns (nu, n) or (nu, n, sigma).  The pole nu0 must
-    start outside the data range; any step that would drag it inside is
-    rejected by the optimizer (non-finite residuals), which raises the
-    damping instead of crossing the pole.
+    ``points`` has columns (nu, n) or (nu, n, sigma).  At a fixed pole the
+    model is linear in a and c, which one weighted linear solve gives; what
+    is left is the profile chi^2(nu0) (Golub & Pereyra 1973).  On each side of
+    the data it is scanned at ``POLE_SCAN_POINTS`` distances from the nearest
+    data point, log-spaced over ``POLE_RANGE`` times the data span, and the
+    best scan bracket is refined by ``GOLDEN_STEPS`` golden-section steps; the
+    side with the lower chi^2 wins.  No start is needed: ``initial`` is not
+    read.  ``n_iter`` is the number of golden-section steps, 2 * GOLDEN_STEPS.
+    The covariance comes from the closed-form Jacobian at the optimum.
     """
     points = np.asarray(points, dtype=float)
     if points.ndim != 2 or points.shape[1] not in (2, 3):
         raise ValueError("points must have columns (nu, n[, sigma])")
     _check_enough_rows(points.shape[0], 3, "points")
     nu = points[:, 0]
-    n_data = points[:, 1]
     sigmas = points[:, 2] if points.shape[1] == 3 else np.ones_like(nu)
+    y = points[:, 1] / sigmas
+    if (distinct := np.unique(nu).size) < 3:
+        raise DatasetError(f"{distinct} distinct frequencies cannot place a pole (need 3)")
     lo, hi = float(nu.min()), float(nu.max())
-    if lo <= initial.nu0 <= hi:
-        raise DatasetError(
-            f"initial pole position {initial.nu0} lies inside the data range "
-            f"[{lo}, {hi}]"
-        )
 
-    def residual(x: NDArray[np.float64]) -> NDArray[np.float64]:
-        a, nu0, c = x
-        if lo <= nu0 <= hi:
-            return np.full_like(n_data, np.inf)
-        return (n_data - (a / (nu - nu0) + c)) / sigmas
+    def solve(nu0: float) -> tuple[float, float, NDArray[np.float64]]:
+        design = np.column_stack([1.0 / (nu - nu0), np.ones_like(nu)]) / sigmas[:, None]
+        (a, c), *_ = np.linalg.lstsq(design, y, rcond=None)
+        return a, c, y - design @ (a, c)
 
-    x0 = np.array([initial.a, initial.nu0, initial.c])
-    solution = damped_least_squares(
-        residual, x0, x_scale=np.maximum(np.abs(x0), 1.0), max_iter=max_iter
-    )
+    def chi2(nu0: float) -> float:
+        r = solve(nu0)[2]
+        return float(r @ r)
+
+    scan = np.linspace(*np.log10(POLE_RANGE), POLE_SCAN_POINTS)
+    poles = []
+    for edge, direction in ((hi, 1.0), (lo, -1.0)):
+        pole = lambda s: edge + direction * (hi - lo) * 10.0**s
+        profile = lambda s: chi2(pole(s))
+        k = int(np.argmin([profile(s) for s in scan]))
+        poles.append(pole(_golden_minimum(profile, scan[max(k - 1, 0)], scan[min(k + 1, scan.size - 1)])))
+    nu0 = min(poles, key=chi2)
+
+    a, c, r = solve(nu0)
+    x = 1.0 / (nu - nu0)
+    jac = np.column_stack([x, a * x**2, np.ones_like(nu)]) / sigmas[:, None]
+    values = np.array([a, nu0, c])
+    solution = LSQSolution(values, r, float(r @ r), jac, 2 * GOLDEN_STEPS, (), np.maximum(np.abs(values), 1.0))
     return _build_result(("a", "nu0", "c"), solution, len(nu))
+
+
+def _golden_minimum(f, left: float, right: float) -> float:
+    """Where f is lowest on [left, right], to GOLDEN_STEPS golden-section
+    steps, if f has one minimum there."""
+    g = (np.sqrt(5.0) - 1.0) / 2.0
+    for _ in range(GOLDEN_STEPS):
+        inner = right - g * (right - left), left + g * (right - left)
+        left, right = (left, inner[1]) if f(inner[0]) <= f(inner[1]) else (inner[0], right)
+    return 0.5 * (left + right)

@@ -212,21 +212,6 @@ def test_isotope_doublet_recovery():
     assert peaks[1].amplitude / peaks[0].amplitude == pytest.approx(0.33, abs=0.01)
 
 
-def test_four_lorentzians_shared_width():
-    grid = np.arange(16.40, 16.54, 0.0005)
-    centers = [16.450, 16.455, 16.467, 16.489]
-    amps = [1.0, 0.8, 0.6, 0.35]
-    signal = sum(
-        PeakModel("lorentzian", c, 0.013, a).profile(grid)
-        for c, a in zip(centers, amps)
-    )
-    peaks, _ = fit_peaks(Spectrum(grid, signal), 4, "lorentzian", shared_fwhm=True)
-    assert peaks[0].fwhm == pytest.approx(0.013, abs=0.001)
-    assert all(p.fwhm == peaks[0].fwhm for p in peaks)
-    for p, c in zip(peaks, centers):
-        assert p.center == pytest.approx(c, abs=0.001)
-
-
 def test_peak_fit_nonconvergence_reported():
     grid = np.arange(0.0, 1.0, 0.002)
     signal = (

@@ -142,9 +142,21 @@ def test_grid_above_cap_refused(tmp_path, start, stop, step):
 
 
 def test_grid_at_cap_accepted(tmp_path):
-    """floor((stop - start) / step) + 1 = MAX_GRID_POINTS is allowed."""
-    path = _write(tmp_path, f"{HEADER}\n[grid]\nstart_cm1 = 0\nstop_cm1 = 999999\nstep_cm1 = 1\n")
+    """floor((stop - start) / step) + 1 = MAX_GRID_POINTS is allowed (with a
+    line width of at least the step)."""
+    path = _write(tmp_path, f"{HEADER}\n[lineshape]\nfwhm_cm1 = 1\n\n[grid]\nstart_cm1 = 0\nstop_cm1 = 999999\nstep_cm1 = 1\n")
     assert load_config(path).grid == (0.0, 999999.0, 1.0)
+
+
+def test_line_width_at_least_grid_step(tmp_path):
+    """With a [grid], fwhm_cm1 may equal step_cm1 but not fall below it; the
+    default width 0.009 counts too.  Without a grid any positive width loads."""
+    grid = "\n[grid]\nstart_cm1 = 1\nstop_cm1 = 2\nstep_cm1 = 0.01\n"
+    assert load_config(_write(tmp_path, f"{HEADER}\n[lineshape]\nfwhm_cm1 = 0.01\n{grid}")).fwhm == 0.01
+    for lineshape in ("\n[lineshape]\nfwhm_cm1 = 0.0099\n", ""):
+        with pytest.raises(ConfigError, match=r"lineshape\.fwhm_cm1: must be at least grid\.step_cm1 = 0\.01"):
+            load_config(_write(tmp_path, f"{HEADER}{lineshape}{grid}"))
+    assert load_config(_write(tmp_path, f"{HEADER}\n[lineshape]\nfwhm_cm1 = 1e-170\n")).fwhm == 1e-170
 
 
 def test_non_utf8_config_is_config_error(tmp_path):

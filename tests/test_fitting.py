@@ -153,6 +153,17 @@ def test_engine_handles_flat_direction():
     assert np.isinf(errors[1])
 
 
+def test_engine_rejects_a_step_to_non_finite_residuals():
+    """A trial step whose residuals are nan or inf has a non-finite chi^2,
+    which never counts as downhill: the damping grows until a step lands."""
+    def f(x):
+        return np.array([x[0] - 3.0, np.nan if x[0] > 3.5 else 0.0, np.inf if x[0] < -1.0 else 0.0])
+
+    solution = damped_least_squares(f, np.array([-0.5]), x_scale=np.array([1.0]))
+    assert solution.x[0] == pytest.approx(3.0, abs=1e-9)
+    assert np.all(np.diff(solution.chi2_history) <= 0)
+
+
 def test_engine_iteration_cap():
     def f(x):
         return np.array([np.exp(-x[0] * 0.001) - 0.5])
@@ -271,19 +282,6 @@ def test_measured_dataset_aj(measured, cf_params, system):
     assert result.params["a_j"] == pytest.approx(0.02703, abs=0.0003)
 
 
-def test_fixed_mask(cf_params, system):
-    dataset = synthetic_cf_dataset(cf_params, A_J_REF, system)
-    result = fit_cf_aj(
-        dataset, perturbed(cf_params, 1.02), A_J_REF, system,
-        fixed=("b6m4", "b60"),
-    )
-    assert "b6m4" not in result.names
-    assert "b60" not in result.names
-    assert len(result.names) == 5
-    with pytest.raises(ValueError, match="unknown"):
-        fit_cf_aj(dataset, cf_params, A_J_REF, system, fixed=("b99",))
-
-
 # ------------------------------------------------------------------- b_quad
 
 def test_fit_b_on_measured_lines(measured, cf_params, system):
@@ -380,18 +378,90 @@ def test_refractive_constant_data():
 def test_refractive_pole_inside_rejected():
     nu = np.linspace(10.0, 70.0, 20)
     data = np.column_stack([nu, np.full(nu.size, 2.62)])
-    with pytest.raises(ValueError, match="pole"):
-        fit_refractive(data, RefractiveModel(-1.0, 40.0, 2.5))
     with pytest.raises(ValueError, match="points"):
         fit_refractive(data[:3], RefractiveModel(-1.0, 100.0, 2.5))
 
 
-def test_refractive_pole_inside_is_a_dataset_error():
-    """The starting pole falls inside the data: a mismatch between the data and
-    the starting model, reported as a DatasetError with the range."""
+def test_refractive_needs_three_distinct_frequencies():
+    """Two distinct frequencies fit exactly for every pole, so none is placed."""
     from hfspec.datasets import DatasetError
 
-    nu = np.linspace(50.0, 90.0, 9)
-    data = np.column_stack([nu, np.full(nu.size, 2.45)])
-    with pytest.raises(DatasetError, match=r"initial pole position 60.0 lies inside the data range \[50.0, 90.0\]"):
-        fit_refractive(data, RefractiveModel(-11.0, 60.0, 2.6))
+    data = np.array([[50.0, 2.40], [50.0, 2.41], [60.0, 2.45], [60.0, 2.46], [60.0, 2.44]])
+    with pytest.raises(DatasetError, match="2 distinct frequencies cannot place a pole"):
+        fit_refractive(data)
+    data[0, 0] = 40.0
+    assert np.isfinite(fit_refractive(data).chi2)
+
+
+#: the 31 frequencies of the refindex set in tests/cli_recorded.json
+REFINDEX_NU = np.linspace(10.0, 70.0, 31)
+
+
+@pytest.mark.parametrize(
+    "truth,wrong_start",
+    [((-11.1, 110.0, 2.62), -50.0), ((11.1, -20.0, 2.62), 110.0)],
+    ids=["pole-above", "pole-below"],
+)
+def test_refractive_pole_on_either_side(truth, wrong_start):
+    """The pole is found on whichever side of the data it lies; a start on
+    the other side is not read."""
+    a, nu0, c = truth
+    data = np.column_stack([REFINDEX_NU, a / (REFINDEX_NU - nu0) + c])
+    result = fit_refractive(data, RefractiveModel(a, wrong_start, c))
+    for name, target in (("a", a), ("nu0", nu0), ("c", c)):
+        assert result.params[name] == pytest.approx(target, rel=1e-8), name
+    assert result.chi2 < 1e-20
+
+
+def _profile_chi2(data, poles):
+    """Oracle: chi^2 at each pole in ``poles`` with a and c from the weighted
+    normal equations, centred, in closed form."""
+    nu, n, sigma = data.T
+    w = 1.0 / sigma**2
+    x = 1.0 / (nu - poles[:, None])
+    xc = x - (x @ w / w.sum())[:, None]
+    a = (xc * w) @ n / ((xc * xc) @ w)
+    c = (n - a[:, None] * x) @ w / w.sum()
+    return ((((n - a[:, None] * x - c[:, None]) / sigma) ** 2).sum(axis=1))
+
+
+def _refindex(seed=None):
+    """The refindex set: with seed None as its CSV file holds it (n to 10
+    significant digits, unit weights), else with gaussian noise of sigma
+    2e-3 in n."""
+    n = -11.1 / (REFINDEX_NU - 110.0) + 2.62
+    if seed is None:
+        return np.column_stack([REFINDEX_NU, [float(f"{v:.10g}") for v in n], np.ones(REFINDEX_NU.size)])
+    sigma = 2e-3
+    n = n + sigma * np.random.default_rng(seed).standard_normal(REFINDEX_NU.size)
+    return np.column_stack([REFINDEX_NU, n, np.full(REFINDEX_NU.size, sigma)])
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_refractive_noisy_copies_match_profile_scan(seed):
+    data = _refindex(seed)
+    step = 0.05
+    poles = np.concatenate([np.arange(-1000.0, 10.0 - step / 2, step), np.arange(70.0 + step, 1000.0, step)])
+    chi2 = _profile_chi2(data, poles)
+    result = fit_refractive(data)
+    assert abs(result.params["nu0"] - poles[np.argmin(chi2)]) <= step
+    assert result.chi2 <= chi2.min() * (1 + 1e-12)
+
+
+@pytest.mark.parametrize("seed", [None, 0, 1, 2])
+def test_refractive_fit_is_stationary(seed):
+    """The returned point is where the three-parameter chi^2 is least:
+    |d chi^2/dp| times the 1-sigma error of p is below 1e-5 for every p (the
+    rounding of chi^2, about 1e-11 at sigma 2e-3, allows little less), and
+    chi^2 rises at nu0 +- h."""
+    data = _refindex(seed)
+    nu, n, sigma = data.T
+    result = fit_refractive(data)
+    a, nu0, c = result.values
+    x = 1.0 / (nu - nu0)
+    residual = (n - a * x - c) / sigma
+    jacobian = -np.column_stack([x, a * x**2, np.ones_like(nu)]) / sigma[:, None]
+    gradient = 2.0 * jacobian.T @ residual
+    assert np.all(np.abs(gradient * result.errors) < 1e-5)
+    h = 1e-3 * result.param_errors["nu0"]
+    assert np.all(_profile_chi2(data, np.array([nu0 - h, nu0 + h])) > result.chi2)
