@@ -18,9 +18,8 @@ Note that published slope values for such ladders are often quoted with the
 opposite sign convention (positive for a ladder that compresses with rising
 m_z); the raw fitted slope is kept here and negated at the reporting layer.
 
-Also provides deterministic multi-peak fitting (Gaussian or Lorentzian,
-optionally with one shared linewidth) for extracting centers, amplitudes and
-FWHM from measured spectra.
+Also provides deterministic multi-peak fitting (Gaussian or Lorentzian) for
+extracting centers, amplitudes and FWHM from measured spectra.
 """
 
 from dataclasses import dataclass
@@ -209,7 +208,6 @@ def fit_peaks(
     spectrum: Spectrum,
     n_peaks: int,
     shape: str = "gaussian",
-    max_iter: int = 200,
 ) -> tuple[list[PeakModel], NDArray[np.float64]]:
     """Nonlinear least-squares fit of ``n_peaks`` profiles to a spectrum.
 
@@ -223,7 +221,7 @@ def fit_peaks(
     whose amplitude fell to 0, has variance inf.
 
     Raises ConvergenceError if the optimizer does not converge within
-    ``max_iter``; failures are reported, never silently clipped.
+    ``fitting.MAX_ITERATIONS``; failures are reported, never silently clipped.
     """
     if n_peaks < 1:
         raise ValueError("n_peaks must be at least 1")
@@ -261,9 +259,7 @@ def fit_peaks(
             np.full(n_peaks, fwhm0),
         ]
     )
-    solution: LSQSolution = damped_least_squares(
-        residual, x0, x_scale=scale, bounds=(lo, hi), max_iter=max_iter
-    )
+    solution: LSQSolution = damped_least_squares(residual, x0, x_scale=scale, bounds=(lo, hi))
 
     dof = max(len(grid) - len(x0), 1)
     cov, _, flat = covariance_from_jacobian(solution.jacobian, solution.x_scale)

@@ -78,13 +78,6 @@ def _num(value: float) -> str:
     return f"{value:.8g}"
 
 
-def _csv(header: list[str], rows: list[list]) -> str:
-    """A header line, then one line per row: floats at 8 significant digits,
-    None as an empty cell."""
-    cell = lambda value: "" if value is None else _num(value) if isinstance(value, float) else str(value)
-    return "".join(",".join(map(cell, cells)) + "\n" for cells in [header, *rows])
-
-
 def _emit(text: str, output: str | None) -> None:
     if output is None:
         click.echo(text, nl=False)
@@ -130,7 +123,8 @@ def levels(config_path, fmt, output):
     if fmt == "json":
         text = json.dumps({"levels": rows}, indent=2) + "\n"
     else:
-        text = _csv(["level", "energy_cm1", "irrep", "degeneracy", "jz"], [list(r.values()) for r in rows])
+        header = ["level", "energy_cm1", "irrep", "degeneracy", "jz"]
+        text = datasets.format_table(header, [list(r.values()) for r in rows])
     _emit(text, output)
 
 
@@ -190,7 +184,7 @@ def hf(config_path, transition, compare, fmt, output):
         text = json.dumps({"transition": transition, "lines": out_rows}, indent=2) + "\n"
     else:
         header = ["m_z", "energy_cm1"] + (["perturbative_cm1", "deviation_cm1"] if compare else [])
-        text = _csv(header, [list(entry.values()) for entry in out_rows])
+        text = datasets.format_table(header, [list(entry.values()) for entry in out_rows])
     _emit(text, output)
 
 
@@ -237,10 +231,7 @@ def fit(config_path, dataset_path, mode, output):
     else:
         data = datasets.read_dataset(dataset_path, j=cfg.system.j)
         if mode == "cf_aj":
-            result = fitting.fit_cf_aj(
-                data, cfg.cf, cfg.hyperfine.a_j, cfg.system,
-                max_iter=cfg.max_iterations,
-            )
+            result = fitting.fit_cf_aj(data, cfg.cf, cfg.hyperfine.a_j, cfg.system)
             best_cf, best_aj = fitting.cf_parameters_from_result(
                 result, cfg.cf, cfg.hyperfine.a_j
             )
@@ -248,11 +239,7 @@ def fit(config_path, dataset_path, mode, output):
                 best_cf, best_aj, data.rows, cfg.system
             )
         else:
-            result = fitting.fit_b(
-                data, cfg.cf, cfg.hyperfine.a_j, cfg.system,
-                initial_b=cfg.hyperfine.b_quad or 0.04,
-                max_iter=cfg.max_iterations,
-            )
+            result = fitting.fit_b(data, cfg.cf, cfg.hyperfine.a_j, cfg.system, initial_b=cfg.hyperfine.b_quad or 0.04)
             best_hf = HyperfineConstants(cfg.hyperfine.a_j, float(result.values[0]))
             predictions = fitting.predict_lines_exact(
                 cfg.cf, best_hf, data.rows, cfg.system
@@ -328,7 +315,7 @@ def analyze(dataset_path, fmt, output):
             s = slopes[which]
             rows += [[f"slope(D{which})", s.slope, s.slope_err], [f"s{which}", -s.slope, s.slope_err]]
         rows += [[name, est.value, est.error] for name, est in lambdas.items()]
-        text = _csv(["quantity", "value_cm1", "error_cm1"], rows)
+        text = datasets.format_table(["quantity", "value_cm1", "error_cm1"], rows)
     _emit(text, output)
 
 

@@ -1,11 +1,11 @@
 """Run configuration: INI-style files with strict schema validation.
 
 A configuration collects everything a command needs: the spin system, CF
-coefficients, hyperfine constants, temperature, synthesis grid, line shape,
-isotope satellite settings and fit options.  Files are plain key = value
-sections, hand-editable, with fractions like 7/2 accepted wherever
-half-integers appear.  Unknown sections or keys are rejected (typos should
-fail loudly, not silently fall back to defaults).
+coefficients, hyperfine constants, temperature, synthesis grid, line shape
+and isotope satellite settings.  Files are plain key = value sections,
+hand-editable, with fractions like 7/2 accepted wherever half-integers
+appear.  Unknown sections or keys are rejected (typos should fail loudly,
+not silently fall back to defaults).
 
 The bundled reference configuration and datasets live in the package's
 ``data`` directory; set HFSPEC_DATA_DIR to override their location.
@@ -108,7 +108,6 @@ _nonnegative = _checked(finite_float, lambda v: v >= 0, "nonnegative")
 _coupling = _checked(finite_float, lambda v: abs(v) <= MAX_COUPLING,
                      f"at most MAX_COUPLING = {MAX_COUPLING:g} in magnitude")
 _spin = _checked(parse_half_integer, lambda v: v >= 0 and (2 * v).is_integer(), "an integer or half-integer >= 0")
-_count = _checked(int, lambda v: v >= 1, "at least 1")
 _shape = _checked(lambda text: text.strip().lower(), lambda v: v in PEAK_SHAPES, f"one of {PEAK_SHAPES}")
 _BOOLEANS = {"1": True, "true": True, "yes": True, "on": True,
              "0": False, "false": False, "no": False, "off": False}
@@ -134,7 +133,6 @@ class RunConfig:
     fwhm: float
     amplitude: float
     transitions: list[tuple[int, int]]
-    max_iterations: int
 
 
 _GRID_KEYS = ("start_cm1", "stop_cm1", "step_cm1")
@@ -160,7 +158,6 @@ _SCHEMA: dict[str, dict[str, tuple[Callable[[str], Any], Any]]] = {
         "amplitude": (finite_float, 1.0),
     },
     "transitions": {"include": (_labels, ())},
-    "fit": {"max_iterations": (_count, 200)},
 }
 
 
@@ -246,7 +243,6 @@ def load_config(path: str | Path) -> RunConfig:
         fwhm=v["fwhm_cm1"],
         amplitude=v["amplitude"],
         transitions=transitions,
-        max_iterations=v["max_iterations"],
     )
 
 

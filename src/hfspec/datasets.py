@@ -10,8 +10,13 @@ Transition dataset schema (UTF-8, LF, '#' comments allowed):
 m_z accepts rationals like -7/2 or decimals.  Level labels are
 '<manifold>.<n>' and must name the manifold j of the model (8 unless
 read_dataset is told otherwise).  Every number must be finite.
-Refractive-index data uses columns nu_cm1,n[,sigma_n] with sigma_n > 0;
-spectra use wavenumber_cm1,absorbance.
+Refractive-index data uses columns nu_cm1,n[,sigma_n] (wavenumber_cm1 is
+accepted for nu_cm1) with sigma_n > 0; spectra use wavenumber_cm1,absorbance;
+the reference level table uses n,energy_cm1,irrep,jz.
+
+Every file is one table: its first record is the header, in any case, and
+every later record has exactly as many cells as the header.  Only the m_z
+cell of a dataset row and the jz cell of a level row may be blank.
 """
 
 import csv
@@ -29,6 +34,9 @@ from .spectra import Spectrum
 #: otherwise, and that write_dataset writes
 DATASET_J = 8.0
 _COLUMNS = ["transition", "m_z", "energy_cm1", "sigma_cm1"]
+_REFRACTIVE_HEADERS = [[nu, "n", *sigma] for nu in ("nu_cm1", "wavenumber_cm1") for sigma in ([], ["sigma_n"])]
+_SPECTRUM_COLUMNS = ["wavenumber_cm1", "absorbance"]
+_LEVEL_COLUMNS = ["n", "energy_cm1", "irrep", "jz"]
 
 
 def _rows_with_numbers(path: Path):
@@ -47,6 +55,23 @@ def _rows_with_numbers(path: Path):
         raise DatasetError(f"{path}: not a UTF-8 CSV file: {exc}") from exc
 
 
+def _table(path: Path, headers: list[list[str]]):
+    """Yield (line_number, fields) for each data record of a CSV table whose
+    first record is one of ``headers`` (in any case) and whose every later
+    record has as many cells as that header."""
+    records = _rows_with_numbers(path)
+    expected = " or ".join(",".join(header) for header in headers)
+    number, header = next(records, (None, None))
+    if header is None:
+        raise DatasetError(f"{path}: no header; expected {expected}")
+    if [f.lower() for f in header] not in headers:
+        raise DatasetError(f"{path}:{number}: bad header {header!r}; expected {expected}")
+    for number, fields in records:
+        if len(fields) != len(header):
+            raise DatasetError(f"{path}:{number}: expected {len(header)} columns, got {len(fields)}")
+        yield number, fields
+
+
 def _number(path: Path, number: int, text: str) -> float:
     """One CSV cell as a finite float, or a DatasetError naming the line."""
     try:
@@ -55,21 +80,19 @@ def _number(path: Path, number: int, text: str) -> float:
         raise DatasetError(f"{path}:{number}: bad numeric field: {exc}") from exc
 
 
+def format_table(header: list[str], rows) -> str:
+    """A header line, then one line per row: numbers at 8 significant digits,
+    None as an empty cell, strings as they are."""
+    cell = lambda value: "" if value is None else value if isinstance(value, str) else f"{value:.8g}"
+    return "".join(",".join(map(cell, cells)) + "\n" for cells in [header, *rows])
+
+
 def read_dataset(path: str | Path, j: float = DATASET_J) -> TransitionDataset:
     """Parse a transition dataset whose level labels name the manifold j,
     validating every row."""
     path = Path(path)
     rows: list[ObservationRow] = []
-    header_seen = False
-    for number, fields in _rows_with_numbers(path):
-        if not header_seen:
-            if [f.lower() for f in fields] != _COLUMNS:
-                raise DatasetError(f"{path}:{number}: bad header {fields!r}; expected {_COLUMNS}")
-            header_seen = True
-            continue
-        if len(fields) != len(_COLUMNS):
-            raise DatasetError(f"{path}:{number}: expected {len(_COLUMNS)} columns, got {len(fields)}")
-        label, m_text, value_text, sigma_text = fields
+    for number, (label, m_text, value_text, sigma_text) in _table(path, [_COLUMNS]):
         value = _number(path, number, value_text)
         sigma = _number(path, number, sigma_text)
         try:
@@ -83,21 +106,19 @@ def read_dataset(path: str | Path, j: float = DATASET_J) -> TransitionDataset:
                 rows.append(ObservationRow("cf" if m_z is None else "hf", ni, nf, m_z, value, sigma))
         except ValueError as exc:
             raise DatasetError(f"{path}:{number}: {exc}") from exc
-    if not header_seen:
-        raise DatasetError(f"{path}: empty dataset (no header)")
     return TransitionDataset(rows)
 
 
 def write_dataset(path: str | Path, dataset: TransitionDataset) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(",".join(_COLUMNS) + "\n")
-        for row in dataset.rows:
-            if row.kind == "moment":
-                label, m_text = f"jz:{format_level(DATASET_J, row.n_init)}", ""
-            else:
-                label = format_transition(DATASET_J, row.n_init, row.n_final)
-                m_text = "" if row.m_z is None else format_half_integer(row.m_z)
-            handle.write(f"{label},{m_text},{row.value:.8g},{row.sigma:.8g}\n")
+    rows = []
+    for row in dataset.rows:
+        if row.kind == "moment":
+            label, m_text = f"jz:{format_level(DATASET_J, row.n_init)}", ""
+        else:
+            label = format_transition(DATASET_J, row.n_init, row.n_final)
+            m_text = "" if row.m_z is None else format_half_integer(row.m_z)
+        rows.append([label, m_text, row.value, row.sigma])
+    Path(path).write_text(format_table(_COLUMNS, rows), encoding="utf-8", newline="\n")
 
 
 def format_half_integer(value: float) -> str:
@@ -111,19 +132,9 @@ def read_refractive_points(path: str | Path) -> np.ndarray:
     """Columns (nu_cm1, n[, sigma_n]) -> array with 2 or 3 columns."""
     path = Path(path)
     data = []
-    width = None
-    for number, fields in _rows_with_numbers(path):
-        if fields[0].lower() in ("nu_cm1", "wavenumber_cm1"):
-            if [f.lower() for f in fields[1:]] not in (["n"], ["n", "sigma_n"]):
-                raise DatasetError(f"{path}:{number}: bad header {fields!r}; expected nu_cm1,n[,sigma_n]")
-            continue
-        values = [_number(path, number, f) for f in fields if f != ""]
-        if len(values) not in (2, 3):
-            raise DatasetError(f"{path}:{number}: expected 2 or 3 columns, got {len(values)}")
-        width = width or len(values)
-        if len(values) != width:
-            raise DatasetError(f"{path}:{number}: inconsistent column count")
-        if width == 3 and not values[2] > 0:
+    for number, fields in _table(path, _REFRACTIVE_HEADERS):
+        values = [_number(path, number, f) for f in fields]
+        if len(values) == 3 and not values[2] > 0:
             raise DatasetError(f"{path}:{number}: sigma_n must be positive, got {values[2]:g}")
         data.append(values)
     if not data:
@@ -132,46 +143,34 @@ def read_refractive_points(path: str | Path) -> np.ndarray:
 
 
 def write_spectrum(path: str | Path, spectrum: Spectrum) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write("wavenumber_cm1,absorbance\n")
-        for x, y in zip(spectrum.grid, spectrum.absorbance):
-            handle.write(f"{x:.8g},{y:.8g}\n")
+    text = format_table(_SPECTRUM_COLUMNS, zip(spectrum.grid, spectrum.absorbance))
+    Path(path).write_text(text, encoding="utf-8", newline="\n")
 
 
 def read_spectrum(path: str | Path) -> Spectrum:
     path = Path(path)
-    xs, ys = [], []
-    for number, fields in _rows_with_numbers(path):
-        if fields[0].lower() == "wavenumber_cm1":
-            continue
-        if len(fields) != 2:
-            raise DatasetError(f"{path}:{number}: expected 2 columns")
-        xs.append(_number(path, number, fields[0]))
-        ys.append(_number(path, number, fields[1]))
-    if not xs:
+    data = [[_number(path, number, f) for f in fields] for number, fields in _table(path, [_SPECTRUM_COLUMNS])]
+    if not data:
         raise DatasetError(f"{path}: no data rows")
-    return Spectrum(np.array(xs), np.array(ys))
+    grid, absorbance = np.array(data).T
+    return Spectrum(grid, absorbance)
 
 
 def read_expected_levels(path: str | Path) -> list[dict]:
     """Reference level table: n, energy_cm1, irrep, jz (blank for singlets)."""
     path = Path(path)
     out = []
-    for number, fields in _rows_with_numbers(path):
-        if fields[0].lower() == "n":
-            continue
-        if len(fields) != 4:
-            raise DatasetError(f"{path}:{number}: expected 4 columns")
+    for number, (n_text, energy, irrep, jz) in _table(path, [_LEVEL_COLUMNS]):
         try:
-            n = int(fields[0])
+            n = int(n_text)
         except ValueError as exc:
             raise DatasetError(f"{path}:{number}: {exc}") from exc
         out.append(
             {
                 "n": n,
-                "energy": _number(path, number, fields[1]),
-                "irrep": fields[2],
-                "jz": _number(path, number, fields[3]) if fields[3] != "" else None,
+                "energy": _number(path, number, energy),
+                "irrep": irrep,
+                "jz": _number(path, number, jz) if jz != "" else None,
             }
         )
     return out

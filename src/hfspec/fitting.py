@@ -42,6 +42,8 @@ CHI2_RTOL = 1e-12
 STEP_ATOL = 1e-10
 #: scaled singular values below RCOND times the largest span flat directions
 RCOND = 1e-10
+#: damped_least_squares raises ConvergenceError after this many iterations
+MAX_ITERATIONS = 200
 #: fit_refractive looks for the pole at these multiples of the data span
 #: away from the nearest data point, on either side of the data
 POLE_RANGE = (1e-3, 1e3)
@@ -167,9 +169,7 @@ def numerical_jacobian(fun, x, x_scale):
     return np.array(columns).T
 
 
-def damped_least_squares(
-    fun, x0, x_scale=None, bounds=None, max_iter: int = 200
-) -> LSQSolution:
+def damped_least_squares(fun, x0, x_scale, bounds=None) -> LSQSolution:
     """Minimize |fun(x)|^2 by damped Gauss-Newton iteration.
 
     The normal matrix is damped with mu * diag(J^T J) (floored so that flat
@@ -177,17 +177,16 @@ def damped_least_squares(
     by 10 on a rejected one, so the accepted chi^2 sequence is monotonically
     non-increasing.  A proposed step is rejected unless chi^2 stays or falls,
     so a step to non-finite residuals (chi^2 nan or inf) is rejected too.
-    Steps are clipped to ``bounds`` when given.
+    ``x_scale`` is each parameter's typical size: it sets the Jacobian step
+    and weighs the gradient.  Steps are clipped to ``bounds`` when given.
 
     Stops when the relative chi^2 drop falls below ``CHI2_RTOL`` or the step
-    norm below ``STEP_ATOL``.  Raises ConvergenceError when ``max_iter`` is
-    exceeded or no downhill step exists while the gradient is still large.
+    norm below ``STEP_ATOL``.  Raises ConvergenceError after
+    ``MAX_ITERATIONS`` iterations or when no downhill step exists while the
+    gradient is still large.
     """
     x = np.asarray(x0, dtype=float).copy()
-    if x_scale is None:
-        x_scale = np.maximum(np.abs(x), 1e-8)
-    else:
-        x_scale = np.asarray(x_scale, dtype=float)
+    x_scale = np.asarray(x_scale, dtype=float)
     lo, hi = (None, None) if bounds is None else bounds
 
     r = np.asarray(fun(x), dtype=float)
@@ -197,7 +196,7 @@ def damped_least_squares(
     history = [chi2]
     mu = 1e-3
 
-    for iteration in range(1, max_iter + 1):
+    for iteration in range(1, MAX_ITERATIONS + 1):
         jac = numerical_jacobian(fun, x, x_scale)
         gradient = jac.T @ r
         normal = jac.T @ jac
@@ -238,14 +237,14 @@ def damped_least_squares(
         if drop < CHI2_RTOL or step_norm < STEP_ATOL:
             break
     else:
-        raise ConvergenceError(f"iteration cap {max_iter} exceeded")
+        raise ConvergenceError(f"iteration cap {MAX_ITERATIONS} exceeded")
 
     jac = numerical_jacobian(fun, x, x_scale)
     return LSQSolution(x, r, chi2, jac, iteration, tuple(history), x_scale.copy())
 
 
 def covariance_from_jacobian(
-    jac: NDArray[np.float64], x_scale: NDArray[np.float64] | None = None
+    jac: NDArray[np.float64], x_scale: NDArray[np.float64]
 ) -> tuple[NDArray[np.float64], NDArray[np.float64], NDArray[np.bool_]]:
     """Covariance = (J^T J)^-1 on the identifiable subspace.
 
@@ -257,7 +256,7 @@ def covariance_from_jacobian(
     mask of unidentifiable parameters).
     """
     n = jac.shape[1]
-    scale = np.ones(n) if x_scale is None else np.asarray(x_scale, dtype=float)
+    scale = np.asarray(x_scale, dtype=float)
     normal = (jac * scale).T @ (jac * scale)
     _, s, vt = np.linalg.svd(normal)
     good = s > RCOND * (s[0] if s.size else 0.0)
@@ -345,7 +344,6 @@ def fit_cf_aj(
     initial: CFParameters,
     initial_aj: float,
     system: SpinSystem,
-    max_iter: int = 200,
 ) -> FitResult:
     """Simultaneous weighted fit of the CF coefficients and a_j.
 
@@ -365,7 +363,7 @@ def fit_cf_aj(
         return (data - predict_lines_first_order(cf, x[-1], dataset.rows, system)) / sigmas
 
     x_scale = np.maximum(np.abs(values), 1e-8)
-    solution = damped_least_squares(residual, values, x_scale=x_scale, max_iter=max_iter)
+    solution = damped_least_squares(residual, values, x_scale=x_scale)
     return _build_result(CF_AJ_PARAM_NAMES, solution, len(dataset.rows))
 
 
@@ -421,7 +419,6 @@ def fit_b(
     a_j: float,
     system: SpinSystem,
     initial_b: float = 0.04,
-    max_iter: int = 200,
 ) -> FitResult:
     """One-parameter fit of the quadrupolar constant at fixed CF parameters.
 
@@ -438,9 +435,7 @@ def fit_b(
         return (data - predict(HyperfineConstants(a_j, float(x[0])))) / sigmas
 
     x_scale = np.array([max(abs(initial_b), 1e-3)])
-    solution = damped_least_squares(
-        residual, np.array([initial_b]), x_scale=x_scale, max_iter=max_iter
-    )
+    solution = damped_least_squares(residual, np.array([initial_b]), x_scale=x_scale)
     return _build_result(("b_quad",), solution, len(dataset.rows))
 
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from hfspec import fitting
 from hfspec.analysis import (
     DifferenceSeries,
     difference_series,
@@ -212,14 +213,15 @@ def test_isotope_doublet_recovery():
     assert peaks[1].amplitude / peaks[0].amplitude == pytest.approx(0.33, abs=0.01)
 
 
-def test_peak_fit_nonconvergence_reported():
+def test_peak_fit_nonconvergence_reported(monkeypatch):
+    monkeypatch.setattr(fitting, "MAX_ITERATIONS", 1)
     grid = np.arange(0.0, 1.0, 0.002)
     signal = (
         PeakModel("gaussian", 0.3, 0.05, 1.0).profile(grid)
         + PeakModel("gaussian", 0.7, 0.08, 0.6).profile(grid)
     )
     with pytest.raises(ConvergenceError):
-        fit_peaks(Spectrum(grid, signal), 2, "gaussian", max_iter=1)
+        fit_peaks(Spectrum(grid, signal), 2, "gaussian")
 
 
 def test_residual_history_monotone():
@@ -232,7 +234,8 @@ def test_residual_history_monotone():
         return signal - PeakModel("gaussian", x[0], x[2], x[1]).profile(grid)
 
     bounds = (np.array([0.0, 0.0, 1e-4]), np.array([1.0, np.inf, 1.0]))
-    solution = damped_least_squares(residual, np.array([0.4, 1.0, 0.1]), bounds=bounds)
+    x0 = np.array([0.4, 1.0, 0.1])
+    solution = damped_least_squares(residual, x0, x_scale=x0, bounds=bounds)
     history = np.array(solution.chi2_history)
     assert np.all(np.diff(history) <= 0)
 

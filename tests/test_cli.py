@@ -514,6 +514,16 @@ def test_fit_refindex_non_finite_exits_dataset(tmp_path):
     assert ":4: bad numeric field" in result.output
 
 
+def test_fit_refindex_blank_n_exits_dataset(tmp_path):
+    """Blank n cells are refused with their line, not dropped so that
+    sigma_n is fitted as n."""
+    data = tmp_path / "n.csv"
+    data.write_text("nu_cm1,n,sigma_n\n" + "".join(f"{nu},,0.01\n" for nu in (10, 20, 30, 40, 50)))
+    result = invoke("fit", "--mode", "refindex", "--dataset", str(data))
+    assert result.exit_code == EXIT_DATASET
+    assert f"{data}:2: bad numeric field" in result.output
+
+
 def test_fit_refindex_two_frequencies_exits_dataset(tmp_path):
     data = tmp_path / "n.csv"
     data.write_text("nu_cm1,n\n50,2.40\n50,2.41\n60,2.45\n60,2.46\n")

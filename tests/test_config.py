@@ -43,7 +43,6 @@ def test_every_default(tmp_path):
         fwhm=0.009,
         amplitude=1.0,
         transitions=[],
-        max_iterations=200,
     )
 
 
@@ -67,7 +66,6 @@ BAD_VALUES = [
     ("lineshape", "fwhm_cm1", "0"),
     ("lineshape", "amplitude", "nan"),
     ("lineshape", "shape", "voigt"),
-    ("fit", "max_iterations", "0"),
     ("transitions", "include", "5.1-5.3"),
     ("transitions", "include", "8.1-8.3.2"),
     ("system", "j", "1e400"),
@@ -176,6 +174,20 @@ def test_default_section_rejected(tmp_path, more):
         load_config(path)
     result = CliRunner().invoke(main, ["levels", "--config", str(path)])
     assert result.exit_code == EXIT_CONFIG, result.output
+
+
+@pytest.mark.parametrize("value", ["200", "0"])
+def test_fit_section_is_unknown(tmp_path, value):
+    """The iteration cap is the constant fitting.MAX_ITERATIONS: a file that
+    still sets [fit] max_iterations, to the old default 200 or to a value it
+    refused, is refused for its unknown section."""
+    path = _write(tmp_path, f"{HEADER}\n[fit]\nmax_iterations = {value}\n")
+    with pytest.raises(ConfigError, match=r"unknown section \[fit\]"):
+        load_config(path)
+    result = CliRunner().invoke(main, ["levels", "--config", str(path)])
+    assert result.exit_code == EXIT_CONFIG, result.output
+    assert "unknown section [fit]" in result.output
+
 
 SMALL_SPINS = [("8", "1/2"), ("8", "0"), ("1/2", "7/2"), ("0", "1")]
 

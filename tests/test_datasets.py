@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -6,12 +8,14 @@ from hfspec.datasets import (
     DatasetError,
     format_half_integer,
     read_dataset,
+    read_expected_levels,
+    read_refractive_points,
     read_spectrum,
     write_dataset,
     write_spectrum,
 )
 from hfspec.fitting import ObservationRow, TransitionDataset
-from hfspec.spectra import Spectrum
+from hfspec.spectra import IsotopeConfig, PeakModel, Spectrum, TransitionLine, synthesize
 
 
 def test_bundled_dataset_shape(measured):
@@ -107,8 +111,6 @@ def test_non_finite_dataset_cell_rejected(tmp_path, row):
 
 
 def test_non_finite_refractive_and_spectrum_cells_rejected(tmp_path):
-    from hfspec.datasets import read_refractive_points
-
     path = tmp_path / "n.csv"
     path.write_text("nu_cm1,n\n50,2.4\n60,inf\n70,2.5\n80,2.6\n")
     with pytest.raises(DatasetError, match=":3: bad numeric field"):
@@ -140,8 +142,6 @@ def test_dataset_in_half_integer_manifold(tmp_path):
 
 
 def test_missing_and_undecodable_files_are_dataset_errors(tmp_path):
-    from hfspec.datasets import read_refractive_points
-
     for reader in (read_dataset, read_refractive_points, read_spectrum):
         with pytest.raises(DatasetError, match="not found"):
             reader(tmp_path / "gone.csv")
@@ -153,8 +153,6 @@ def test_missing_and_undecodable_files_are_dataset_errors(tmp_path):
 
 
 def test_refractive_header_is_checked(tmp_path):
-    from hfspec.datasets import read_refractive_points
-
     path = tmp_path / "n.csv"
     for header in ("nu_cm1,n", "NU_CM1,N,SIGMA_N", "wavenumber_cm1,n"):
         path.write_text(f"{header}\n50,2.4{',0.01' if header.count(',') == 2 else ''}\n")
@@ -170,3 +168,77 @@ def test_jz_row_with_m_z_rejected(tmp_path):
     path.write_text(HEADER + "jz:8.6,7/2,-3.59,0.02\n")
     with pytest.raises(DatasetError, match=":2: a jz: row takes no m_z"):
         read_dataset(path)
+
+
+#: SHA-256 of what write_dataset and write_spectrum wrote for the files of
+#: test_writers_write_the_recorded_bytes before both went through format_table
+WRITTEN_SHA256 = {
+    "lines.csv": "cbe143788d90cee80ac0388591971328dd6ca78919e874431e5dcecd86b16329",
+    "spectrum.csv": "a3b64942998aa965aac2389fd1ddccbfd8ac49d53ad0af0f0f45d5dfe70650ce",
+}
+
+
+def test_writers_write_the_recorded_bytes(tmp_path, measured):
+    """The bundled lines plus a hyperfine-averaged and a moment row, and a
+    Gaussian spectrum whose tails reach 1e-254, write byte for byte as
+    recorded."""
+    extra = [ObservationRow("cf", 1, 4, None, 47.6, 0.05), ObservationRow("moment", 6, None, None, -3.59, 0.02)]
+    write_dataset(tmp_path / "lines.csv", TransitionDataset(measured.rows + extra))
+    lines = [TransitionLine(1, 2, m, 7.3 + 0.012 * m, intensity=1.0 / (1 + abs(m))) for m in np.arange(-3.5, 4.0)]
+    spectrum = synthesize(
+        lines, PeakModel("gaussian", 0.0, 0.004, 1.0), np.arange(7.2, 7.4, 0.0005), IsotopeConfig(enabled=True)
+    )
+    write_spectrum(tmp_path / "spectrum.csv", spectrum)
+    for name, digest in WRITTEN_SHA256.items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
+
+
+#: (reader, file, diagnostic): every file breaks the rule that a table's first
+#: record is its header and every later record is as wide as the header
+BROKEN_TABLES = {
+    "refractive-no-header": (read_refractive_points, "50,2.4\n60,2.45\n", ":1: bad header"),
+    "spectrum-no-header": (read_spectrum, "1.0,0.5\n1.1,0.6\n", ":1: bad header"),
+    "levels-no-header": (read_expected_levels, "1,0.00,G34,5.40\n2,6.84,G2,\n", ":1: bad header"),
+    "refractive-blank-cell": (read_refractive_points, "nu_cm1,n,sigma_n\n10,,0.01\n20,,0.01\n", ":2: bad numeric field"),
+    "spectrum-blank-cell": (read_spectrum, "wavenumber_cm1,absorbance\n1.0,0.5\n1.1,\n", ":3: bad numeric field"),
+    "levels-blank-cell": (read_expected_levels, "n,energy_cm1,irrep,jz\n1,0.00,G34,5.40\n2,,G2,\n", ":3: bad numeric field"),
+    "refractive-wider": (read_refractive_points, "nu_cm1,n\n50,2.4,0.01\n60,2.45,0.01\n", ":2: expected 2 columns, got 3"),
+    "spectrum-wider": (read_spectrum, "wavenumber_cm1,absorbance\n1.0,0.5\n1.1,0.6,0.7\n", ":3: expected 2 columns, got 3"),
+    "levels-wider": (read_expected_levels, "n,energy_cm1,irrep,jz\n1,0.00,G34,5.40,1\n", ":2: expected 4 columns, got 5"),
+    "refractive-narrower": (read_refractive_points, "nu_cm1,n,sigma_n\n50,2.4\n60,2.45\n", ":2: expected 3 columns, got 2"),
+    "spectrum-narrower": (read_spectrum, "wavenumber_cm1,absorbance\n1.0,0.5\n1.1\n", ":3: expected 2 columns, got 1"),
+    "levels-narrower": (read_expected_levels, "n,energy_cm1,irrep,jz\n1,0.00,G34\n", ":2: expected 4 columns, got 3"),
+    "refractive-repeated-header": (read_refractive_points, "nu_cm1,n\n50,2.4\nnu_cm1,n\n60,2.45\n", ":3: bad numeric field"),
+    "spectrum-repeated-header": (
+        read_spectrum, "wavenumber_cm1,absorbance\n1.0,0.5\nwavenumber_cm1,absorbance\n1.1,0.6\n", ":3: bad numeric field"
+    ),
+    "levels-repeated-header": (
+        read_expected_levels, "n,energy_cm1,irrep,jz\n1,0.00,G34,5.40\nn,energy_cm1,irrep,jz\n2,6.84,G2,\n", ":3: invalid literal"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BROKEN_TABLES))
+def test_table_rules(tmp_path, case):
+    reader, text, diagnostic = BROKEN_TABLES[case]
+    path = tmp_path / "table.csv"
+    path.write_text(text)
+    with pytest.raises(DatasetError, match=diagnostic):
+        reader(path)
+
+
+@pytest.mark.parametrize("reader", [read_dataset, read_refractive_points, read_spectrum, read_expected_levels])
+def test_file_without_records_has_no_header(tmp_path, reader):
+    path = tmp_path / "empty.csv"
+    path.write_text("# only a comment\n\n")
+    with pytest.raises(DatasetError, match=r"empty\.csv: no header; expected "):
+        reader(path)
+
+
+def test_level_table_reads_blank_jz_and_header_in_any_case(tmp_path):
+    path = tmp_path / "levels.csv"
+    path.write_text("N,Energy_cm1,IRREP,jz\n1,0.00,G34,5.40\n2,6.84,G2,\n")
+    assert read_expected_levels(path) == [
+        {"n": 1, "energy": 0.0, "irrep": "G34", "jz": 5.4},
+        {"n": 2, "energy": 6.84, "irrep": "G2", "jz": None},
+    ]

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from hfspec import fitting
 from hfspec.fitting import (
     CF_AJ_PARAM_NAMES,
     ConvergenceError,
@@ -144,10 +145,11 @@ def test_engine_handles_flat_direction():
     def f(x):
         return np.array([x[0] - 3.0, 2.0 * (x[0] - 3.0)])
 
-    solution = damped_least_squares(f, np.array([10.0, 7.0]))
+    x0 = np.array([10.0, 7.0])
+    solution = damped_least_squares(f, x0, x_scale=x0)
     assert solution.x[0] == pytest.approx(3.0, abs=1e-9)
     assert solution.x[1] == pytest.approx(7.0, abs=1e-12)
-    cov, errors, null_mask = covariance_from_jacobian(solution.jacobian)
+    cov, errors, null_mask = covariance_from_jacobian(solution.jacobian, solution.x_scale)
     assert not null_mask[0]
     assert null_mask[1]
     assert np.isinf(errors[1])
@@ -164,12 +166,15 @@ def test_engine_rejects_a_step_to_non_finite_residuals():
     assert np.all(np.diff(solution.chi2_history) <= 0)
 
 
-def test_engine_iteration_cap():
+def test_engine_iteration_cap(monkeypatch):
+    """The cap is read when the engine runs, so lowering it takes effect."""
+    monkeypatch.setattr(fitting, "MAX_ITERATIONS", 2)
+
     def f(x):
         return np.array([np.exp(-x[0] * 0.001) - 0.5])
 
-    with pytest.raises(ConvergenceError, match="cap"):
-        damped_least_squares(f, np.array([0.0]), x_scale=np.array([1.0]), max_iter=2)
+    with pytest.raises(ConvergenceError, match="iteration cap 2 exceeded"):
+        damped_least_squares(f, np.array([0.0]), x_scale=np.array([1.0]))
 
 
 # -------------------------------------------------------------- cf + a_j fit

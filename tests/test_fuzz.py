@@ -9,7 +9,7 @@ numbers define but that cannot be labelled).
 import numpy as np
 import pytest
 from click.testing import CliRunner
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from hfspec.cli import EXIT_CONFIG, EXIT_DATASET, EXIT_MODEL, main
@@ -125,6 +125,19 @@ def test_read_refractive_points_any_bytes(tmp_path, data):
 def test_read_refractive_points_junk_cell(tmp_path, line, column, text):
     with pytest.raises(DatasetError):
         read_refractive_points(_write(tmp_path, "junk.csv", _replace_cell(REFRACTIVE, line, column, text)))
+
+
+@fuzz
+@given(lines=st.sets(st.integers(1, len(REFRACTIVE) - 1), min_size=1), column=st.integers(0, 2))
+@example(lines=set(range(1, len(REFRACTIVE))), column=1)
+def test_read_refractive_points_blank_cells(tmp_path, lines, column):
+    """A blank cell is no number, in any column of any data rows, so a blank
+    n column cannot shift sigma_n into n."""
+    text = REFRACTIVE
+    for line in lines:
+        text = _replace_cell(text, line, column, "").splitlines()
+    with pytest.raises(DatasetError, match=f":{min(lines) + 1}: bad numeric field"):
+        read_refractive_points(_write(tmp_path, "blank.csv", "\n".join(text) + "\n"))
 
 
 # ---------------------------------------------------------------------- CLI
