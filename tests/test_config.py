@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import pytest
 from click.testing import CliRunner
@@ -71,13 +72,23 @@ BAD_VALUES = [
     ("system", "j", "1e400"),
     ("cf", "b64", "-1e306"),
     ("hyperfine", "a_j", "1.0000001e100"),
+    ("fit", "max_iterations", "0"),
 ]
+
+
+def _refusal(section: str, key: str) -> str:
+    """What the error for a bad ``[section] key = value`` says. The iteration
+    cap is the constant fitting.MAX_ITERATIONS, so a file that still sets
+    [fit] max_iterations is refused for its unknown section."""
+    if section == "fit":
+        return "unknown section [fit]"
+    return f"bad value for {section}.{key}:"
 
 
 @pytest.mark.parametrize("section,key,value", BAD_VALUES)
 def test_bad_value_names_section_key(tmp_path, section, key, value):
     path = _write(tmp_path, f"{HEADER}\n[{section}]\n{key} = {value}\n")
-    with pytest.raises(ConfigError, match=rf"bad value for {section}\.{key}:"):
+    with pytest.raises(ConfigError, match=re.escape(_refusal(section, key))):
         load_config(path)
 
 
@@ -86,7 +97,7 @@ def test_bad_value_exits_config(tmp_path, section, key, value):
     path = _write(tmp_path, f"{HEADER}\n[{section}]\n{key} = {value}\n")
     result = CliRunner().invoke(main, ["levels", "--config", str(path)])
     assert result.exit_code == EXIT_CONFIG, result.output
-    assert f"{section}.{key}" in result.output
+    assert _refusal(section, key).rstrip(":") in result.output
 
 
 @pytest.mark.parametrize("key", ["start_cm1", "stop_cm1", "step_cm1"])
@@ -176,12 +187,11 @@ def test_default_section_rejected(tmp_path, more):
     assert result.exit_code == EXIT_CONFIG, result.output
 
 
-@pytest.mark.parametrize("value", ["200", "0"])
-def test_fit_section_is_unknown(tmp_path, value):
+def test_fit_section_is_unknown(tmp_path):
     """The iteration cap is the constant fitting.MAX_ITERATIONS: a file that
-    still sets [fit] max_iterations, to the old default 200 or to a value it
-    refused, is refused for its unknown section."""
-    path = _write(tmp_path, f"{HEADER}\n[fit]\nmax_iterations = {value}\n")
+    still sets [fit] max_iterations to the old default 200 is refused for its
+    unknown section."""
+    path = _write(tmp_path, f"{HEADER}\n[fit]\nmax_iterations = 200\n")
     with pytest.raises(ConfigError, match=r"unknown section \[fit\]"):
         load_config(path)
     result = CliRunner().invoke(main, ["levels", "--config", str(path)])
