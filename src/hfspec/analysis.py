@@ -129,8 +129,7 @@ def _check_grids(*series: DifferenceSeries) -> None:
 def extract_lambda1(d2: DifferenceSeries, d3: DifferenceSeries) -> Estimate:
     """Ground-level m_z^2 coefficient from the two ground-state families."""
     _check_grids(d2, d3)
-    s2 = fit_slope(d2)
-    s3 = fit_slope(d3)
+    s2, s3 = fit_slope(d2), fit_slope(d3)
     value = -(s2.slope + s3.slope) / 4.0
     error = np.sqrt(s2.slope_err**2 + s3.slope_err**2) / 4.0
     return Estimate(float(value), float(error))
@@ -141,20 +140,10 @@ def extract_lambda23(
 ) -> tuple[Estimate, Estimate]:
     """m_z^2 coefficients of the two excited singlets from all three families."""
     _check_grids(d1, d2, d3)
-    s1 = fit_slope(d1)
-    s2 = fit_slope(d2)
-    s3 = fit_slope(d3)
+    s1, s2, s3 = fit_slope(d1), fit_slope(d2), fit_slope(d3)
     base = s2.slope + s3.slope
-    err_sym = s2.slope_err**2 + s3.slope_err**2
-    lam2 = Estimate(
-        float((base - 2.0 * s1.slope) / 4.0),
-        float(np.sqrt(err_sym + 4.0 * s1.slope_err**2) / 4.0),
-    )
-    lam3 = Estimate(
-        float((base + 2.0 * s1.slope) / 4.0),
-        float(np.sqrt(err_sym + 4.0 * s1.slope_err**2) / 4.0),
-    )
-    return lam2, lam3
+    error = float(np.sqrt(s2.slope_err**2 + s3.slope_err**2 + 4.0 * s1.slope_err**2) / 4.0)
+    return Estimate(float((base - 2.0 * s1.slope) / 4.0), error), Estimate(float((base + 2.0 * s1.slope) / 4.0), error)
 
 
 def _half_max_window(smooth: NDArray[np.float64], top: int) -> tuple[int, int]:

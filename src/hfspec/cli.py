@@ -123,8 +123,7 @@ def levels(config_path, fmt, output):
     if fmt == "json":
         text = json.dumps({"levels": rows}, indent=2) + "\n"
     else:
-        header = ["level", "energy_cm1", "irrep", "degeneracy", "jz"]
-        text = datasets.format_table(header, [list(r.values()) for r in rows])
+        text = datasets.format_table(list(rows[0]), [list(r.values()) for r in rows])
     _emit(text, output)
 
 
@@ -155,20 +154,10 @@ def hf(config_path, transition, compare, fmt, output):
         groups = [(datasets.format_half_integer(ln.m_z), [ln]) for ln in sorted(lines, key=lambda l: l.m_z)]
 
     def perturbative_energy(line):
-        # merged lines do not retain branch indices; evaluate every
-        # branch combination and keep the candidate nearest the exact
-        # energy (branch splittings dwarf the perturbative error)
-        candidates = []
-        for si in by_n[ni].branches():
-            d_i = perturbation.delta_full(
-                ni, si, line.m_z, lvls, cfg.hyperfine, cfg.system
-            )
-            for sf in by_n[nf].branches():
-                d_f = perturbation.delta_full(
-                    nf, sf, line.m_z, lvls, cfg.hyperfine, cfg.system
-                )
-                candidates.append(by_n[nf].energy + d_f - by_n[ni].energy - d_i)
-        return min(candidates, key=lambda c: abs(c - line.energy))
+        si, sf = line.branches
+        d_i = perturbation.delta_full(ni, si, line.m_z, lvls, cfg.hyperfine, cfg.system)
+        d_f = perturbation.delta_full(nf, sf, line.m_z, lvls, cfg.hyperfine, cfg.system)
+        return by_n[nf].energy + d_f - by_n[ni].energy - d_i
 
     out_rows = []
     for m_z, members in groups:
@@ -183,8 +172,7 @@ def hf(config_path, transition, compare, fmt, output):
     if fmt == "json":
         text = json.dumps({"transition": transition, "lines": out_rows}, indent=2) + "\n"
     else:
-        header = ["m_z", "energy_cm1"] + (["perturbative_cm1", "deviation_cm1"] if compare else [])
-        text = datasets.format_table(header, [list(entry.values()) for entry in out_rows])
+        text = datasets.format_table(list(out_rows[0]), [list(entry.values()) for entry in out_rows])
     _emit(text, output)
 
 

@@ -11,8 +11,9 @@ m_z accepts rationals like -7/2 or decimals.  Level labels are
 '<manifold>.<n>' and must name the manifold j of the model (8 unless
 read_dataset is told otherwise).  Every number must be finite.
 Refractive-index data uses columns nu_cm1,n[,sigma_n] (wavenumber_cm1 is
-accepted for nu_cm1) with sigma_n > 0; spectra use wavenumber_cm1,absorbance;
-the reference level table uses n,energy_cm1,irrep,jz.
+accepted for nu_cm1) with sigma_n > 0; spectra use wavenumber_cm1,absorbance
+with strictly ascending wavenumbers; the reference level table uses
+n,energy_cm1,irrep,jz.
 
 Every file is one table: its first record is the header, in any case, and
 every later record has exactly as many cells as the header.  Only the m_z
@@ -149,7 +150,11 @@ def write_spectrum(path: str | Path, spectrum: Spectrum) -> None:
 
 def read_spectrum(path: str | Path) -> Spectrum:
     path = Path(path)
-    data = [[_number(path, number, f) for f in fields] for number, fields in _table(path, [_SPECTRUM_COLUMNS])]
+    data = []
+    for number, fields in _table(path, [_SPECTRUM_COLUMNS]):
+        data.append([_number(path, number, f) for f in fields])
+        if len(data) > 1 and not data[-1][0] > data[-2][0]:
+            raise DatasetError(f"{path}:{number}: wavenumber {data[-1][0]:g} does not ascend past {data[-2][0]:g}")
     if not data:
         raise DatasetError(f"{path}: no data rows")
     grid, absorbance = np.array(data).T

@@ -352,28 +352,28 @@ def fit_cf_aj(
     Deterministic for fixed inputs.
     """
     _check_enough_rows(len(dataset.rows), len(CF_AJ_PARAM_NAMES), "rows")
-
     full0 = dict(initial.items(), a_j=initial_aj)
     values = np.array([full0[n] for n in CF_AJ_PARAM_NAMES])
-    sigmas = np.array([row.sigma for row in dataset.rows])
-    data = np.array([row.value for row in dataset.rows])
 
-    def residual(x: NDArray[np.float64]) -> NDArray[np.float64]:
-        cf = replace(initial, **dict(zip(CF_AJ_PARAM_NAMES[:-1], x[:-1])))
-        return (data - predict_lines_first_order(cf, x[-1], dataset.rows, system)) / sigmas
+    def predict(x: NDArray[np.float64]) -> NDArray[np.float64]:
+        return predict_lines_first_order(*_cf_aj_point(x, initial), dataset.rows, system)
 
-    x_scale = np.maximum(np.abs(values), 1e-8)
-    solution = damped_least_squares(residual, values, x_scale=x_scale)
-    return _build_result(CF_AJ_PARAM_NAMES, solution, len(dataset.rows))
+    return _weighted_fit(CF_AJ_PARAM_NAMES, dataset.rows, predict, values, np.maximum(np.abs(values), 1e-8))
+
+
+def _cf_aj_point(x: NDArray[np.float64], template: CFParameters) -> tuple[CFParameters, float]:
+    """(CF parameters, a_j) at a vector over ``CF_AJ_PARAM_NAMES``; b4m4 is the template's."""
+    values = dict(zip(CF_AJ_PARAM_NAMES, map(float, x)))
+    a_j = values.pop("a_j")
+    return replace(template, **values), a_j
 
 
 def cf_parameters_from_result(
     result: FitResult, template: CFParameters, template_aj: float
 ) -> tuple[CFParameters, float]:
-    """Merge fitted values back into a full parameter set."""
-    values = result.params
-    a_j = values.pop("a_j", template_aj)
-    return replace(template, **values), a_j
+    """The fitted (CF parameters, a_j) of a ``fit_cf_aj`` result, b4m4 from
+    ``template``.  ``template_aj`` is not read: such a result always fits a_j."""
+    return _cf_aj_point(result.values, template)
 
 
 def predict_lines_exact(
@@ -427,16 +427,24 @@ def fit_b(
     see ``predict_lines_exact``.
     """
     _check_enough_rows(len(dataset.rows), 1, "rows")
-    sigmas = np.array([row.sigma for row in dataset.rows])
-    data = np.array([row.value for row in dataset.rows])
     predict = _exact_predictor(params, dataset.rows, system)
+    at_b = lambda x: predict(HyperfineConstants(a_j, float(x[0])))
+    return _weighted_fit(("b_quad",), dataset.rows, at_b, np.array([initial_b]), np.array([max(abs(initial_b), 1e-3)]))
 
-    def residual(x: NDArray[np.float64]) -> NDArray[np.float64]:
-        return (data - predict(HyperfineConstants(a_j, float(x[0])))) / sigmas
 
-    x_scale = np.array([max(abs(initial_b), 1e-3)])
-    solution = damped_least_squares(residual, np.array([initial_b]), x_scale=x_scale)
-    return _build_result(("b_quad",), solution, len(dataset.rows))
+def _weighted_fit(
+    names: tuple[str, ...],
+    rows: list[ObservationRow],
+    predict,
+    x0: NDArray[np.float64],
+    x_scale: NDArray[np.float64],
+) -> FitResult:
+    """Fit ``predict(x)`` to the rows' values by ``damped_least_squares``,
+    each residual weighted by the row's 1/sigma."""
+    data = np.array([row.value for row in rows])
+    sigmas = np.array([row.sigma for row in rows])
+    solution = damped_least_squares(lambda x: (data - predict(x)) / sigmas, x0, x_scale=x_scale)
+    return _build_result(names, solution, len(rows))
 
 
 def fit_refractive(points: NDArray[np.float64], initial: RefractiveModel | None = None) -> FitResult:

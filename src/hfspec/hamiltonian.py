@@ -265,51 +265,41 @@ def classify_levels(
     Each level is resolved into sector-pure members; sectors 0 and 2 give G1
     and G2 singlets with <J_z> = 0, a sector 1/3 pair gives a G34 doublet
     whose sigma = +1 branch is the sector-3 member.  Energies are shifted so
-    the ground level is 0.
+    the ground level is 0; levels are numbered n = 1, 2, ... as they are
+    made, in ascending energy.
 
-    Raises SymmetryError when an eigenvector has mixed-sector support beyond
-    tolerance, which signals a symmetry-breaking Hamiltonian.
+    Raises SymmetryError, which signals a symmetry-breaking Hamiltonian,
+    when an eigenvector has mixed-sector support beyond tolerance, when a
+    degenerate level does not resolve into sector-pure members, or when a
+    level's sector-3 and sector-1 members do not pair up (a lone eigenvector
+    in a doublet sector among them).
     """
     sectors = _sectors(system)
     jz = build_jz(system.j).matrix
     shifted = eigvals - eigvals[0]
     tol = DEGENERACY_RTOL * shifted[-1]
-    clusters: list[list[int]] = []
-    idx = 0
-    while idx < len(shifted):
-        group = [idx]
-        while group[-1] + 1 < len(shifted) and (
-            shifted[group[-1] + 1] - shifted[group[0]] <= tol
-        ):
-            group.append(group[-1] + 1)
-        clusters.append(group)
-        idx = group[-1] + 1
-
     levels: list[CFLevel] = []
-    for group in clusters:
+    start = 0
+    while start < len(shifted):
+        group = [start]
+        while group[-1] + 1 < len(shifted) and shifted[group[-1] + 1] - shifted[start] <= tol:
+            group.append(group[-1] + 1)
+        start = group[-1] + 1
         energy = float(np.mean(shifted[group]))
         if len(group) == 1:
-            sector = _check_purity(eigvecs[:, group[0]], sectors)
-            if sector in (SIGMA_PLUS_SECTOR, SIGMA_MINUS_SECTOR):
-                raise SymmetryError(
-                    f"non-degenerate eigenvector in doublet sector {sector}; "
-                    "time-reversal partner is missing"
-                )
-            members = {sector: [eigvecs[:, group[0]]]}
+            members = {_check_purity(eigvecs[:, group[0]], sectors): [eigvecs[:, group[0]]]}
         else:
             members = _split_cluster_by_sector(eigvecs[:, group], sectors)
-        for s in (0, 2):
+        for s, irrep in ((0, "G1"), (2, "G2")):
             for vec in members.get(s, []):
-                vec = _fix_phase(vec)
-                irrep = "G1" if s == 0 else "G2"
                 # time reversal leaves a singlet no moment; <vec|J_z|vec> is rounding noise
-                levels.append(CFLevel(0, energy, irrep, 1, 0.0, {+1: vec}))
+                levels.append(CFLevel(len(levels) + 1, energy, irrep, 1, 0.0, {+1: _fix_phase(vec)}))
         plus = members.get(SIGMA_PLUS_SECTOR, [])
         minus = members.get(SIGMA_MINUS_SECTOR, [])
         if len(plus) != len(minus):
             raise SymmetryError(
-                f"unpaired doublet members in degenerate cluster "
-                f"(sector 3: {len(plus)}, sector 1: {len(minus)})"
+                f"unpaired doublet members at {energy:.8g} cm^-1 (sector 3: {len(plus)}, "
+                f"sector 1: {len(minus)}); the time-reversal partner is missing"
             )
         # order multiple doublets within one cluster by <J_z> for determinism
         plus = sorted(plus, key=lambda v: np.real(v.conj() @ jz @ v))
@@ -317,13 +307,8 @@ def classify_levels(
         for vp, vm in zip(plus, minus):
             vp, vm = _fix_phase(vp), _fix_phase(vm)
             jz_exp = float(np.real(vp.conj() @ jz @ vp))
-            levels.append(CFLevel(0, energy, "G34", 2, jz_exp, {+1: vp, -1: vm}))
-
-    levels.sort(key=lambda lv: lv.energy)
-    return [
-        CFLevel(n, lv.energy, lv.irrep, lv.degeneracy, lv.jz_expect, lv.vectors)
-        for n, lv in enumerate(levels, start=1)
-    ]
+            levels.append(CFLevel(len(levels) + 1, energy, "G34", 2, jz_exp, {+1: vp, -1: vm}))
+    return levels
 
 
 @lru_cache(maxsize=SOLVE_CACHE_SIZE)

@@ -31,7 +31,10 @@ class TransitionLine:
     """One absorption line between labelled electron-nuclear levels.
 
     ``m_z`` is None for lines that average over the hyperfine structure.
-    Intensity is in arbitrary units; None means unspecified.
+    Intensity is in arbitrary units; None means unspecified.  ``branches`` is
+    the branch pair (sigma_i, sigma_f) of the initial and final levels whose
+    energies the line joins, as ``transition_lines`` sets it; None for lines
+    built from measured rows.
     """
 
     n_init: int
@@ -40,6 +43,7 @@ class TransitionLine:
     energy: float
     uncertainty: float | None = None
     intensity: float | None = None
+    branches: tuple[int, int] | None = None
 
 
 @dataclass(frozen=True)
@@ -133,9 +137,9 @@ def transition_lines(
 
     A transition (sigma_i, sigma_f, m_z) and its time-reversed copy
     (-sigma_i, -sigma_f, -m_z) have identical energy; only the canonical
-    member of each pair is returned.  When ``weights`` (from
-    ``boltzmann_weights``) is given, each line carries the summed occupation
-    of its merged initial states.
+    member of each pair is returned, carrying its branch pair.  When
+    ``weights`` (from ``boltzmann_weights``) is given, each line carries the
+    summed occupation of its merged initial states.
     """
     init = {(h.sigma, h.m_z): h for h in levels_hf if h.n == n_init}
     final = {(h.sigma, h.m_z): h for h in levels_hf if h.n == n_final}
@@ -165,7 +169,7 @@ def transition_lines(
                 intensity = weights[(n_init, si, m_z)]
                 if partner != key:
                     intensity += weights[(n_init, partner[0], partner[2])]
-            lines.append(TransitionLine(n_init, n_final, m_z, energy, None, intensity))
+            lines.append(TransitionLine(n_init, n_final, m_z, energy, None, intensity, (si, sf)))
     return lines
 
 

@@ -14,7 +14,9 @@ from hfspec.cli import (
     EXIT_MODEL,
     main,
 )
-from hfspec.config import MEASURED_LINES, REFERENCE_CONFIG, bundled_path
+from hfspec.config import MEASURED_LINES, REFERENCE_CONFIG, bundled_path, load_config, parse_half_integer
+from hfspec.hamiltonian import cf_levels, hf_levels_exact
+from hfspec.perturbation import delta_full
 
 runner = CliRunner()
 
@@ -170,6 +172,29 @@ def test_hf_compare_close_to_exact():
     rows = result.output.strip().splitlines()[1:]
     deviations = [abs(float(r.split(",")[3])) for r in rows]
     assert max(deviations) < 2e-3
+
+
+def test_hf_compare_takes_each_line_at_its_own_branches(tmp_path):
+    """At six times the reference a_j the 8.6-8.12 lines of one m_z lie
+    closer together than their perturbative error: each row's perturbative
+    energy is E_12 - E_6 + delta(12, sigma_f, m) - delta(6, +1, m), with
+    sigma_f the branch whose exact energy the row prints."""
+    config = tmp_path / "strong.ini"
+    config.write_text(bundled_path(REFERENCE_CONFIG).read_text().replace("a_j = 0.02703", "a_j = 0.16218"))
+    result = invoke("hf", "--config", str(config), "--transition", "8.6-8.12", "--compare")
+    assert result.exit_code == 0
+    cfg = load_config(config)
+    levels = cf_levels(cfg.cf, cfg.system)
+    exact = {(h.n, h.sigma, h.m_z): h.energy for h in hf_levels_exact(cfg.cf, cfg.hyperfine, cfg.system)}
+    rows = [row.split(",") for row in result.output.strip().splitlines()[1:]]
+    for m_text, energy, perturbative, _ in rows:
+        m = parse_half_integer(m_text)
+        s_f = min((+1, -1), key=lambda s: abs(exact[(12, s, m)] - exact[(6, +1, m)] - float(energy)))
+        assert exact[(12, s_f, m)] - exact[(6, +1, m)] == pytest.approx(float(energy), rel=0, abs=1e-4)
+        d_i = delta_full(6, +1, m, levels, cfg.hyperfine, cfg.system)
+        d_f = delta_full(12, s_f, m, levels, cfg.hyperfine, cfg.system)
+        assert float(perturbative) == float(f"{levels[11].energy + d_f - levels[5].energy - d_i:.8g}")
+    assert len({perturbative for _, _, perturbative, _ in rows}) == len(rows) == 16
 
 
 def test_hf_json_matches_csv():

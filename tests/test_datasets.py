@@ -194,7 +194,8 @@ def test_writers_write_the_recorded_bytes(tmp_path, measured):
 
 
 #: (reader, file, diagnostic): every file breaks the rule that a table's first
-#: record is its header and every later record is as wide as the header
+#: record is its header and every later record is as wide as the header, or
+#: the rule that a spectrum's wavenumbers ascend strictly
 BROKEN_TABLES = {
     "refractive-no-header": (read_refractive_points, "50,2.4\n60,2.45\n", ":1: bad header"),
     "spectrum-no-header": (read_spectrum, "1.0,0.5\n1.1,0.6\n", ":1: bad header"),
@@ -212,6 +213,8 @@ BROKEN_TABLES = {
     "spectrum-repeated-header": (
         read_spectrum, "wavenumber_cm1,absorbance\n1.0,0.5\nwavenumber_cm1,absorbance\n1.1,0.6\n", ":3: bad numeric field"
     ),
+    "spectrum-descending": (read_spectrum, "wavenumber_cm1,absorbance\n1.1,0.5\n1.0,0.6\n", ":3: wavenumber 1 does not ascend past 1.1"),
+    "spectrum-repeated": (read_spectrum, "wavenumber_cm1,absorbance\n1.1,0.5\n1.1,0.6\n", ":3: wavenumber 1.1 does not ascend past 1.1"),
     "levels-repeated-header": (
         read_expected_levels, "n,energy_cm1,irrep,jz\n1,0.00,G34,5.40\nn,energy_cm1,irrep,jz\n2,6.84,G2,\n", ":3: invalid literal"
     ),

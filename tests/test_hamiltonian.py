@@ -146,6 +146,15 @@ def test_broken_symmetry_rejected(system):
         classify_levels(vals, vecs, system)
 
 
+def test_lone_vectors_in_doublet_sectors_rejected(system):
+    """Seventeen non-degenerate basis vectors: M = -7 (sector 1) has no
+    sector-3 partner at its energy."""
+    from hfspec.hamiltonian import SymmetryError, classify_levels
+
+    with pytest.raises(SymmetryError, match=r"unpaired doublet members at 1 cm\^-1 \(sector 3: 0, sector 1: 1\)"):
+        classify_levels(np.arange(17.0), np.eye(17), system)
+
+
 def test_hf_spin_half_pair():
     sys = SpinSystem(0.5, 0.5)
     h = build_hf_hamiltonian(HyperfineConstants(1.0, 0.0), sys)

@@ -25,8 +25,11 @@ from hfspec.hamiltonian import (
 from hfspec.angular import build_jminus, build_jplus, build_jz
 from hfspec.perturbation import (_delta_over_m, delta_full, k_correction, lambda_from_exact, lambda_from_model,
                                  quadratic_m2_coefficient)
+from hfspec.spectra import transition_lines
 
 CF_NAMES = ("b20", "b40", "b44", "b60", "b64")
+#: the three ground-state transition families, and the doublet-to-doublet 1 -> 6
+LINE_FAMILIES = ((1, 2), (1, 3), (2, 3), (1, 6))
 
 scale = st.floats(min_value=0.95, max_value=1.05)
 #: CF coefficients and a_j within 5 % of the reference, b_quad near 0.04, and
@@ -292,6 +295,30 @@ def test_doublet_branches_mirror_in_m(point):
             for m_z in system.m_i:
                 plus = delta_full(level.n, +1, m_z, levels, hf, system)
                 assert plus == pytest.approx(delta_full(level.n, -1, -m_z, levels, hf, system), rel=0, abs=1e-14)
+
+
+@property_settings
+@given(s4_points)
+def test_lines_keep_their_branch_pair(point):
+    """Each line is the energy difference of its own branch pair, bit for bit,
+    and no line is listed together with its Kramers partner."""
+    cf, hf = _model(point)
+    system = HO_LIYF4
+    try:
+        hf_levels = hf_levels_exact(cf, hf, system)
+    except LabelingError:
+        return
+    energy = {(h.n, h.sigma, h.m_z): h.energy for h in hf_levels}
+    flip = {lv.n: -1 if lv.degeneracy == 2 else 1 for lv in cf_levels(cf, system)}
+    for ni, nf in LINE_FAMILIES:
+        lines = transition_lines(hf_levels, ni, nf)
+        listed = {(line.branches, line.m_z) for line in lines}
+        assert len(listed) == len(lines)
+        for line in lines:
+            si, sf = line.branches
+            assert line.energy == energy[(nf, sf, line.m_z)] - energy[(ni, si, line.m_z)]
+            if flip[ni] == -1 or flip[nf] == -1:
+                assert ((flip[ni] * si, flip[nf] * sf), -line.m_z) not in listed
 
 
 @property_settings
