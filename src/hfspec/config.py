@@ -82,11 +82,14 @@ def format_transition(j: float, n_init: int, n_final: int) -> str:
 
 
 def parse_transition_label(label: str, j: float) -> tuple[int, int]:
-    """'8.1-8.2' -> (1, 2): the inverse of format_transition."""
+    """'8.1-8.2' -> (1, 2): the inverse of format_transition; a level to itself is refused."""
     parts = label.strip().split("-")
     if len(parts) != 2:
         raise ConfigError(f"cannot parse transition label {label!r}; expected like {format_transition(j, 1, 2)!r}")
-    return parse_level(parts[0], j), parse_level(parts[1], j)
+    n_init, n_final = parse_level(parts[0], j), parse_level(parts[1], j)
+    if n_init == n_final:
+        raise ConfigError(f"transition {label!r} joins level {n_init} to itself")
+    return n_init, n_final
 
 
 def _checked(parse: Callable[[str], Any], ok: Callable[[Any], bool], rule: str) -> Callable[[str], Any]:

@@ -41,15 +41,10 @@ from .angular import (
 SIGMA_PLUS_SECTOR = 3
 SIGMA_MINUS_SECTOR = 1
 
-#: CF eigenvalues closer than this fraction of their span form one level
+#: eigenvalues of H_CF, or of H_CF + H_HF, closer than this fraction of their span are one energy
 DEGENERACY_RTOL = 1e-11
 #: maximum tolerated eigenvector weight outside its M mod 4 sector
 SECTOR_PURITY_TOL = 1e-8
-#: electron-nuclear eigenvalues closer than this (cm^-1) form one energy
-#: cluster when label confidence is judged.  Kept apart from DEGENERACY_RTOL:
-#: widening it changes which states are pooled, and with them which
-#: parameter points are refused as unlabelable.
-HF_CLUSTER_GAP = 1e-7
 #: lowest weight a label may have on its assigned energy cluster
 LABEL_CUT = 0.5
 #: parameter points whose crystal-field and electron-nuclear solves are
@@ -255,6 +250,11 @@ def _fix_phase(vec: NDArray[np.complex128]) -> NDArray[np.complex128]:
     return vec / phase
 
 
+def _new_cluster(eigvals: NDArray[np.float64]) -> NDArray[np.bool_]:
+    """True where ascending ``eigvals`` start a new energy cluster: after a gap above DEGENERACY_RTOL x their span."""
+    return np.concatenate(([True], np.diff(eigvals) > DEGENERACY_RTOL * (eigvals[-1] - eigvals[0])))
+
+
 def classify_levels(
     eigvals: NDArray[np.float64], eigvecs: NDArray[np.complex128], system: SpinSystem
 ) -> list[CFLevel]:
@@ -277,14 +277,8 @@ def classify_levels(
     sectors = _sectors(system)
     jz = build_jz(system.j).matrix
     shifted = eigvals - eigvals[0]
-    tol = DEGENERACY_RTOL * shifted[-1]
     levels: list[CFLevel] = []
-    start = 0
-    while start < len(shifted):
-        group = [start]
-        while group[-1] + 1 < len(shifted) and shifted[group[-1] + 1] - shifted[start] <= tol:
-            group.append(group[-1] + 1)
-        start = group[-1] + 1
+    for group in np.split(np.arange(len(shifted)), np.flatnonzero(_new_cluster(shifted))[1:]):
         energy = float(np.mean(shifted[group]))
         if len(group) == 1:
             members = {_check_purity(eigvecs[:, group[0]], sectors): [eigvecs[:, group[0]]]}
@@ -432,7 +426,8 @@ def hf_levels_exact(
     that each label is used exactly once.  Exactly degenerate eigenstates
     (Kramers partners, whole blocks at zero coupling) may come out of the
     eigensolver as arbitrary mixtures; mixing within one energy cluster cannot
-    change any assigned energy, so confidence is judged per cluster.
+    change any assigned energy, so confidence is judged per cluster, cut by
+    the ``DEGENERACY_RTOL`` rule that groups the CF levels.
 
     Raises LabelingError when a label's weight on its assigned energy cluster
     falls below ``LABEL_CUT``: the hyperfine coupling is then too strong for
@@ -461,7 +456,7 @@ def _hf_step(params: CFParameters, hf: HyperfineConstants, system: SpinSystem) -
     # change any assigned energy, so the label weight is summed over the
     # cluster holding the assigned eigenstate.
     # Eigenvalues ascend, so each cluster is a contiguous run of columns.
-    new_cluster = np.concatenate(([True], np.diff(eigvals) > HF_CLUSTER_GAP))
+    new_cluster = _new_cluster(eigvals)
     cluster_of = np.cumsum(new_cluster) - 1
     cluster_weight = np.add.reduceat(overlaps.T, np.flatnonzero(new_cluster))
     confidence = cluster_weight[cluster_of[cols], rows]

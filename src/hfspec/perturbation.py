@@ -31,7 +31,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .angular import SpinSystem, build_jminus, build_jplus, build_jz
-from .hamiltonian import CFLevel, HyperfineConstants, hf_levels_exact
+from .hamiltonian import CFLevel, HyperfineConstants, LabelingError, hf_levels_exact
 
 
 @dataclass(frozen=True)
@@ -93,8 +93,9 @@ def _delta_over_m(
         if other.n == n:
             continue
         de = level.energy - other.energy
-        if abs(de) < 1e-9:
-            raise ZeroDivisionError(
+        # levels of one cluster share its mean energy exactly (classify_levels)
+        if de == 0.0:
+            raise LabelingError(
                 f"levels {n} and {other.n} are degenerate: perturbative "
                 "correction diverges"
             )
@@ -127,7 +128,8 @@ def delta_full(
     """General second-order correction of level (n, sigma) at nuclear projection m_z.
 
     Sums over every branch of every other level in ``levels``; the one
-    second-order formula, for doublets and singlets alike.
+    second-order formula, for doublets and singlets alike.  Raises
+    LabelingError when another level has the same energy.
     """
     return float(_delta_over_m(n, sigma, np.array([m_z], dtype=float), levels, hf, system)[0])
 

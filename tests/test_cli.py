@@ -1,3 +1,4 @@
+import configparser
 import functools
 import hashlib
 import importlib.util
@@ -195,6 +196,45 @@ def test_hf_compare_takes_each_line_at_its_own_branches(tmp_path):
         d_f = delta_full(12, s_f, m, levels, cfg.hyperfine, cfg.system)
         assert float(perturbative) == float(f"{levels[11].energy + d_f - levels[5].energy - d_i:.8g}")
     assert len({perturbative for _, _, perturbative, _ in rows}) == len(rows) == 16
+
+
+def _scaled_reference(path, scale, a_j_factor=1.0):
+    """The bundled configuration with every [cf] and [hyperfine] value times
+    ``scale``, and a_j also times ``a_j_factor``."""
+    parser = configparser.ConfigParser()
+    parser.read(bundled_path(REFERENCE_CONFIG))
+    for section in ("cf", "hyperfine"):
+        for key, value in parser[section].items():
+            parser[section][key] = repr(float(value) * scale * (a_j_factor if key == "a_j" else 1.0))
+    with open(path, "w", encoding="utf-8") as handle:
+        parser.write(handle)
+    return str(path)
+
+
+def test_hf_compare_scales_with_the_model(tmp_path):
+    """At 1e-10 of every coupling the ground-doublet lines come out 1e-10 times
+    the reference ones; no absolute energy tolerance calls them degenerate."""
+    config = _scaled_reference(tmp_path / "small.ini", 1e-10)
+    result = invoke("hf", "--config", config, "--transition", "8.1-8.2", "--compare")
+    assert result.exit_code == 0
+    assert result.output.splitlines()[1] == "-7/2,7.3361146e-10,7.3363361e-10,2.2153079e-14"
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-4, 1e-6, 1e-10])
+def test_strong_coupling_refused_at_every_scale(tmp_path, scale):
+    """Three times the reference a_j cannot be labelled, whatever the energy scale."""
+    config = _scaled_reference(tmp_path / "strong.ini", scale, a_j_factor=3.0)
+    result = invoke("hf", "--config", config, "--transition", "8.1-8.2", "--compare")
+    assert result.exit_code == EXIT_MODEL
+    assert "weight 0.447 < 0.5" in result.output
+
+
+def test_hf_compare_at_zero_couplings_exits_model(tmp_path):
+    """With every level at one energy the perturbative correction diverges."""
+    config = _scaled_reference(tmp_path / "zero.ini", 0.0)
+    result = invoke("hf", "--config", config, "--transition", "8.1-8.2", "--compare")
+    assert result.exit_code == EXIT_MODEL
+    assert "levels 1 and 2 are degenerate" in result.output
 
 
 def test_hf_json_matches_csv():
@@ -507,6 +547,27 @@ def test_transition_in_another_manifold_exits_config(tmp_path, args):
     assert result.exit_code == EXIT_CONFIG
     assert "manifold" in result.output
     assert not out.exists()
+
+
+def test_self_transition_refused(tmp_path):
+    """A level's transition to itself has no line: refused where a transition
+    label is read, in --transition and [transitions] include (exit 3) and in
+    a dataset row (exit 4)."""
+    config = tmp_path / "self.ini"
+    config.write_text(bundled_path(REFERENCE_CONFIG).read_text().replace("include = 8.1-8.3", "include = 8.2-8.2"))
+    dataset = tmp_path / "lines.csv"
+    dataset.write_text(bundled_path(MEASURED_LINES).read_text() + "8.3-8.3,1/2,0.0,0.01\n")
+    runs = [
+        (("hf", "--transition", "8.6-8.6", "--compare"), EXIT_CONFIG, "'8.6-8.6' joins level 6 to itself"),
+        (("synth", "--config", str(config), "--output", str(tmp_path / "synth.csv")), EXIT_CONFIG,
+         "transitions.include: transition '8.2-8.2' joins level 2 to itself"),
+        (("fit", "--mode", "b", "--dataset", str(dataset)), EXIT_DATASET, "'8.3-8.3' joins level 3 to itself"),
+    ]
+    for args, code, message in runs:
+        result = invoke(*args)
+        assert result.exit_code == code
+        assert message in result.output
+    assert not (tmp_path / "synth.csv").exists()
 
 
 @pytest.mark.parametrize("row", ["jz:3.1,,5.4,0.02", "7.1-7.2,1/2,7.3,0.01"])

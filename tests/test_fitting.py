@@ -60,6 +60,16 @@ def test_first_order_prediction_edge_value(cf_params, system, levels):
     assert predicted == pytest.approx(7.35, abs=0.02)
 
 
+@pytest.mark.parametrize("n_final", [2, 3, 6])
+def test_exact_cf_row_is_the_mean_of_its_hf_rows(cf_params, hyperfine, system, n_final):
+    """A hyperfine-averaged row from the exact spectrum is the mean over m_z
+    of the eight hf rows of its transition."""
+    hf_rows = [ObservationRow("hf", 1, n_final, float(m), 0.0, 0.01) for m in system.m_i]
+    rows = [ObservationRow("cf", 1, n_final, None, 0.0, 0.05)] + hf_rows
+    predicted = predict_lines_exact(cf_params, hyperfine, rows, system)
+    assert predicted[0] == pytest.approx(np.mean(predicted[1:]), rel=0, abs=1e-12)
+
+
 def test_prediction_rejects_bad_level(cf_params, system):
     row = ObservationRow("hf", 1, 99, 0.5, 0.0, 1.0)
     with pytest.raises(ValueError, match="out of range"):

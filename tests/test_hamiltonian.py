@@ -79,16 +79,23 @@ def test_zero_cf_all_degenerate(system):
     assert all(lv.energy == 0.0 for lv in lvls)
 
 
-@pytest.mark.parametrize("scale", [1e-8, 1e-4, 1e4, 1e8])
-def test_level_grouping_is_independent_of_cf_scale(cf_params, levels, system, scale):
-    """Multiplying H_CF by a constant multiplies every level energy by it and
-    changes no irrep, degeneracy or moment."""
-    scaled = cf_levels(CFParameters(**{name: value * scale for name, value in cf_params.items()}), system)
-    span = levels[-1].energy
-    assert [(lv.irrep, lv.degeneracy) for lv in scaled] == [(lv.irrep, lv.degeneracy) for lv in levels]
-    for lv, ref in zip(scaled, levels):
-        assert lv.energy == pytest.approx(scale * ref.energy, rel=0, abs=1e-12 * scale * span)
-        assert lv.jz_expect == pytest.approx(ref.jz_expect, rel=0, abs=1e-12)
+def test_levels_split_at_the_relative_tolerance(system):
+    """On a diagonal eigensystem spanning 100 cm^-1, two sector-0 singlets
+    1e-9 of the span apart stay two levels, and a Kramers pair split by
+    1e-13 of the span stays one."""
+    from hfspec.hamiltonian import classify_levels
+
+    # M -> energy: sector-3/sector-1 pairs (M, -M) are doublets, the rest singlets
+    energy = {7: 0.0, -7: 0.0, -8: 10.0, 3: 20.0, -3: 20.0, -4: 30.0, -1: 40.0, 1: 40.0 + 1e-11,
+              0: 50.0, 4: 50.0 + 1e-7, -5: 60.0, 5: 60.0, -6: 70.0, -2: 80.0, 2: 90.0, 6: 95.0, 8: 100.0}
+    values = np.array([energy[m] for m in range(-8, 9)])
+    order = np.argsort(values)
+    levels = classify_levels(values[order], np.eye(system.dim_j)[:, order], system)
+    assert len(levels) == 13
+    assert [lv.energy for lv in levels if lv.irrep == "G1" and 49 < lv.energy < 51] == [50.0, 50.0 + 1e-7]
+    pair = [lv for lv in levels if 39 < lv.energy < 41]
+    assert [(lv.irrep, lv.degeneracy) for lv in pair] == [("G34", 2)]
+    assert pair[0].energy == pytest.approx(40.0, rel=0, abs=1e-11)
 
 
 def test_large_axial_field_is_not_refused_as_s4_breaking(cf_params, system):
@@ -223,6 +230,43 @@ def test_kramers_partner_labels_degenerate(hf_levels):
 def test_labeling_error_when_coupling_too_strong(cf_params, system):
     with pytest.raises(LabelingError):
         hf_levels_exact(cf_params, HyperfineConstants(5.0, 0.0), system)
+
+
+def _lowest_label_weight(cf, hf, system):
+    """Lowest weight of a label on its assigned energy cluster, computed apart
+    from hf_levels_exact: kron assembly, a dense solve, scipy's assignment, and
+    clusters cut at 1e-9 of the span."""
+    from scipy.optimize import linear_sum_assignment
+
+    eye = np.eye(system.dim_i)
+    full = np.kron(build_cf_hamiltonian(cf, system).matrix, eye) + build_hf_hamiltonian(hf, system).matrix
+    energies, vectors = np.linalg.eigh(full)
+    product = np.array([np.kron(lv.vectors[sigma], eye[k]) for lv in cf_levels(cf, system)
+                        for sigma in lv.branches() for k in range(system.dim_i)])
+    overlaps = np.abs(product.conj() @ vectors) ** 2
+    rows, cols = linear_sum_assignment(-overlaps)
+    cluster = np.concatenate(([0], np.cumsum(np.diff(energies) > 1e-9 * (energies[-1] - energies[0]))))
+    return min(overlaps[r, cluster == cluster[c]].sum() for r, c in zip(rows, cols))
+
+
+def test_refusal_flips_where_the_lowest_label_weight_crosses_the_cut(cf_params, hyperfine, system):
+    """Bisect the a_j factor between the reference (labelled) and 3x (refused):
+    at the crossing, near 2.688, the lowest label weight straddles 0.5."""
+
+    def refused(factor):
+        try:
+            hf_levels_exact(cf_params, HyperfineConstants(hyperfine.a_j * factor, hyperfine.b_quad), system)
+        except LabelingError:
+            return True
+        return False
+
+    lo, hi = 1.0, 3.0
+    assert not refused(lo) and refused(hi)
+    while hi - lo > 1e-7:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (lo, mid) if refused(mid) else (mid, hi)
+    assert 0.5 <= _lowest_label_weight(cf_params, HyperfineConstants(hyperfine.a_j * lo, hyperfine.b_quad), system) < 0.5 + 1e-6
+    assert 0.5 - 1e-6 < _lowest_label_weight(cf_params, HyperfineConstants(hyperfine.a_j * hi, hyperfine.b_quad), system) < 0.5
 
 
 def test_selection_rules_on_reference_eigenbasis(levels, system):

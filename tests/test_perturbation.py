@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hfspec.hamiltonian import HyperfineConstants, hf_levels_exact
+from hfspec.hamiltonian import HyperfineConstants, LabelingError, hf_levels_exact
 from hfspec.perturbation import (
     delta_full,
     k_correction,
@@ -236,5 +236,5 @@ def test_degenerate_interfering_level_rejected(cf_params, system, levels):
     from hfspec.hamiltonian import CFLevel
 
     clone = CFLevel(99, levels[0].energy, "G2", 1, 0.0, {+1: levels[1].vectors[+1]})
-    with pytest.raises(ZeroDivisionError):
+    with pytest.raises(LabelingError, match="levels 1 and 99 are degenerate"):
         delta_full(1, +1, 0.5, levels + [clone], HyperfineConstants(0.01, 0.0), system)

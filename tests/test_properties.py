@@ -4,7 +4,7 @@ import pickle
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hfspec import CF_HO_LIYF4, HO_LIYF4, HYPERFINE_HO_LIYF4, hamiltonian
@@ -319,6 +319,52 @@ def test_lines_keep_their_branch_pair(point):
             assert line.energy == energy[(nf, sf, line.m_z)] - energy[(ni, si, line.m_z)]
             if flip[ni] == -1 or flip[nf] == -1:
                 assert ((flip[ni] * si, flip[nf] * sf), -line.m_z) not in listed
+
+
+def _scale_observables(cf, hf, system):
+    """What scaling the couplings must scale (energies) or leave alone (the rest):
+    CF levels, each level's correction at every m_z on each branch, and, unless
+    the point is refused, the labelled spectrum and the lines of LINE_FAMILIES."""
+    levels = cf_levels(cf, system)
+    structure = [(lv.n, lv.irrep, lv.degeneracy) for lv in levels]
+    energies = [lv.energy for lv in levels]
+    moments = [lv.jz_expect for lv in levels]
+    for lv in levels:
+        for sigma in lv.branches():
+            energies += [delta_full(lv.n, sigma, m_z, levels, hf, system) for m_z in system.m_i]
+    try:
+        hf_levels = hf_levels_exact(cf, hf, system)
+    except LabelingError:
+        return "refused", structure, energies, moments
+    structure += [(h.n, h.sigma, h.m_z) for h in hf_levels]
+    energies += [h.energy for h in hf_levels]
+    for ni, nf in LINE_FAMILIES:
+        lines = transition_lines(hf_levels, ni, nf)
+        structure += [(line.branches, line.m_z) for line in lines]
+        energies += [line.energy for line in lines]
+    return "labelled", structure, energies, moments
+
+
+@property_settings
+@given(s4_points, st.lists(st.floats(min_value=-12, max_value=6), min_size=3, max_size=3))
+@example(((1.0,) * len(CF_NAMES), 1.0, 0.04, 0.0), [-6.0, -10.0, 6.0])
+def test_model_scales_with_its_couplings(point, exponents):
+    """H is homogeneous of degree 1 in (B_k^q, a_j, b_quad): scaling all of
+    them by s = 10^e scales every energy by s to 1e-9 of s times the CF span,
+    and changes no label, irrep, branch pair, moment or refusal; with a_j as
+    drawn and three times larger, on either side of the label cut (few drawn
+    points are refused at 3x; the reference, the explicit example, is)."""
+    cf, hf = _model(point)
+    system = HO_LIYF4
+    span = cf_levels(cf, system)[-1].energy
+    for a_j in (hf.a_j, 3 * hf.a_j):
+        verdict, structure, energies, moments = _scale_observables(cf, HyperfineConstants(a_j, hf.b_quad), system)
+        for s in 10.0 ** np.array(exponents):
+            scaled_cf = CFParameters(**{name: value * s for name, value in cf.items()})
+            got = _scale_observables(scaled_cf, HyperfineConstants(a_j * s, hf.b_quad * s), system)
+            assert got[:2] == (verdict, structure)
+            np.testing.assert_allclose(got[2], s * np.array(energies), rtol=0, atol=1e-9 * s * span)
+            np.testing.assert_allclose(got[3], moments, rtol=0, atol=1e-9)
 
 
 @property_settings
