@@ -79,6 +79,18 @@ def test_zero_cf_all_degenerate(system):
     assert all(lv.energy == 0.0 for lv in lvls)
 
 
+@pytest.mark.parametrize("scale", [1e-8, 1e-4, 1e4, 1e8])
+def test_level_grouping_is_independent_of_cf_scale(cf_params, levels, system, scale):
+    """Multiplying H_CF by a constant multiplies every level energy by it and
+    changes no irrep, degeneracy or moment."""
+    scaled = cf_levels(CFParameters(**{name: value * scale for name, value in cf_params.items()}), system)
+    span = levels[-1].energy
+    assert [(lv.irrep, lv.degeneracy) for lv in scaled] == [(lv.irrep, lv.degeneracy) for lv in levels]
+    for lv, ref in zip(scaled, levels):
+        assert lv.energy == pytest.approx(scale * ref.energy, rel=0, abs=1e-12 * scale * span)
+        assert lv.jz_expect == pytest.approx(ref.jz_expect, rel=0, abs=1e-12)
+
+
 def test_levels_split_at_the_relative_tolerance(system):
     """On a diagonal eigensystem spanning 100 cm^-1, two sector-0 singlets
     1e-9 of the span apart stay two levels, and a Kramers pair split by
