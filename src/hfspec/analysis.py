@@ -29,7 +29,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .fitting import LSQSolution, covariance_from_jacobian, damped_least_squares
-from .spectra import PeakModel, Spectrum, TransitionLine
+from .spectra import PeakModel, Spectrum, TransitionLine, _peak_profile
 
 #: difference-series index per (n_init, n_final) family
 FAMILY_INDEX = {(2, 3): 1, (1, 2): 2, (1, 3): 3}
@@ -234,8 +234,8 @@ def fit_peaks(
 
     def model(x):
         total = np.zeros_like(grid)
-        for c, a, f in zip(*np.split(x, 3)):
-            total += PeakModel(shape, float(c), float(f), float(a)).profile(grid)
+        for c, a, f in zip(*x.reshape(3, -1).tolist()):
+            total += _peak_profile(shape, c, f, a, grid)
         return total
 
     def residual(x):

@@ -11,8 +11,8 @@ m_z accepts rationals like -7/2 or decimals.  Level labels are
 '<manifold>.<n>' and must name the manifold j of the model (8 unless
 read_dataset is told otherwise).  Every number must be finite.
 Refractive-index data uses columns nu_cm1,n[,sigma_n] (wavenumber_cm1 is
-accepted for nu_cm1) with sigma_n > 0; spectra use wavenumber_cm1,absorbance
-with strictly ascending wavenumbers; the reference level table uses
+accepted for nu_cm1) with sigma_n > 0; spectra are written with columns
+wavenumber_cm1,absorbance; the reference level table uses
 n,energy_cm1,irrep,jz.
 
 Every file is one table: its first record is the header, in any case, and
@@ -146,19 +146,6 @@ def read_refractive_points(path: str | Path) -> np.ndarray:
 def write_spectrum(path: str | Path, spectrum: Spectrum) -> None:
     text = format_table(_SPECTRUM_COLUMNS, zip(spectrum.grid, spectrum.absorbance))
     Path(path).write_text(text, encoding="utf-8", newline="\n")
-
-
-def read_spectrum(path: str | Path) -> Spectrum:
-    path = Path(path)
-    data = []
-    for number, fields in _table(path, [_SPECTRUM_COLUMNS]):
-        data.append([_number(path, number, f) for f in fields])
-        if len(data) > 1 and not data[-1][0] > data[-2][0]:
-            raise DatasetError(f"{path}:{number}: wavenumber {data[-1][0]:g} does not ascend past {data[-2][0]:g}")
-    if not data:
-        raise DatasetError(f"{path}: no data rows")
-    grid, absorbance = np.array(data).T
-    return Spectrum(grid, absorbance)
 
 
 def read_expected_levels(path: str | Path) -> list[dict]:

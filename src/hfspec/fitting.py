@@ -27,7 +27,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .angular import SpinSystem
-from .hamiltonian import CF_COEFFICIENTS, CFParameters, HyperfineConstants, cf_levels, hf_levels_exact
+from .hamiltonian import CF_COEFFICIENTS, CFParameters, HyperfineConstants, _cf_step, _hf_step, cf_levels
 
 #: free parameters of fit_cf_aj: every CF coefficient but the gauged b4m4, then a_j
 CF_AJ_PARAM_NAMES = tuple(name for name in CF_COEFFICIENTS if name != "b4m4") + ("a_j",)
@@ -323,20 +323,29 @@ def predict_lines_first_order(
     plain CF energy difference (the first-order shift averages out over m_z);
     moment rows as jz of the requested level.
     """
-    levels = cf_levels(params, system)
-    _check_level_range(rows, len(levels), system.i)
-    by_n = {lv.n: lv for lv in levels}
-    out = np.empty(len(rows))
-    for k, row in enumerate(rows):
-        if row.kind == "moment":
-            out[k] = by_n[row.n_init].jz_expect
-            continue
-        init = by_n[row.n_init]
-        final = by_n[row.n_final]
-        out[k] = final.energy - init.energy
-        if row.kind == "hf":
-            out[k] += a_j * (final.jz_expect - init.jz_expect) * row.m_z
-    return out
+    return _first_order_predictor(rows, system)(params, a_j)
+
+
+def _first_order_predictor(rows: list[ObservationRow], system: SpinSystem):
+    """predict_lines_first_order as a function of (params, a_j); each row's
+    levels are indexed once, and checked against the levels of every point."""
+    init = np.array([row.n_init - 1 for row in rows], dtype=int)
+    final = np.array([row.n_init - 1 if row.n_final is None else row.n_final - 1 for row in rows], dtype=int)
+    hf = np.array([row.kind == "hf" for row in rows], dtype=bool)
+    moment = np.array([row.kind == "moment" for row in rows], dtype=bool)
+    m_z = np.array([row.m_z for row in rows if row.kind == "hf"], dtype=float)
+
+    def predict(params: CFParameters, a_j: float) -> NDArray[np.float64]:
+        levels = cf_levels(params, system)
+        _check_level_range(rows, len(levels), system.i)
+        energy = np.array([level.energy for level in levels])
+        jz = np.array([level.jz_expect for level in levels])
+        out = energy[final] - energy[init]
+        out[hf] += a_j * (jz[final[hf]] - jz[init[hf]]) * m_z
+        out[moment] = jz[init[moment]]
+        return out
+
+    return predict
 
 
 def fit_cf_aj(
@@ -355,8 +364,8 @@ def fit_cf_aj(
     full0 = dict(initial.items(), a_j=initial_aj)
     values = np.array([full0[n] for n in CF_AJ_PARAM_NAMES])
 
-    def predict(x: NDArray[np.float64]) -> NDArray[np.float64]:
-        return predict_lines_first_order(*_cf_aj_point(x, initial), dataset.rows, system)
+    at_point = _first_order_predictor(dataset.rows, system)
+    predict = lambda x: at_point(*_cf_aj_point(x, initial))
 
     return _weighted_fit(CF_AJ_PARAM_NAMES, dataset.rows, predict, values, np.maximum(np.abs(values), 1e-8))
 
@@ -392,22 +401,29 @@ def predict_lines_exact(
 
 
 def _exact_predictor(params: CFParameters, rows: list[ObservationRow], system: SpinSystem):
-    """predict_lines_exact as a function of the hyperfine constants alone;
-    the rows' levels are checked once."""
-    levels = cf_levels(params, system)
-    _check_level_range(rows, len(levels), system.i)
+    """predict_lines_exact as a function of the hyperfine constants alone.
+
+    H_CF is solved, the rows' levels checked and each row mapped to the
+    indices of its labels, once; every evaluation gathers from the label
+    energies that ``_hf_step`` returns.
+    """
+    point = _cf_step(params, system)
+    _check_level_range(rows, len(point.levels), system.i)
+    index = {label: k for k, label in enumerate(point.product_basis[1])}
+    at = lambda n, m_z: index[(n, +1, float(m_z))]
+    hf_rows, cf_rows, moment_rows = ([k for k, row in enumerate(rows) if row.kind == kind] for kind in ROW_KINDS)
+    hf_init = [at(rows[k].n_init, rows[k].m_z) for k in hf_rows]
+    hf_final = [at(rows[k].n_final, rows[k].m_z) for k in hf_rows]
+    cf_init = [[at(rows[k].n_init, m) for m in system.m_i] for k in cf_rows]
+    cf_final = [[at(rows[k].n_final, m) for m in system.m_i] for k in cf_rows]
+    moments = [point.levels[rows[k].n_init - 1].jz_expect for k in moment_rows]
 
     def predict(hf: HyperfineConstants) -> NDArray[np.float64]:
-        energy = {(h.n, h.sigma, h.m_z): h.energy for h in hf_levels_exact(params, hf, system)}
+        energy = _hf_step(params, hf, system).energies
         out = np.empty(len(rows))
-        for k, row in enumerate(rows):
-            if row.kind == "moment":
-                out[k] = levels[row.n_init - 1].jz_expect
-            elif row.kind == "cf":
-                diffs = [energy[(row.n_final, +1, m)] - energy[(row.n_init, +1, m)] for m in system.m_i]
-                out[k] = float(np.mean(diffs))
-            else:
-                out[k] = energy[(row.n_final, +1, row.m_z)] - energy[(row.n_init, +1, row.m_z)]
+        out[moment_rows] = moments
+        out[cf_rows] = [float(np.mean(diffs)) for diffs in energy[cf_final] - energy[cf_init]]
+        out[hf_rows] = energy[hf_final] - energy[hf_init]
         return out
 
     return predict
@@ -422,9 +438,10 @@ def fit_b(
 ) -> FitResult:
     """One-parameter fit of the quadrupolar constant at fixed CF parameters.
 
-    H_CF is solved once per fit, as the point ``cf_levels`` remembers; each
-    objective evaluation solves the full electron-nuclear Hamiltonian;
-    see ``predict_lines_exact``.
+    H_CF is solved once per fit, and each row mapped to its label indices
+    once; each objective evaluation solves the full electron-nuclear
+    Hamiltonian and gathers the rows from its label energies; see
+    ``predict_lines_exact``.
     """
     _check_enough_rows(len(dataset.rows), 1, "rows")
     predict = _exact_predictor(params, dataset.rows, system)

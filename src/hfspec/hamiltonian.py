@@ -20,9 +20,8 @@ throughout, for hyperfine levels as well, so that hyperfine corrections read
 directly as (energy - parent CF energy).
 """
 
-from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 from numpy.typing import NDArray
@@ -194,60 +193,48 @@ def _sectors(system: SpinSystem) -> NDArray[np.int64]:
     return np.mod(system.m_j, 4).astype(int)
 
 
-def _split_cluster_by_sector(
-    vecs: NDArray[np.complex128], sectors: NDArray[np.int64]
-) -> dict[int, list[NDArray[np.complex128]]]:
-    """Resolve a degenerate eigenspace into sector-pure orthonormal vectors,
-    and check each one's purity.
+def _resolve_clusters(
+    eigvecs: NDArray[np.complex128],
+    in_sector: NDArray[np.bool_],
+    starts: list[int],
+    sizes: list[int],
+    occupied: list[list[bool]],
+) -> dict[int, dict[int, list[NDArray[np.complex128]]]]:
+    """Resolve every degenerate cluster into sector-pure orthonormal vectors:
+    {cluster: {sector: members}}.
 
-    Projecting the cluster basis onto each M mod 4 sector and keeping the
-    left singular vectors with singular value near 1 recovers the symmetry-
-    adapted basis regardless of how the eigensolver mixed degenerate states.
-    For a G34 doublet this coincides with diagonalizing J_z on the pair.
+    Projecting a cluster's eigenvectors onto one M mod 4 sector and keeping
+    the left singular vectors with singular value above 0.5 recovers the
+    symmetry-adapted basis however the eigensolver mixed the degenerate
+    states; for a G34 doublet this coincides with diagonalizing J_z on the
+    pair.  Those vectors are zero outside the sector by construction.  The
+    projections of all clusters of one size onto each sector they occupy
+    (``occupied``, sector x cluster) go to one stacked SVD, which makes the
+    same LAPACK call on each matrix as an SVD of that projection alone.
     """
-    size = vecs.shape[1]
-    members: dict[int, list[NDArray[np.complex128]]] = {}
-    total = 0
-    for s in range(4):
-        in_sector = sectors == s
-        # sigma_max <= Frobenius norm, so such a sector has no member
-        if np.linalg.norm(vecs[in_sector, :]) <= 0.5:
-            continue
-        proj = np.zeros_like(vecs)
-        proj[in_sector, :] = vecs[in_sector, :]
+    resolved: dict[int, dict[int, list[NDArray[np.complex128]]]] = {}
+    for size in sorted({size for size in sizes if size > 1}):
+        pairs = [(c, s) for c, n in enumerate(sizes) if n == size for s in range(4) if occupied[s][c]]
+        columns = np.array([starts[c] for c, _ in pairs])[:, None] + np.arange(size)
+        mask = in_sector[[s for _, s in pairs]]
+        proj = np.where(mask[:, :, None], eigvecs[:, columns].transpose(1, 0, 2), 0.0)
         u, sv, _ = np.linalg.svd(proj, full_matrices=False)
-        count = int(np.sum(sv > 0.5))
-        if count:
-            members[s] = [u[:, c] for c in range(count)]
-            total += count
-    if total != size:
-        raise SymmetryError(
-            "degenerate eigenspace does not decompose into M mod 4 sectors "
-            f"(cluster size {size}, sector members {total}); "
-            "the Hamiltonian breaks S4 symmetry"
-        )
-    for sector_members in members.values():
-        for vec in sector_members:
-            _check_purity(vec, sectors)
-    return members
+        for (c, s), u_p, count in zip(pairs, u, np.sum(sv > 0.5, axis=1).tolist()):
+            if count:
+                resolved.setdefault(c, {})[s] = [u_p[:, k] for k in range(count)]
+    return resolved
 
 
-def _check_purity(vec: NDArray[np.complex128], sectors: NDArray[np.int64]) -> int:
-    weights = np.bincount(sectors, weights=np.abs(vec) ** 2, minlength=4)
-    sector = int(np.argmax(weights))
-    if 1.0 - weights[sector] > SECTOR_PURITY_TOL:
-        raise SymmetryError(
-            f"eigenvector has weight {1.0 - weights[sector]:.3e} outside its "
-            f"M mod 4 sector; the Hamiltonian breaks S4 symmetry"
-        )
-    return sector
-
-
-def _fix_phase(vec: NDArray[np.complex128]) -> NDArray[np.complex128]:
-    """Rotate the global phase so the largest component is real positive."""
-    k = int(np.argmax(np.abs(vec)))
-    phase = vec[k] / abs(vec[k])
-    return vec / phase
+def _fix_phases(vectors: list[NDArray[np.complex128]]) -> NDArray[np.complex128]:
+    """The vectors as read-only rows, each rotated by a global phase so its
+    largest component is real positive.  The phase is taken one vector at a
+    time, as the scalar vec[k] / abs(vec[k]): the array abs differs from the
+    scalar one in the last bit."""
+    stacked = np.array(vectors)
+    pivots = stacked[np.arange(len(stacked)), np.argmax(np.abs(stacked), axis=1)]
+    fixed = stacked / np.array([p / abs(p) for p in pivots])[:, None]
+    fixed.setflags(write=False)
+    return fixed
 
 
 def _new_cluster(eigvals: NDArray[np.float64]) -> NDArray[np.bool_]:
@@ -268,26 +255,56 @@ def classify_levels(
     the ground level is 0; levels are numbered n = 1, 2, ... as they are
     made, in ascending energy.
 
+    The work is batched: one product gives every eigenvector's weight in
+    each sector, one ``np.add.reduceat`` every level energy (the mean of its
+    cluster), and ``_resolve_clusters`` one stacked SVD per cluster size.
+    What stays per vector is the phase (``_fix_phases``) and per doublet
+    <J_z>, so every number equals that of one SVD per (cluster, sector) and
+    one phase fix per vector, bit for bit.
+
     Raises SymmetryError, which signals a symmetry-breaking Hamiltonian,
-    when an eigenvector has mixed-sector support beyond tolerance, when a
-    degenerate level does not resolve into sector-pure members, or when a
-    level's sector-3 and sector-1 members do not pair up (a lone eigenvector
-    in a doublet sector among them).
+    when a non-degenerate eigenvector has mixed-sector support beyond
+    ``SECTOR_PURITY_TOL``, when a degenerate level does not resolve into
+    sector-pure members, or when a level's sector-3 and sector-1 members do
+    not pair up (a lone eigenvector in a doublet sector among them).
     """
     sectors = _sectors(system)
     jz = build_jz(system.j).matrix
     shifted = eigvals - eigvals[0]
-    levels: list[CFLevel] = []
-    for group in np.split(np.arange(len(shifted)), np.flatnonzero(_new_cluster(shifted))[1:]):
-        energy = float(np.mean(shifted[group]))
-        if len(group) == 1:
-            members = {_check_purity(eigvecs[:, group[0]], sectors): [eigvecs[:, group[0]]]}
+    first = np.flatnonzero(_new_cluster(shifted))
+    starts = first.tolist()
+    sizes = [stop - start for start, stop in zip(starts, starts[1:] + [len(shifted)])]
+    energies = (np.add.reduceat(shifted, first) / sizes).tolist()
+    in_sector = np.arange(4)[:, None] == sectors
+    # weight of each eigenvector (column) in each sector (row)
+    weights = in_sector @ np.abs(eigvecs) ** 2
+    sector_of, impurity = np.argmax(weights, axis=0).tolist(), (1.0 - np.max(weights, axis=0)).tolist()
+    # sigma_max <= Frobenius norm, so a sector of weight <= 0.25 in a cluster has no member there
+    occupied = (np.add.reduceat(weights, first, axis=1) > 0.25).tolist()
+    resolved = _resolve_clusters(eigvecs, in_sector, starts, sizes, occupied)
+
+    vectors: list[NDArray[np.complex128]] = []
+    made: list[tuple[float, str]] = []
+    for c, (start, size, energy) in enumerate(zip(starts, sizes, energies)):
+        if size == 1:
+            if impurity[start] > SECTOR_PURITY_TOL:
+                raise SymmetryError(
+                    f"eigenvector has weight {impurity[start]:.3e} outside its "
+                    f"M mod 4 sector; the Hamiltonian breaks S4 symmetry"
+                )
+            members = {sector_of[start]: [eigvecs[:, start]]}
         else:
-            members = _split_cluster_by_sector(eigvecs[:, group], sectors)
+            members = resolved.get(c, {})
+            if (total := sum(map(len, members.values()))) != size:
+                raise SymmetryError(
+                    "degenerate eigenspace does not decompose into M mod 4 sectors "
+                    f"(cluster size {size}, sector members {total}); "
+                    "the Hamiltonian breaks S4 symmetry"
+                )
         for s, irrep in ((0, "G1"), (2, "G2")):
             for vec in members.get(s, []):
-                # time reversal leaves a singlet no moment; <vec|J_z|vec> is rounding noise
-                levels.append(CFLevel(len(levels) + 1, energy, irrep, 1, 0.0, {+1: _fix_phase(vec)}))
+                vectors.append(vec)
+                made.append((energy, irrep))
         plus = members.get(SIGMA_PLUS_SECTOR, [])
         minus = members.get(SIGMA_MINUS_SECTOR, [])
         if len(plus) != len(minus):
@@ -295,25 +312,73 @@ def classify_levels(
                 f"unpaired doublet members at {energy:.8g} cm^-1 (sector 3: {len(plus)}, "
                 f"sector 1: {len(minus)}); the time-reversal partner is missing"
             )
-        # order multiple doublets within one cluster by <J_z> for determinism
-        plus = sorted(plus, key=lambda v: np.real(v.conj() @ jz @ v))
-        minus = sorted(minus, key=lambda v: -np.real(v.conj() @ jz @ v))
+        if len(plus) > 1:
+            # order multiple doublets within one cluster by <J_z> for determinism
+            plus = sorted(plus, key=lambda v: np.real(v.conj() @ jz @ v))
+            minus = sorted(minus, key=lambda v: -np.real(v.conj() @ jz @ v))
         for vp, vm in zip(plus, minus):
-            vp, vm = _fix_phase(vp), _fix_phase(vm)
-            jz_exp = float(np.real(vp.conj() @ jz @ vp))
-            levels.append(CFLevel(len(levels) + 1, energy, "G34", 2, jz_exp, {+1: vp, -1: vm}))
+            vectors += [vp, vm]
+            made.append((energy, "G34"))
+
+    fixed = iter(_fix_phases(vectors))
+    levels = []
+    for n, (energy, irrep) in enumerate(made, 1):
+        if irrep == "G34":
+            vp, vm = next(fixed), next(fixed)
+            levels.append(CFLevel(n, energy, irrep, 2, float(np.real(vp.conj() @ jz @ vp)), {+1: vp, -1: vm}))
+        else:
+            # time reversal leaves a singlet no moment; <vec|J_z|vec> is rounding noise
+            levels.append(CFLevel(n, energy, irrep, 1, 0.0, {+1: next(fixed)}))
     return levels
 
 
+class _SolvedCF:
+    """H_CF at one parameter point, solved and classified: H_CF, its lowest
+    eigenvalue and its levels, and ``product_basis``, built on first use."""
+
+    def __init__(self, params: CFParameters, system: SpinSystem) -> None:
+        self.system = system
+        self.matrix = build_cf_hamiltonian(params, system).matrix
+        eigvals, eigvecs = np.linalg.eigh(self.matrix)
+        self.e_ground = eigvals[0]
+        self.levels = tuple(classify_levels(eigvals, eigvecs, system))
+
+    @cached_property
+    def product_basis(
+        self,
+    ) -> tuple[NDArray[np.complex128], list[tuple[int, int, float]], NDArray[np.complex128], list[float]]:
+        """(kron(H_CF, 1), labels, branches, parents) of the CF x nuclear product states.
+
+        Labels (n, sigma, m_z) run over levels, then branches (sigma = +1
+        first), then m_z ascending.  ``branches`` holds the conjugated branch
+        vectors, one row per (level, sigma), for ``_product_overlaps``;
+        ``parents`` the CF energy of each label's level.
+        """
+        system = self.system
+        labels: list[tuple[int, int, float]] = []
+        parents: list[float] = []
+        branch_vectors = []
+        for level in self.levels:
+            for sigma in level.branches():
+                branch_vectors.append(level.vectors[sigma])
+                labels.extend((level.n, sigma, float(m_z)) for m_z in system.m_i)
+                parents.extend([level.energy] * system.dim_i)
+        kron = np.kron(self.matrix, np.eye(system.dim_i))
+        return kron, labels, np.array(branch_vectors).conj(), parents
+
+
 @lru_cache(maxsize=SOLVE_CACHE_SIZE)
-def _cf_step(
-    params: CFParameters, system: SpinSystem
-) -> tuple[OperatorMatrix, float, tuple[CFLevel, ...]]:
-    """Build H_CF, solve it and classify its levels: (H_CF, its lowest
-    eigenvalue, the levels).  Remembered for the last point solved."""
-    cf_op = build_cf_hamiltonian(params, system)
-    eigvals, eigvecs = np.linalg.eigh(cf_op.matrix)
-    return cf_op, eigvals[0], tuple(classify_levels(eigvals, eigvecs, system))
+def _cf_step(params: CFParameters, system: SpinSystem) -> _SolvedCF:
+    """H_CF built, solved and classified at one point; remembered for the last point solved.
+
+    All the point holds is fixed by (params, system), so it is held once:
+    H_CF, its lowest eigenvalue and the levels, and, from the first
+    electron-nuclear solve there on, kron(H_CF, 1), the labels, the
+    conjugated branch vectors and each label's parent energy.  Each
+    ``_hf_step`` at the point builds only H_HF; a point that only
+    ``cf_levels`` asks for (a ``fit_cf_aj`` step) never builds the rest.
+    """
+    return _SolvedCF(params, system)
 
 
 def cf_levels(params: CFParameters, system: SpinSystem) -> list[CFLevel]:
@@ -324,7 +389,7 @@ def cf_levels(params: CFParameters, system: SpinSystem) -> list[CFLevel]:
     same numbers without a new solve.  Each call returns a fresh list, but the
     levels in it are shared between calls, and their vectors are read-only.
     """
-    return list(_cf_step(params, system)[2])
+    return list(_cf_step(params, system).levels)
 
 
 def linear_sum_assignment(
@@ -396,24 +461,17 @@ def _augment(
 
 
 def _product_overlaps(
-    levels: Sequence[CFLevel], eigvecs: NDArray[np.complex128], system: SpinSystem
-) -> tuple[list[tuple[int, int, float]], NDArray[np.float64]]:
-    """Labels (n, sigma, m_z) of the CF x nuclear product states, and the
-    squared overlap of each with each eigenvector (labels x eigenstates).
+    branches: NDArray[np.complex128], eigvecs: NDArray[np.complex128], system: SpinSystem
+) -> NDArray[np.float64]:
+    """Squared overlap of each CF x nuclear product state with each
+    eigenvector (labels x eigenstates), in ``_SolvedCF.product_basis`` order.
 
-    Labels run over levels, then branches (sigma = +1 first), then m_z
-    ascending.  <vec x e_k|u> = sum over M of conj(vec[M]) u[M dim_i + k], so
-    one product of the branch vectors with the eigenvectors regrouped by the
+    <vec x e_k|u> = sum over M of conj(vec[M]) u[M dim_i + k], so one product
+    of the conjugated branch vectors with the eigenvectors regrouped by the
     electronic index M gives every overlap.
     """
-    labels: list[tuple[int, int, float]] = []
-    branch_vectors = []
-    for level in levels:
-        for sigma in level.branches():
-            branch_vectors.append(level.vectors[sigma])
-            labels.extend((level.n, sigma, float(m_z)) for m_z in system.m_i)
-    amp = np.array(branch_vectors).conj() @ eigvecs.reshape(system.dim_j, -1)
-    return labels, np.abs(amp.reshape(len(labels), -1)) ** 2
+    amp = branches @ eigvecs.reshape(system.dim_j, -1)
+    return np.abs(amp.reshape(len(branches) * system.dim_i, -1)) ** 2
 
 
 def hf_levels_exact(
@@ -437,29 +495,55 @@ def hf_levels_exact(
     returns a fresh list of (immutable) levels.  A refusal is not
     remembered: a point that cannot be labelled raises again on every call.
     """
-    return list(_hf_step(params, hf, system))
+    return list(_hf_step(params, hf, system).levels)
+
+
+class _SolvedHF:
+    """H_CF + H_HF solved and labelled at one point: the energy of each label
+    of the CF point, read-only, in ``product_basis`` order, and ``levels``,
+    built on first use; ``fit_b`` reads only the energies."""
+
+    def __init__(self, point: _SolvedCF, energies: NDArray[np.float64]) -> None:
+        self.point, self.energies = point, energies
+
+    @cached_property
+    def levels(self) -> tuple[HFLevel, ...]:
+        _, labels, _, parents = self.point.product_basis
+        return tuple(
+            HFLevel(n, sigma, m_z, energy, energy - parent)
+            for (n, sigma, m_z), energy, parent in zip(labels, self.energies.tolist(), parents)
+        )
 
 
 @lru_cache(maxsize=SOLVE_CACHE_SIZE)
-def _hf_step(params: CFParameters, hf: HyperfineConstants, system: SpinSystem) -> tuple[HFLevel, ...]:
-    """Solve and label H_CF + H_HF; see ``hf_levels_exact``."""
-    cf_op, e_ground, levels = _cf_step(params, system)
-    full = np.kron(cf_op.matrix, np.eye(system.dim_i)) + build_hf_hamiltonian(hf, system).matrix
-    eigvals, eigvecs = np.linalg.eigh(full)
-    eigvals = eigvals - e_ground
+def _hf_step(params: CFParameters, hf: HyperfineConstants, system: SpinSystem) -> _SolvedHF:
+    """Solve and label H_CF + H_HF; see ``hf_levels_exact``.
 
-    labels, overlaps = _product_overlaps(levels, eigvecs, system)
+    Per call it builds only H_HF, adds it to the held kron(H_CF, 1), solves,
+    takes one overlap product and the assignment, and checks each label's
+    weight on its cluster.
+    """
+    point = _cf_step(params, system)
+    kron, labels, branches, _ = point.product_basis
+    eigvals, eigvecs = np.linalg.eigh(kron + build_hf_hamiltonian(hf, system).matrix)
+    eigvals = eigvals - point.e_ground
+
+    overlaps = _product_overlaps(branches, eigvecs, system)
     rows, cols = linear_sum_assignment(-overlaps)
 
     # Confidence is judged per degenerate cluster: mixing among eigenstates of
     # equal energy (Kramers pairs, or whole blocks at zero coupling) cannot
     # change any assigned energy, so the label weight is summed over the
-    # cluster holding the assigned eigenstate.
+    # cluster holding the assigned eigenstate.  That sum of non-negative
+    # overlaps is at least the assigned overlap, so it is formed only when
+    # some assigned overlap is below the cut.
     # Eigenvalues ascend, so each cluster is a contiguous run of columns.
-    new_cluster = _new_cluster(eigvals)
-    cluster_of = np.cumsum(new_cluster) - 1
-    cluster_weight = np.add.reduceat(overlaps.T, np.flatnonzero(new_cluster))
-    confidence = cluster_weight[cluster_of[cols], rows]
+    confidence = overlaps[rows, cols]
+    if confidence.min() < LABEL_CUT:
+        new_cluster = _new_cluster(eigvals)
+        cluster_of = np.cumsum(new_cluster) - 1
+        cluster_weight = np.add.reduceat(overlaps.T, np.flatnonzero(new_cluster))
+        confidence = cluster_weight[cluster_of[cols], rows]
     failing = np.flatnonzero(confidence < LABEL_CUT)
     if failing.size:
         first = failing[0]
@@ -472,8 +556,6 @@ def _hf_step(params: CFParameters, hf: HyperfineConstants, system: SpinSystem) -
         )
 
     # rows come back ascending, and labels already run in (n, -sigma, m_z) order
-    parent = {lv.n: lv.energy for lv in levels}
-    return tuple(
-        HFLevel(n, sigma, m_z, energy, energy - parent[n])
-        for (n, sigma, m_z), energy in zip(labels, eigvals[cols].tolist())
-    )
+    energies = eigvals[cols]
+    energies.setflags(write=False)
+    return _SolvedHF(point, energies)

@@ -62,17 +62,25 @@ class PeakModel:
             raise ValueError(f"fwhm must be positive, got {self.fwhm}")
 
     def profile(self, grid: NDArray[np.float64]) -> NDArray[np.float64]:
-        x = np.asarray(grid, dtype=float) - self.center
-        if self.shape == "gaussian":
-            return self.amplitude * np.exp(-4.0 * math.log(2.0) * x**2 / self.fwhm**2)
-        half = 0.5 * self.fwhm
-        return self.amplitude * half**2 / (x**2 + half**2)
+        return _peak_profile(self.shape, self.center, self.fwhm, self.amplitude, np.asarray(grid, dtype=float))
 
     def area(self) -> float:
         """Integral over the full line; Lorentzian tails converge slowly."""
         if self.shape == "gaussian":
             return self.amplitude * self.fwhm * 0.5 * math.sqrt(math.pi / math.log(2.0))
         return self.amplitude * math.pi * 0.5 * self.fwhm
+
+
+def _peak_profile(
+    shape: str, center: float, fwhm: float, amplitude: float, grid: NDArray[np.float64]
+) -> NDArray[np.float64]:
+    """``PeakModel(shape, center, fwhm, amplitude).profile(grid)`` on a float
+    array ``grid``, for callers that have checked shape and FWHM already."""
+    x = grid - center
+    if shape == "gaussian":
+        return amplitude * np.exp(-4.0 * math.log(2.0) * x**2 / fwhm**2)
+    half = 0.5 * fwhm
+    return amplitude * half**2 / (x**2 + half**2)
 
 
 @dataclass(frozen=True)

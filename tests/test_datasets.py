@@ -10,7 +10,6 @@ from hfspec.datasets import (
     read_dataset,
     read_expected_levels,
     read_refractive_points,
-    read_spectrum,
     write_dataset,
     write_spectrum,
 )
@@ -81,9 +80,11 @@ def test_spectrum_round_trip(tmp_path):
     spec = Spectrum(grid, np.sin(grid))
     path = tmp_path / "spec.csv"
     write_spectrum(path, spec)
-    back = read_spectrum(path)
-    assert np.allclose(back.grid, grid, atol=1e-7)
-    assert np.allclose(back.absorbance, np.sin(grid), atol=1e-7)
+    header, *rows = path.read_text().splitlines()
+    assert header == "wavenumber_cm1,absorbance"
+    back = np.array([[float(cell) for cell in row.split(",")] for row in rows])
+    assert np.allclose(back[:, 0], grid, atol=1e-7)
+    assert np.allclose(back[:, 1], np.sin(grid), atol=1e-7)
 
 
 def test_data_dir_override(tmp_path, monkeypatch):
@@ -110,7 +111,7 @@ def test_non_finite_dataset_cell_rejected(tmp_path, row):
         read_dataset(path)
 
 
-def test_non_finite_refractive_and_spectrum_cells_rejected(tmp_path):
+def test_non_finite_refractive_cells_rejected(tmp_path):
     path = tmp_path / "n.csv"
     path.write_text("nu_cm1,n\n50,2.4\n60,inf\n70,2.5\n80,2.6\n")
     with pytest.raises(DatasetError, match=":3: bad numeric field"):
@@ -118,9 +119,6 @@ def test_non_finite_refractive_and_spectrum_cells_rejected(tmp_path):
     path.write_text("nu_cm1,n,sigma_n\n50,2.4,0.01\n60,2.45,nan\n")
     with pytest.raises(DatasetError, match=":3: bad numeric field"):
         read_refractive_points(path)
-    path.write_text("wavenumber_cm1,absorbance\n1.0,0.5\n1.1,nan\n")
-    with pytest.raises(DatasetError, match=":3: bad numeric field"):
-        read_spectrum(path)
 
 
 @pytest.mark.parametrize("label", ["jz:3.1", "jz:8.6.7", "7.1-7.2", "8.1-9.2"])
@@ -142,12 +140,12 @@ def test_dataset_in_half_integer_manifold(tmp_path):
 
 
 def test_missing_and_undecodable_files_are_dataset_errors(tmp_path):
-    for reader in (read_dataset, read_refractive_points, read_spectrum):
+    for reader in (read_dataset, read_refractive_points):
         with pytest.raises(DatasetError, match="not found"):
             reader(tmp_path / "gone.csv")
     path = tmp_path / "latin1.csv"
     path.write_bytes(HEADER.encode() + b"8.1-8.2,1/2,7.3,0.01 # caf\xe9\n")
-    for reader in (read_dataset, read_refractive_points, read_spectrum):
+    for reader in (read_dataset, read_refractive_points):
         with pytest.raises(DatasetError, match="latin1.csv"):
             reader(path)
 
@@ -194,27 +192,17 @@ def test_writers_write_the_recorded_bytes(tmp_path, measured):
 
 
 #: (reader, file, diagnostic): every file breaks the rule that a table's first
-#: record is its header and every later record is as wide as the header, or
-#: the rule that a spectrum's wavenumbers ascend strictly
+#: record is its header and every later record is as wide as the header
 BROKEN_TABLES = {
     "refractive-no-header": (read_refractive_points, "50,2.4\n60,2.45\n", ":1: bad header"),
-    "spectrum-no-header": (read_spectrum, "1.0,0.5\n1.1,0.6\n", ":1: bad header"),
     "levels-no-header": (read_expected_levels, "1,0.00,G34,5.40\n2,6.84,G2,\n", ":1: bad header"),
     "refractive-blank-cell": (read_refractive_points, "nu_cm1,n,sigma_n\n10,,0.01\n20,,0.01\n", ":2: bad numeric field"),
-    "spectrum-blank-cell": (read_spectrum, "wavenumber_cm1,absorbance\n1.0,0.5\n1.1,\n", ":3: bad numeric field"),
     "levels-blank-cell": (read_expected_levels, "n,energy_cm1,irrep,jz\n1,0.00,G34,5.40\n2,,G2,\n", ":3: bad numeric field"),
     "refractive-wider": (read_refractive_points, "nu_cm1,n\n50,2.4,0.01\n60,2.45,0.01\n", ":2: expected 2 columns, got 3"),
-    "spectrum-wider": (read_spectrum, "wavenumber_cm1,absorbance\n1.0,0.5\n1.1,0.6,0.7\n", ":3: expected 2 columns, got 3"),
     "levels-wider": (read_expected_levels, "n,energy_cm1,irrep,jz\n1,0.00,G34,5.40,1\n", ":2: expected 4 columns, got 5"),
     "refractive-narrower": (read_refractive_points, "nu_cm1,n,sigma_n\n50,2.4\n60,2.45\n", ":2: expected 3 columns, got 2"),
-    "spectrum-narrower": (read_spectrum, "wavenumber_cm1,absorbance\n1.0,0.5\n1.1\n", ":3: expected 2 columns, got 1"),
     "levels-narrower": (read_expected_levels, "n,energy_cm1,irrep,jz\n1,0.00,G34\n", ":2: expected 4 columns, got 3"),
     "refractive-repeated-header": (read_refractive_points, "nu_cm1,n\n50,2.4\nnu_cm1,n\n60,2.45\n", ":3: bad numeric field"),
-    "spectrum-repeated-header": (
-        read_spectrum, "wavenumber_cm1,absorbance\n1.0,0.5\nwavenumber_cm1,absorbance\n1.1,0.6\n", ":3: bad numeric field"
-    ),
-    "spectrum-descending": (read_spectrum, "wavenumber_cm1,absorbance\n1.1,0.5\n1.0,0.6\n", ":3: wavenumber 1 does not ascend past 1.1"),
-    "spectrum-repeated": (read_spectrum, "wavenumber_cm1,absorbance\n1.1,0.5\n1.1,0.6\n", ":3: wavenumber 1.1 does not ascend past 1.1"),
     "levels-repeated-header": (
         read_expected_levels, "n,energy_cm1,irrep,jz\n1,0.00,G34,5.40\nn,energy_cm1,irrep,jz\n2,6.84,G2,\n", ":3: invalid literal"
     ),
@@ -230,7 +218,7 @@ def test_table_rules(tmp_path, case):
         reader(path)
 
 
-@pytest.mark.parametrize("reader", [read_dataset, read_refractive_points, read_spectrum, read_expected_levels])
+@pytest.mark.parametrize("reader", [read_dataset, read_refractive_points, read_expected_levels])
 def test_file_without_records_has_no_header(tmp_path, reader):
     path = tmp_path / "empty.csv"
     path.write_text("# only a comment\n\n")

@@ -174,6 +174,25 @@ def test_lone_vectors_in_doublet_sectors_rejected(system):
         classify_levels(np.arange(17.0), np.eye(17), system)
 
 
+def test_singlets_with_weight_in_another_sector_rejected(system):
+    """Seventeen basis vectors at energies where M and -M pair up in the
+    sectors 1 and 3, so that the system classifies into 13 levels; then the
+    M = 0 and M = 2 singlets are turned into each other, so that each carries
+    1e-4 of its weight in the other's M mod 4 sector."""
+    from hfspec.hamiltonian import SymmetryError, classify_levels
+
+    m = system.m_j
+    energy = np.where(m % 2 == 0, 20.0 + m, np.abs(m))
+    order = np.argsort(energy, kind="stable")
+    eigvecs = np.eye(system.dim_j, dtype=complex)
+    assert len(classify_levels(energy[order], eigvecs[:, order], system)) == 13
+    turned = [np.flatnonzero(m == 0)[0], np.flatnonzero(m == 2)[0]]
+    c, s = np.sqrt(1.0 - 1e-4), 1e-2
+    eigvecs[:, turned] = eigvecs[:, turned] @ np.array([[c, -s], [s, c]])
+    with pytest.raises(SymmetryError, match=r"weight 1\.000e-04 outside its M mod 4 sector"):
+        classify_levels(energy[order], eigvecs[:, order], system)
+
+
 def test_hf_spin_half_pair():
     sys = SpinSystem(0.5, 0.5)
     h = build_hf_hamiltonian(HyperfineConstants(1.0, 0.0), sys)

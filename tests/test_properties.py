@@ -1,7 +1,9 @@
 """Property tests over random S4 parameter sets around the Ho:LiYF4 reference."""
 
+import math
 import pickle
 
+import model_oracle
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -20,6 +22,7 @@ from hfspec.hamiltonian import (
     build_cf_hamiltonian,
     build_hf_hamiltonian,
     cf_levels,
+    classify_levels,
     hf_levels_exact,
 )
 from hfspec.angular import build_jminus, build_jplus, build_jz
@@ -184,7 +187,8 @@ def test_product_overlaps_equal_kron_columns(point):
     _, eigvecs = np.linalg.eigh(full)
     levels = cf_levels(cf, system)
 
-    labels, overlaps = _product_overlaps(levels, eigvecs, system)
+    _, labels, branches, _ = hamiltonian._cf_step(cf, system).product_basis
+    overlaps = _product_overlaps(branches, eigvecs, system)
 
     columns, expected_labels = [], []
     for level in levels:
@@ -386,3 +390,106 @@ def test_remembered_solves_equal_fresh_ones(point):
     hamiltonian._hf_step.cache_clear()
     cold = pickle.dumps(results())
     assert pickle.dumps(results()) == cold
+
+
+def _levels_bits(levels) -> bytes:
+    """Every number of CF levels, floats and vectors as their bytes."""
+    return pickle.dumps([(lv.n, lv.energy, lv.irrep, lv.degeneracy, lv.jz_expect,
+                          [(sigma, vec.tobytes()) for sigma, vec in lv.vectors.items()]) for lv in levels])
+
+
+def _outcome(fn, *args):
+    """fn(*args) pickled, or the class of the refusal it raised."""
+    try:
+        return pickle.dumps(fn(*args))
+    except (LabelingError, hamiltonian.SymmetryError) as exc:
+        return type(exc).__name__
+
+
+#: s4_points, with b4m4 a share of b44 and every coupling scaled by 1, 1e-8 or 1e8
+oracle_points = st.tuples(s4_points, st.floats(min_value=-0.3, max_value=0.3), st.sampled_from([1.0, 1e-8, 1e8]))
+
+
+def _oracle_model(point):
+    (s4_point, b4m4_share, scale) = point
+    cf, hf = _model(s4_point)
+    values = dict(cf.items(), b4m4=cf.b44 * b4m4_share)
+    return (CFParameters(**{name: value * scale for name, value in values.items()}),
+            HyperfineConstants(hf.a_j * scale, hf.b_quad * scale))
+
+
+@property_settings
+@given(oracle_points)
+def test_classify_levels_equals_the_one_at_a_time_oracle(point):
+    """The batched classifier gives the bits of one SVD per (cluster, sector)
+    and one phase fix per vector (``model_oracle.classify_levels``)."""
+    cf, _ = _oracle_model(point)
+    system = HO_LIYF4
+    eigvals, eigvecs = np.linalg.eigh(build_cf_hamiltonian(cf, system).matrix)
+    expected = _outcome(lambda: _levels_bits(model_oracle.classify_levels(eigvals, eigvecs, system)))
+    assert _outcome(lambda: _levels_bits(classify_levels(eigvals, eigvecs, system))) == expected
+
+
+@property_settings
+@given(oracle_points, st.booleans())
+def test_fit_b_predictor_equals_the_per_evaluation_oracle(point, zero_field):
+    """fit_b's predictor, and hf_levels_exact, give the bits of a model that
+    solves, labels and builds its levels afresh at every evaluation
+    (``model_oracle``), and refuse where it refuses; at zero field whole CF
+    levels form one energy cluster."""
+    cf, hf = _oracle_model(point)
+    system = HO_LIYF4
+    if zero_field:
+        hf = HyperfineConstants(0.0, 0.0)
+    predict = _exact_predictor(cf, ALL_KINDS, system)
+    oracle = model_oracle.exact_predictor(cf, ALL_KINDS, system)
+    for b_quad in (hf.b_quad, 0.0, 0.5 * hf.b_quad):
+        trial = HyperfineConstants(hf.a_j, b_quad)
+        expected = _outcome(oracle, trial)
+        assert _outcome(predict, trial) == expected
+        assert _outcome(hf_levels_exact, cf, trial, system) == _outcome(model_oracle.hf_levels, cf, trial, system)
+
+
+def _rotated(cf: CFParameters, phi: float) -> CFParameters:
+    """The crystal field turned by phi about the c-axis: each (B_k^4, B_k^-4) pair turns by 4 phi."""
+    c, s = math.cos(4 * phi), math.sin(4 * phi)
+    return CFParameters(b20=cf.b20, b40=cf.b40, b60=cf.b60,
+                        b44=c * cf.b44 + s * cf.b4m4, b4m4=c * cf.b4m4 - s * cf.b44,
+                        b64=c * cf.b64 + s * cf.b6m4, b6m4=c * cf.b6m4 - s * cf.b64)
+
+
+def _gauge_observables(cf, hf, system):
+    """Labels and numbers that a turn about the c-axis must leave alone."""
+    levels = cf_levels(cf, system)
+    structure = [(lv.n, lv.irrep, lv.degeneracy) for lv in levels]
+    numbers = [lv.energy for lv in levels] + [lv.jz_expect for lv in levels]
+    numbers += list(lambda_from_model(levels, hf, system).as_tuple())
+    try:
+        hf_levels = hf_levels_exact(cf, hf, system)
+    except LabelingError:
+        return "refused", structure, numbers
+    structure += [(h.n, h.sigma, h.m_z) for h in hf_levels]
+    numbers += [h.energy for h in hf_levels]
+    for ni, nf in LINE_FAMILIES:
+        lines = transition_lines(hf_levels, ni, nf)
+        structure += [(line.branches, line.m_z) for line in lines]
+        numbers += [line.energy for line in lines]
+    return "labelled", structure, numbers
+
+
+@property_settings
+@given(s4_points, st.floats(min_value=-0.3, max_value=0.3), st.floats(min_value=0.0, max_value=math.pi / 2))
+def test_turn_about_the_c_axis_changes_nothing(point, b4m4_share, phi):
+    """b4m4 is a gauge: turning the field by phi about c maps (B_4^4, B_4^-4)
+    and (B_6^4, B_6^-4) through 4 phi and leaves every CF energy, irrep and
+    <J_z>, lambda_from_model, the labelled spectrum and the lines of
+    LINE_FAMILIES unchanged, to 1e-11 of the CF span.  The turned H_CF is
+    complex, so this also runs the classifier on complex eigenvectors."""
+    cf, hf = _model(point)
+    cf = CFParameters(**dict(cf.items(), b4m4=cf.b44 * b4m4_share))
+    system = HO_LIYF4
+    span = cf_levels(cf, system)[-1].energy
+    verdict, structure, numbers = _gauge_observables(cf, hf, system)
+    got = _gauge_observables(_rotated(cf, phi), hf, system)
+    assert got[:2] == (verdict, structure)
+    np.testing.assert_allclose(got[2], numbers, rtol=0, atol=1e-11 * span)
