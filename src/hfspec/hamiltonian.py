@@ -312,10 +312,9 @@ def classify_levels(
                 f"unpaired doublet members at {energy:.8g} cm^-1 (sector 3: {len(plus)}, "
                 f"sector 1: {len(minus)}); the time-reversal partner is missing"
             )
-        if len(plus) > 1:
-            # order multiple doublets within one cluster by <J_z> for determinism
-            plus = sorted(plus, key=lambda v: np.real(v.conj() @ jz @ v))
-            minus = sorted(minus, key=lambda v: -np.real(v.conj() @ jz @ v))
+        # order multiple doublets within one cluster by <J_z> for determinism
+        plus = sorted(plus, key=lambda v: np.real(v.conj() @ jz @ v))
+        minus = sorted(minus, key=lambda v: -np.real(v.conj() @ jz @ v))
         for vp, vm in zip(plus, minus):
             vectors += [vp, vm]
             made.append((energy, "G34"))
@@ -534,16 +533,12 @@ def _hf_step(params: CFParameters, hf: HyperfineConstants, system: SpinSystem) -
     # Confidence is judged per degenerate cluster: mixing among eigenstates of
     # equal energy (Kramers pairs, or whole blocks at zero coupling) cannot
     # change any assigned energy, so the label weight is summed over the
-    # cluster holding the assigned eigenstate.  That sum of non-negative
-    # overlaps is at least the assigned overlap, so it is formed only when
-    # some assigned overlap is below the cut.
+    # cluster holding the assigned eigenstate.
     # Eigenvalues ascend, so each cluster is a contiguous run of columns.
-    confidence = overlaps[rows, cols]
-    if confidence.min() < LABEL_CUT:
-        new_cluster = _new_cluster(eigvals)
-        cluster_of = np.cumsum(new_cluster) - 1
-        cluster_weight = np.add.reduceat(overlaps.T, np.flatnonzero(new_cluster))
-        confidence = cluster_weight[cluster_of[cols], rows]
+    new_cluster = _new_cluster(eigvals)
+    cluster_of = np.cumsum(new_cluster) - 1
+    cluster_weight = np.add.reduceat(overlaps.T, np.flatnonzero(new_cluster))
+    confidence = cluster_weight[cluster_of[cols], rows]
     failing = np.flatnonzero(confidence < LABEL_CUT)
     if failing.size:
         first = failing[0]

@@ -273,3 +273,17 @@ def test_zero_amplitude_peak_has_infinite_variance():
     assert np.all(np.isinf(variance[flat]))
     kept = np.delete(variance, flat)
     assert np.all(np.isfinite(kept)) and np.all(kept > 0)
+
+
+def test_fwhm_probe_below_zero_is_refused():
+    """One sample 1e-9 after another sets the FWHM lower bound to 1e-9.  The
+    spare profile's FWHM falls to that bound, and the Jacobian probe, a step
+    of 1e-6 times the start width, would put it below 0, where both profile
+    formulas give the mirrored profile of |FWHM|.  The fit refuses that
+    evaluation instead of returning a covariance built from it."""
+    base = np.arange(23.48, 23.58, 0.0005)
+    grid = np.sort(np.append(base, base[20] + 1e-9))
+    signal = PeakModel("gaussian", 23.527, 0.0090, 1.0).profile(grid)
+    signal = signal + 0.003 * np.random.default_rng(0).standard_normal(grid.size)
+    with pytest.raises(ValueError, match="fwhm must be positive"):
+        fit_peaks(Spectrum(grid, signal), 2, "gaussian")
