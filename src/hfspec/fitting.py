@@ -27,7 +27,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .angular import SpinSystem
-from .hamiltonian import CF_COEFFICIENTS, CFParameters, HyperfineConstants, _cf_step, _hf_step, cf_levels
+from .hamiltonian import CF_COEFFICIENTS, CFParameters, HyperfineConstants, _cf_point, cf_levels
 
 #: free parameters of fit_cf_aj: every CF coefficient but the gauged b4m4, then a_j
 CF_AJ_PARAM_NAMES = tuple(name for name in CF_COEFFICIENTS if name != "b4m4") + ("a_j",)
@@ -403,11 +403,11 @@ def predict_lines_exact(
 def _exact_predictor(params: CFParameters, rows: list[ObservationRow], system: SpinSystem):
     """predict_lines_exact as a function of the hyperfine constants alone.
 
-    H_CF is solved, the rows' levels checked and each row mapped to the
-    indices of its labels, once; every evaluation gathers from the label
-    energies that ``_hf_step`` returns.
+    The solved H_CF point is taken, the rows' levels checked and each row
+    mapped to the indices of its labels, once; every evaluation gathers from
+    the label energies that the point's ``label`` returns.
     """
-    point = _cf_step(params, system)
+    point = _cf_point(params, system)
     _check_level_range(rows, len(point.levels), system.i)
     index = {label: k for k, label in enumerate(point.product_basis[1])}
     at = lambda n, m_z: index[(n, +1, float(m_z))]
@@ -419,7 +419,7 @@ def _exact_predictor(params: CFParameters, rows: list[ObservationRow], system: S
     moments = [point.levels[rows[k].n_init - 1].jz_expect for k in moment_rows]
 
     def predict(hf: HyperfineConstants) -> NDArray[np.float64]:
-        energy = _hf_step(params, hf, system).energies
+        energy = point.label(hf)
         out = np.empty(len(rows))
         out[moment_rows] = moments
         out[cf_rows] = [float(np.mean(diffs)) for diffs in energy[cf_final] - energy[cf_init]]
@@ -438,10 +438,10 @@ def fit_b(
 ) -> FitResult:
     """One-parameter fit of the quadrupolar constant at fixed CF parameters.
 
-    H_CF is solved once per fit, and each row mapped to its label indices
-    once; each objective evaluation solves the full electron-nuclear
-    Hamiltonian and gathers the rows from its label energies; see
-    ``predict_lines_exact``.
+    H_CF is solved once per fit and the solved point held, and each row
+    mapped to its label indices once; each objective evaluation solves the
+    full electron-nuclear Hamiltonian at the held point and gathers the rows
+    from its label energies; see ``predict_lines_exact``.
     """
     _check_enough_rows(len(dataset.rows), 1, "rows")
     predict = _exact_predictor(params, dataset.rows, system)

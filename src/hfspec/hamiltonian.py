@@ -46,9 +46,6 @@ DEGENERACY_RTOL = 1e-11
 SECTOR_PURITY_TOL = 1e-8
 #: lowest weight a label may have on its assigned energy cluster
 LABEL_CUT = 0.5
-#: parameter points whose crystal-field and electron-nuclear solves are
-#: remembered: the last one only, which is all a forward model or fit_b repeats
-SOLVE_CACHE_SIZE = 1
 #: CFParameters field of each Stevens coefficient, in SUPPORTED_STEVENS
 #: order: B_k^q is "b<k><q>", with "m" for a negative q (b4m4 is B_4^-4)
 CF_COEFFICIENTS = tuple(f"b{k}{'m' if q < 0 else ''}{abs(q)}" for k, q in SUPPORTED_STEVENS)
@@ -333,7 +330,10 @@ def classify_levels(
 
 class _SolvedCF:
     """H_CF at one parameter point, solved and classified: H_CF, its lowest
-    eigenvalue and its levels, and ``product_basis``, built on first use."""
+    eigenvalue and its levels, and ``product_basis``, built on first use, so
+    a point that only ``cf_levels`` asks for (a ``fit_cf_aj`` step) never
+    builds it.  ``label`` solves H_CF + H_HF at the point; ``fit_b`` holds
+    one point and calls it at every evaluation."""
 
     def __init__(self, params: CFParameters, system: SpinSystem) -> None:
         self.system = system
@@ -365,30 +365,68 @@ class _SolvedCF:
         kron = np.kron(self.matrix, np.eye(system.dim_i))
         return kron, labels, np.array(branch_vectors).conj(), parents
 
+    def label(self, hf: HyperfineConstants) -> NDArray[np.float64]:
+        """Solve and label H_CF + H_HF; see ``hf_levels_exact``.  Returns the
+        energy of each label, read-only, in ``product_basis`` order.
 
-@lru_cache(maxsize=SOLVE_CACHE_SIZE)
-def _cf_step(params: CFParameters, system: SpinSystem) -> _SolvedCF:
-    """H_CF built, solved and classified at one point; remembered for the last point solved.
+        Per call it builds only H_HF, adds it to the held kron(H_CF, 1),
+        solves, takes one overlap product and the assignment, and checks each
+        label's weight on its cluster.
+        """
+        system = self.system
+        kron, labels, branches, _ = self.product_basis
+        eigvals, eigvecs = np.linalg.eigh(kron + build_hf_hamiltonian(hf, system).matrix)
+        eigvals = eigvals - self.e_ground
 
-    All the point holds is fixed by (params, system), so it is held once:
-    H_CF, its lowest eigenvalue and the levels, and, from the first
-    electron-nuclear solve there on, kron(H_CF, 1), the labels, the
-    conjugated branch vectors and each label's parent energy.  Each
-    ``_hf_step`` at the point builds only H_HF; a point that only
-    ``cf_levels`` asks for (a ``fit_cf_aj`` step) never builds the rest.
-    """
+        overlaps = _product_overlaps(branches, eigvecs, system)
+        rows, cols = linear_sum_assignment(-overlaps)
+
+        # Confidence is judged per degenerate cluster: mixing among eigenstates of
+        # equal energy (Kramers pairs, or whole blocks at zero coupling) cannot
+        # change any assigned energy, so the label weight is summed over the
+        # cluster holding the assigned eigenstate.
+        # Eigenvalues ascend, so each cluster is a contiguous run of columns.
+        new_cluster = _new_cluster(eigvals)
+        cluster_of = np.cumsum(new_cluster) - 1
+        cluster_weight = np.add.reduceat(overlaps.T, np.flatnonzero(new_cluster))
+        confidence = cluster_weight[cluster_of[cols], rows]
+        failing = np.flatnonzero(confidence < LABEL_CUT)
+        if failing.size:
+            first = failing[0]
+            n, sigma, m_z = labels[rows[first]]
+            raise LabelingError(
+                f"ambiguous labelling: state (n={n}, sigma={sigma:+d}, m_z={m_z}) "
+                f"has weight {confidence[first]:.3f} < {LABEL_CUT} on its assigned "
+                "energy cluster; hyperfine constants too large for perturbative "
+                "labelling"
+            )
+
+        # rows come back ascending, and labels already run in (n, -sigma, m_z) order
+        energies = eigvals[cols]
+        energies.setflags(write=False)
+        return energies
+
+
+# The two memos below remember the last point asked for.  They serve one call
+# pattern: a forward model asks cf_levels, hf_levels_exact and then
+# lambda_from_exact about one point in turn (perfbench's forward_scan op).
+# That model part takes 4.0 ms with them and 8.3 ms with both cleared (median
+# of 200 points, OpenBLAS 0.3.31 on one thread, 2-core Xeon).  fit_b does not
+# use them per evaluation: it holds its point and calls label.
+@lru_cache(maxsize=1)
+def _cf_point(params: CFParameters, system: SpinSystem) -> _SolvedCF:
     return _SolvedCF(params, system)
 
 
 def cf_levels(params: CFParameters, system: SpinSystem) -> list[CFLevel]:
     """Diagonalize H_CF and classify: the standard entry point.
 
-    The last parameter point solved is remembered (``SOLVE_CACHE_SIZE``), so
-    asking again for it, here or through ``hf_levels_exact``, returns the
-    same numbers without a new solve.  Each call returns a fresh list, but the
-    levels in it are shared between calls, and their vectors are read-only.
+    The last parameter point asked for is remembered, so asking again for
+    it, here or through ``hf_levels_exact``, returns the same numbers without
+    a new solve.  Each call returns a fresh list, but the levels in it are
+    shared between calls, and their vectors are read-only.
     """
-    return list(_cf_step(params, system).levels)
+    return list(_cf_point(params, system).levels)
 
 
 def linear_sum_assignment(
@@ -490,67 +528,19 @@ def hf_levels_exact(
     falls below ``LABEL_CUT``: the hyperfine coupling is then too strong for
     perturbative labelling to mean anything, and we report rather than guess.
 
-    Like ``cf_levels``, the last point solved is remembered and each call
-    returns a fresh list of (immutable) levels.  A refusal is not
-    remembered: a point that cannot be labelled raises again on every call.
+    The last point asked for is remembered, with the H_CF that ``cf_levels``
+    solved there, and each call returns a fresh list of (immutable) levels.
+    A refusal is not remembered: a point that cannot be labelled raises
+    again on every call.
     """
-    return list(_hf_step(params, hf, system).levels)
+    return list(_hf_levels(params, hf, system))
 
 
-class _SolvedHF:
-    """H_CF + H_HF solved and labelled at one point: the energy of each label
-    of the CF point, read-only, in ``product_basis`` order, and ``levels``,
-    built on first use; ``fit_b`` reads only the energies."""
-
-    def __init__(self, point: _SolvedCF, energies: NDArray[np.float64]) -> None:
-        self.point, self.energies = point, energies
-
-    @cached_property
-    def levels(self) -> tuple[HFLevel, ...]:
-        _, labels, _, parents = self.point.product_basis
-        return tuple(
-            HFLevel(n, sigma, m_z, energy, energy - parent)
-            for (n, sigma, m_z), energy, parent in zip(labels, self.energies.tolist(), parents)
-        )
-
-
-@lru_cache(maxsize=SOLVE_CACHE_SIZE)
-def _hf_step(params: CFParameters, hf: HyperfineConstants, system: SpinSystem) -> _SolvedHF:
-    """Solve and label H_CF + H_HF; see ``hf_levels_exact``.
-
-    Per call it builds only H_HF, adds it to the held kron(H_CF, 1), solves,
-    takes one overlap product and the assignment, and checks each label's
-    weight on its cluster.
-    """
-    point = _cf_step(params, system)
-    kron, labels, branches, _ = point.product_basis
-    eigvals, eigvecs = np.linalg.eigh(kron + build_hf_hamiltonian(hf, system).matrix)
-    eigvals = eigvals - point.e_ground
-
-    overlaps = _product_overlaps(branches, eigvecs, system)
-    rows, cols = linear_sum_assignment(-overlaps)
-
-    # Confidence is judged per degenerate cluster: mixing among eigenstates of
-    # equal energy (Kramers pairs, or whole blocks at zero coupling) cannot
-    # change any assigned energy, so the label weight is summed over the
-    # cluster holding the assigned eigenstate.
-    # Eigenvalues ascend, so each cluster is a contiguous run of columns.
-    new_cluster = _new_cluster(eigvals)
-    cluster_of = np.cumsum(new_cluster) - 1
-    cluster_weight = np.add.reduceat(overlaps.T, np.flatnonzero(new_cluster))
-    confidence = cluster_weight[cluster_of[cols], rows]
-    failing = np.flatnonzero(confidence < LABEL_CUT)
-    if failing.size:
-        first = failing[0]
-        n, sigma, m_z = labels[rows[first]]
-        raise LabelingError(
-            f"ambiguous labelling: state (n={n}, sigma={sigma:+d}, m_z={m_z}) "
-            f"has weight {confidence[first]:.3f} < {LABEL_CUT} on its assigned "
-            "energy cluster; hyperfine constants too large for perturbative "
-            "labelling"
-        )
-
-    # rows come back ascending, and labels already run in (n, -sigma, m_z) order
-    energies = eigvals[cols]
-    energies.setflags(write=False)
-    return _SolvedHF(point, energies)
+@lru_cache(maxsize=1)
+def _hf_levels(params: CFParameters, hf: HyperfineConstants, system: SpinSystem) -> tuple[HFLevel, ...]:
+    point = _cf_point(params, system)
+    _, labels, _, parents = point.product_basis
+    return tuple(
+        HFLevel(n, sigma, m_z, energy, energy - parent)
+        for (n, sigma, m_z), energy, parent in zip(labels, point.label(hf).tolist(), parents)
+    )

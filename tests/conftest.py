@@ -18,8 +18,8 @@ def cold_solves():
     """Start every test with nothing remembered by the crystal-field and
     electron-nuclear solves, so a test counting solves or swapping a solver
     sees its own calls."""
-    hamiltonian._cf_step.cache_clear()
-    hamiltonian._hf_step.cache_clear()
+    hamiltonian._cf_point.cache_clear()
+    hamiltonian._hf_levels.cache_clear()
 
 
 @pytest.fixture(scope="session")

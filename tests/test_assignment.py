@@ -79,7 +79,7 @@ def _scan_points():
 def test_labels_equal_those_from_scipy_assignment(oracle, monkeypatch, cf, hf, system):
     ours = hf_levels_exact(cf, hf, system)
     monkeypatch.setattr(hamiltonian, "linear_sum_assignment", oracle)
-    hamiltonian._hf_step.cache_clear()  # else the second call reads the first's result
+    hamiltonian._hf_levels.cache_clear()  # else the second call reads the first's result
     assert hf_levels_exact(cf, hf, system) == ours
 
 

@@ -187,6 +187,20 @@ def test_engine_iteration_cap(monkeypatch):
         damped_least_squares(f, np.array([0.0]), x_scale=np.array([1.0]))
 
 
+def test_engine_stops_only_where_the_gradient_vanishes():
+    """r(x) = 1 + |x| + g x has its minimum at x = 0 with a kink there: every
+    step is uphill, and the central-difference gradient is g.  A gradient of
+    1e-4 is no stationary point, so the engine must refuse; at g = 0 it
+    stays at x = 0."""
+    def residual(g):
+        return lambda x: np.array([1.0 + abs(x[0]) + g * x[0]])
+
+    with pytest.raises(ConvergenceError, match="no downhill step"):
+        damped_least_squares(residual(1e-4), np.array([0.0]), x_scale=np.array([1.0]))
+    solution = damped_least_squares(residual(0.0), np.array([0.0]), x_scale=np.array([1.0]))
+    assert solution.x[0] == 0.0
+
+
 # -------------------------------------------------------------- cf + a_j fit
 
 def test_noiseless_round_trip(cf_params, system):
@@ -316,6 +330,17 @@ def test_fit_b_classifies_h_cf_once(monkeypatch, measured, cf_params, system):
     result = fit_b(measured, cf_params, A_J_REF, system)
     assert result.n_iter > 1
     assert len(calls) == 1
+
+
+def test_fit_b_takes_its_solved_point_once(monkeypatch, measured, cf_params, system):
+    """fit_b asks for its solved CF point once and holds it through every
+    evaluation, rather than looking the point up again each time."""
+    calls = []
+    take = fitting._cf_point
+    monkeypatch.setattr(fitting, "_cf_point", lambda *args: calls.append(1) or take(*args))
+    fit_b(measured, cf_params, A_J_REF, system)
+    assert len(calls) == 1
+
 
 def test_fit_b_synthetic_round_trip(cf_params, system):
     truth = HyperfineConstants(A_J_REF, 0.059)

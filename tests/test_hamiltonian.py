@@ -193,6 +193,22 @@ def test_singlets_with_weight_in_another_sector_rejected(system):
         classify_levels(energy[order], eigvecs[:, order], system)
 
 
+def test_doublets_sharing_one_energy_pair_m_with_minus_m(system):
+    """The diagonal spectrum above with E(+-3) = E(+-1): the doublets
+    (-1, 1) and (3, -3) share one energy, and each sigma = -1 member must be
+    the time reverse (M -> -M) of its sigma = +1 member."""
+    from hfspec.hamiltonian import classify_levels
+
+    m = system.m_j
+    energy = np.where(m % 2 == 0, 20.0 + m, np.where(np.abs(m) == 3, 1.0, np.abs(m)))
+    order = np.argsort(energy, kind="stable")
+    levels = classify_levels(energy[order], np.eye(system.dim_j, dtype=complex)[:, order], system)
+    shared = [lv for lv in levels if lv.energy == 0.0]
+    assert [lv.degeneracy for lv in shared] == [2, 2]
+    for level in shared:
+        np.testing.assert_array_equal(np.abs(level.vectors[-1]), np.abs(level.vectors[+1])[::-1])
+
+
 def test_hf_spin_half_pair():
     sys = SpinSystem(0.5, 0.5)
     h = build_hf_hamiltonian(HyperfineConstants(1.0, 0.0), sys)
@@ -381,8 +397,8 @@ def test_refused_point_is_refused_again(cf_params, hyperfine, system):
     and a good point solved after it gives its cold-cache bits."""
     cold = pickle.dumps(hf_levels_exact(cf_params, hyperfine, system))
     # forget it, so that the good point below is solved after the refusals
-    hamiltonian._cf_step.cache_clear()
-    hamiltonian._hf_step.cache_clear()
+    hamiltonian._cf_point.cache_clear()
+    hamiltonian._hf_levels.cache_clear()
     strong = HyperfineConstants(5.0, 0.0)
     for _ in range(2):
         with pytest.raises(LabelingError):

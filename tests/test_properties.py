@@ -187,7 +187,7 @@ def test_product_overlaps_equal_kron_columns(point):
     _, eigvecs = np.linalg.eigh(full)
     levels = cf_levels(cf, system)
 
-    _, labels, branches, _ = hamiltonian._cf_step(cf, system).product_basis
+    _, labels, branches, _ = hamiltonian._cf_point(cf, system).product_basis
     overlaps = _product_overlaps(branches, eigvecs, system)
 
     columns, expected_labels = [], []
@@ -386,8 +386,8 @@ def test_remembered_solves_equal_fresh_ones(point):
         except LabelingError as exc:
             return str(exc)
 
-    hamiltonian._cf_step.cache_clear()
-    hamiltonian._hf_step.cache_clear()
+    hamiltonian._cf_point.cache_clear()
+    hamiltonian._hf_levels.cache_clear()
     cold = pickle.dumps(results())
     assert pickle.dumps(results()) == cold
 
