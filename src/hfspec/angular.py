@@ -87,10 +87,6 @@ class OperatorMatrix:
         mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
 
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
 
 # The forward model needs the same few operators on every call, so each
 # builder below runs once per argument and hands every caller the same

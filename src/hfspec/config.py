@@ -111,6 +111,8 @@ _nonnegative = _checked(finite_float, lambda v: v >= 0, "nonnegative")
 _coupling = _checked(finite_float, lambda v: abs(v) <= MAX_COUPLING,
                      f"at most MAX_COUPLING = {MAX_COUPLING:g} in magnitude")
 _spin = _checked(parse_half_integer, lambda v: v >= 0 and (2 * v).is_integer(), "an integer or half-integer >= 0")
+_integer_j = _checked(parse_half_integer, lambda v: v >= 0 and v.is_integer(),
+                      "an integer >= 0: the G1/G2/G34 level scheme covers non-Kramers ions only")
 _shape = _checked(lambda text: text.strip().lower(), lambda v: v in PEAK_SHAPES, f"one of {PEAK_SHAPES}")
 _BOOLEANS = {"1": True, "true": True, "yes": True, "on": True,
              "0": False, "false": False, "no": False, "off": False}
@@ -145,7 +147,7 @@ _GRID_KEYS = ("start_cm1", "stop_cm1", "step_cm1")
 #: every [grid] key once the section exists).
 _SCHEMA: dict[str, dict[str, tuple[Callable[[str], Any], Any]]] = {
     "meta": {"schema_version": (int, None)},
-    "system": {"j": (_spin, 8.0), "i": (_spin, 3.5)},
+    "system": {"j": (_integer_j, 8.0), "i": (_spin, 3.5)},
     "cf": {key: (_coupling, 0.0) for key in CF_COEFFICIENTS},
     "hyperfine": {"a_j": (_coupling, 0.0), "b_quad": (_coupling, 0.0)},
     "conditions": {"temperature_k": (_positive, 3.5)},

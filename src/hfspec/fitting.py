@@ -117,7 +117,6 @@ class FitResult:
     covariance: NDArray[np.float64]
     chi2: float
     dof: int
-    residuals: NDArray[np.float64]
     n_iter: int
     unidentifiable: tuple[str, ...] = ()
 
@@ -147,7 +146,6 @@ class LSQSolution:
     """Raw optimizer output; FitResult wraps it with names and covariance."""
 
     x: NDArray[np.float64]
-    residuals: NDArray[np.float64]
     chi2: float
     jacobian: NDArray[np.float64]
     n_iter: int
@@ -155,9 +153,15 @@ class LSQSolution:
     x_scale: NDArray[np.float64]
 
 
-def numerical_jacobian(fun, x, x_scale):
-    """Central-difference Jacobian of a residual vector function."""
+def numerical_jacobian(fun, x, x_scale, bounds=(-np.inf, np.inf)):
+    """Central-difference Jacobian of a residual vector function.
+
+    A probe that would leave ``bounds`` = (lo, hi) stops at the bound, and
+    its column divides by the distance actually probed; a column whose two
+    probes lie inside is the central difference over 2h.
+    """
     x = np.asarray(x, dtype=float)
+    lo, hi = (np.broadcast_to(b, x.shape) for b in bounds)
     columns = []
     for k in range(len(x)):
         h = JAC_REL_STEP * x_scale[k]
@@ -165,11 +169,15 @@ def numerical_jacobian(fun, x, x_scale):
         xm = x.copy()
         xp[k] += h
         xm[k] -= h
-        columns.append((fun(xp) - fun(xm)) / (2.0 * h))
+        width = 2.0 * h
+        if xp[k] > hi[k] or xm[k] < lo[k]:
+            xp[k], xm[k] = min(xp[k], hi[k]), max(xm[k], lo[k])
+            width = xp[k] - xm[k]
+        columns.append((fun(xp) - fun(xm)) / width)
     return np.array(columns).T
 
 
-def damped_least_squares(fun, x0, x_scale, bounds=None) -> LSQSolution:
+def damped_least_squares(fun, x0, x_scale, bounds=(-np.inf, np.inf)) -> LSQSolution:
     """Minimize |fun(x)|^2 by damped Gauss-Newton iteration.
 
     The normal matrix is damped with mu * diag(J^T J) (floored so that flat
@@ -178,7 +186,8 @@ def damped_least_squares(fun, x0, x_scale, bounds=None) -> LSQSolution:
     non-increasing.  A proposed step is rejected unless chi^2 stays or falls,
     so a step to non-finite residuals (chi^2 nan or inf) is rejected too.
     ``x_scale`` is each parameter's typical size: it sets the Jacobian step
-    and weighs the gradient.  Steps are clipped to ``bounds`` when given.
+    and weighs the gradient.  Steps and Jacobian probes are clipped to
+    ``bounds`` = (lo, hi).
 
     Stops when the relative chi^2 drop falls below ``CHI2_RTOL`` or the step
     norm below ``STEP_ATOL``.  Raises ConvergenceError after
@@ -187,7 +196,6 @@ def damped_least_squares(fun, x0, x_scale, bounds=None) -> LSQSolution:
     """
     x = np.asarray(x0, dtype=float).copy()
     x_scale = np.asarray(x_scale, dtype=float)
-    lo, hi = (None, None) if bounds is None else bounds
 
     r = np.asarray(fun(x), dtype=float)
     if not np.all(np.isfinite(r)):
@@ -197,7 +205,7 @@ def damped_least_squares(fun, x0, x_scale, bounds=None) -> LSQSolution:
     mu = 1e-3
 
     for iteration in range(1, MAX_ITERATIONS + 1):
-        jac = numerical_jacobian(fun, x, x_scale)
+        jac = numerical_jacobian(fun, x, x_scale, bounds)
         gradient = jac.T @ r
         normal = jac.T @ jac
         diag = np.diag(normal)
@@ -211,11 +219,7 @@ def damped_least_squares(fun, x0, x_scale, bounds=None) -> LSQSolution:
             except np.linalg.LinAlgError:
                 mu *= 10.0
                 continue
-            x_new = x + step
-            if lo is not None:
-                x_new = np.maximum(x_new, lo)
-            if hi is not None:
-                x_new = np.minimum(x_new, hi)
+            x_new = np.clip(x + step, *bounds)
             r_new = np.asarray(fun(x_new), dtype=float)
             chi2_new = float(r_new @ r_new)
             if chi2_new <= chi2:
@@ -239,8 +243,8 @@ def damped_least_squares(fun, x0, x_scale, bounds=None) -> LSQSolution:
     else:
         raise ConvergenceError(f"iteration cap {MAX_ITERATIONS} exceeded")
 
-    jac = numerical_jacobian(fun, x, x_scale)
-    return LSQSolution(x, r, chi2, jac, iteration, tuple(history), x_scale.copy())
+    jac = numerical_jacobian(fun, x, x_scale, bounds)
+    return LSQSolution(x, chi2, jac, iteration, tuple(history), x_scale.copy())
 
 
 def covariance_from_jacobian(
@@ -285,7 +289,6 @@ def _build_result(
         covariance=cov,
         chi2=solution.chi2,
         dof=n_rows - len(names),
-        residuals=solution.residuals.copy(),
         n_iter=solution.n_iter,
         unidentifiable=tuple(n for n, bad in zip(names, null_mask) if bad),
     )
@@ -510,7 +513,7 @@ def fit_refractive(points: NDArray[np.float64], initial: RefractiveModel | None 
     x = 1.0 / (nu - nu0)
     jac = np.column_stack([x, a * x**2, np.ones_like(nu)]) / sigmas[:, None]
     values = np.array([a, nu0, c])
-    solution = LSQSolution(values, r, float(r @ r), jac, 2 * GOLDEN_STEPS, (), np.maximum(np.abs(values), 1.0))
+    solution = LSQSolution(values, float(r @ r), jac, 2 * GOLDEN_STEPS, (), np.maximum(np.abs(values), 1.0))
     return _build_result(("a", "nu0", "c"), solution, len(nu))
 
 

@@ -126,10 +126,6 @@ class CFLevel:
         for vec in self.vectors.values():
             vec.setflags(write=False)
 
-    def jz_branch(self, sigma: int) -> float:
-        """<J_z> of one branch."""
-        return sigma * self.jz_expect
-
     def branches(self) -> tuple[int, ...]:
         return tuple(sorted(self.vectors, reverse=True))
 

@@ -20,8 +20,8 @@ has <J_z> = 0 exactly (``classify_levels`` sets it), so its first-order term
 vanishes and its correction is even in m_z; a doublet's sigma = -1 branch at
 -m_z mirrors its sigma = +1 branch at m_z.
 
-Passing a truncated ``levels`` list restricts the intermediate-state sums,
-which is how the three-level model built from the K_{i,j} terms is obtained.
+Passing a truncated ``levels`` list restricts the intermediate-state sums:
+the three-level model of the paper is this formula on ``levels[:3]``.
 All energies in cm^-1.
 """
 
@@ -106,7 +106,7 @@ def _delta_over_m(
             el_p = abs(np.vdot(phi, jp_psi)) ** 2
             rows.append((hf.a_j**2 / de, el_z, 0.25 * el_m, 0.25 * el_p))
     coef, el_z, el_m, el_p = np.array(rows).reshape(-1, 4, 1).transpose(1, 0, 2)
-    delta = hf.a_j * level.jz_branch(sigma) * m_z
+    delta = hf.a_j * (sigma * level.jz_expect) * m_z
     # one term per intermediate branch, added in level order
     for term in coef * (el_z * m2 + el_m * fm + el_p * fp):
         delta += term
@@ -132,42 +132,6 @@ def delta_full(
     LabelingError when another level has the same energy.
     """
     return float(_delta_over_m(n, sigma, np.array([m_z], dtype=float), levels, hf, system)[0])
-
-
-def k_correction(
-    i: int,
-    j: int,
-    m_z: float,
-    levels: list[CFLevel],
-    a_j: float,
-    system: SpinSystem,
-) -> float:
-    """Three-level model term K_{i,j}: correction of level i due to level j.
-
-    K_{1,1} is the first-order shift of the sigma = +1 ground branch; the
-    cross terms obey K_{i,j} = -K_{j,i} exactly.  Only indices in {1, 2, 3}
-    are defined, with (i, i) allowed for i = 1 only.
-    """
-    if i not in (1, 2, 3) or j not in (1, 2, 3):
-        raise ValueError(f"K indices must lie in 1..3, got ({i}, {j})")
-    if i == j and i != 1:
-        raise ValueError(f"K_({i},{i}) is not defined")
-    jz_op, jp, jm = _operators(system)
-    ground = _level(levels, 1)
-
-    if (i, j) == (1, 1):
-        return a_j * ground.jz_branch(+1) * m_z
-    if i == 1:
-        target = _level(levels, j)
-        element = abs(np.vdot(target.vectors[+1], jm @ ground.vectors[+1])) ** 2
-        de = ground.energy - target.energy
-        ii1 = system.i * (system.i + 1)
-        return (a_j**2 / 4) * (element / de) * (ii1 - m_z * (m_z + 1))
-    if (i, j) == (2, 3):
-        lv2, lv3 = _level(levels, 2), _level(levels, 3)
-        element = abs(np.vdot(lv3.vectors[+1], jz_op @ lv2.vectors[+1])) ** 2
-        return a_j**2 * element / (lv2.energy - lv3.energy) * m_z**2
-    return -k_correction(j, i, m_z, levels, a_j, system)
 
 
 def quadratic_m2_coefficient(

@@ -18,8 +18,6 @@ from .hamiltonian import HFLevel
 #: Boltzmann constant in spectroscopic units
 KB_CM_PER_K = 0.695035
 
-#: FWHM = GAUSSIAN_FWHM_FACTOR * (Gaussian standard deviation)
-GAUSSIAN_FWHM_FACTOR = 2.0 * math.sqrt(2.0 * math.log(2.0))
 #: FWHMs from its center beyond which a Gaussian's exponent is below -800: exp gives 0.0
 GAUSSIAN_REACH = math.sqrt(800.0 / (4.0 * math.log(2.0)))
 
@@ -63,12 +61,6 @@ class PeakModel:
 
     def profile(self, grid: NDArray[np.float64]) -> NDArray[np.float64]:
         return _peak_profile(self.shape, self.center, self.fwhm, self.amplitude, np.asarray(grid, dtype=float))
-
-    def area(self) -> float:
-        """Integral over the full line; Lorentzian tails converge slowly."""
-        if self.shape == "gaussian":
-            return self.amplitude * self.fwhm * 0.5 * math.sqrt(math.pi / math.log(2.0))
-        return self.amplitude * math.pi * 0.5 * self.fwhm
 
 
 def _peak_profile(

@@ -277,13 +277,20 @@ def test_zero_amplitude_peak_has_infinite_variance():
 
 def test_fwhm_probe_below_zero_is_refused():
     """One sample 1e-9 after another sets the FWHM lower bound to 1e-9.  The
-    spare profile's FWHM falls to that bound, and the Jacobian probe, a step
-    of 1e-6 times the start width, would put it below 0, where both profile
-    formulas give the mirrored profile of |FWHM|.  The fit refuses that
-    evaluation instead of returning a covariance built from it."""
+    spare profile's FWHM falls to that bound, where a central Jacobian probe,
+    a step of 1e-6 times the start width, would put it below 0, which the
+    model refuses.  The engine does not probe there: the probe stops at the
+    bound, and the fit returns the real peak where it is and the spare width
+    at its bound with variance inf."""
     base = np.arange(23.48, 23.58, 0.0005)
     grid = np.sort(np.append(base, base[20] + 1e-9))
+    spacing = float(np.min(np.diff(grid)))
     signal = PeakModel("gaussian", 23.527, 0.0090, 1.0).profile(grid)
     signal = signal + 0.003 * np.random.default_rng(0).standard_normal(grid.size)
-    with pytest.raises(ValueError, match="fwhm must be positive"):
-        fit_peaks(Spectrum(grid, signal), 2, "gaussian")
+    peaks, cov = fit_peaks(Spectrum(grid, signal), 2, "gaussian")
+    real, spare = sorted(peaks, key=lambda p: p.fwhm, reverse=True)
+    assert abs(real.center - 23.527) < 1e-4
+    assert spare.fwhm == spacing
+    # covariance order (centers..., amplitudes..., fwhms...): one width is
+    # flat, the real one is not
+    assert sorted(np.isinf(np.diag(cov)[4:]).tolist()) == [False, True]

@@ -23,7 +23,7 @@ def test_jz_half():
 
 def test_jz_j8_dimension_and_trace():
     jz = build_jz(8.0)
-    assert jz.dim == 17
+    assert jz.matrix.shape == (17, 17)
     assert np.allclose(np.diag(jz.matrix).real, np.arange(-8, 9))
     assert abs(np.trace(jz.matrix)) == 0.0
 

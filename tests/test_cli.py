@@ -149,6 +149,18 @@ def test_g_j_is_an_unknown_key(tmp_path):
     assert "unknown key 'g_j' in section [system]" in result.stderr
 
 
+@pytest.mark.parametrize("j", ["15/2", "7/2"])
+def test_half_integer_j_exits_config(tmp_path, j):
+    """The G1/G2/G34 labels are the M mod 4 sectors of an integer j, so a
+    Kramers ion is refused with the reason, not as an unpaired doublet."""
+    config = tmp_path / "kramers.ini"
+    config.write_text(MINIMAL_CONFIG.replace("j = 8\n", f"j = {j}\n").replace("b_quad = 0.04", "b_quad = 0"))
+    result = invoke("levels", "--config", str(config))
+    assert result.exit_code == EXIT_CONFIG, result.output
+    assert "bad value for system.j" in result.stderr
+    assert "non-Kramers ions only" in result.stderr
+
+
 # ------------------------------------------------------------------------- hf
 
 def test_hf_ground_ladder_spacing():

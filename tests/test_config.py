@@ -131,8 +131,8 @@ def test_product_dimension_above_cap_refused(tmp_path, j, i):
 
 
 def test_product_dimension_at_cap_accepted(tmp_path):
-    """(2j+1)(2i+1) = 1024 itself is allowed: j = 63.5, i = 7/2."""
-    path = _write(tmp_path, f"{HEADER}\n[system]\nj = 127/2\ni = 7/2\n")
+    """(2j+1)(2i+1) = 1024 itself is allowed: j = 0, i = 1023/2."""
+    path = _write(tmp_path, f"{HEADER}\n[system]\nj = 0\ni = 1023/2\n")
     assert load_config(path).system.dim == MAX_PRODUCT_DIM
 
 
@@ -199,7 +199,7 @@ def test_fit_section_is_unknown(tmp_path):
     assert "unknown section [fit]" in result.output
 
 
-SMALL_SPINS = [("8", "1/2"), ("8", "0"), ("1/2", "7/2"), ("0", "1")]
+SMALL_SPINS = [("8", "1/2"), ("8", "0"), ("0", "7/2"), ("0", "1")]
 
 
 @pytest.mark.parametrize("j,i", SMALL_SPINS)

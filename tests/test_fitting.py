@@ -191,14 +191,17 @@ def test_engine_stops_only_where_the_gradient_vanishes():
     """r(x) = 1 + |x| + g x has its minimum at x = 0 with a kink there: every
     step is uphill, and the central-difference gradient is g.  A gradient of
     1e-4 is no stationary point, so the engine must refuse; at g = 0 it
-    stays at x = 0."""
+    stays at x = 0.  At g = 5e-9 every step is refused while the gradient is
+    below the stationary-point cut, so the engine stops at x = 0 there too
+    (at g = 1e-12 the central difference rounds the gradient to 0)."""
     def residual(g):
         return lambda x: np.array([1.0 + abs(x[0]) + g * x[0]])
 
     with pytest.raises(ConvergenceError, match="no downhill step"):
         damped_least_squares(residual(1e-4), np.array([0.0]), x_scale=np.array([1.0]))
-    solution = damped_least_squares(residual(0.0), np.array([0.0]), x_scale=np.array([1.0]))
-    assert solution.x[0] == 0.0
+    for g in (0.0, 5e-9):
+        solution = damped_least_squares(residual(g), np.array([0.0]), x_scale=np.array([1.0]))
+        assert solution.x[0] == 0.0
 
 
 # -------------------------------------------------------------- cf + a_j fit

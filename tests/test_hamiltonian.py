@@ -64,7 +64,10 @@ def test_reference_ground_doublet_moment(levels):
     ground = levels[0]
     assert ground.irrep == "G34"
     assert ground.jz_expect == pytest.approx(5.40, abs=0.1)
-    assert ground.jz_branch(-1) == pytest.approx(-ground.jz_expect)
+    # the sigma = -1 branch carries the opposite moment
+    jz = build_jz(8.0).matrix
+    minus = ground.vectors[-1]
+    assert np.real(np.vdot(minus, jz @ minus)) == pytest.approx(-ground.jz_expect)
 
 
 def test_reference_level6_moment(levels):
@@ -172,6 +175,23 @@ def test_lone_vectors_in_doublet_sectors_rejected(system):
 
     with pytest.raises(SymmetryError, match=r"unpaired doublet members at 1 cm\^-1 \(sector 3: 0, sector 1: 1\)"):
         classify_levels(np.arange(17.0), np.eye(17), system)
+
+
+def test_degenerate_cluster_across_sectors_rejected(system):
+    """The diagonal spectrum E = |M|, with the E = 1 pair spanned by the sums
+    and the E = 2 pair by the differences of the M = +-1 and M = +-2 states:
+    each pair then projects onto four members of the M mod 4 sectors, not
+    two."""
+    from hfspec.hamiltonian import SymmetryError, classify_levels
+
+    m = system.m_j
+    order = np.argsort(np.abs(m), kind="stable")
+    eigvecs = np.eye(system.dim_j, dtype=complex)[:, order]
+    e = {int(k): np.eye(system.dim_j)[:, idx] for idx, k in enumerate(m)}
+    # columns 1, 2 hold the E = 1 cluster and 3, 4 the E = 2 cluster
+    eigvecs[:, 1:5] = np.array([e[1] + e[2], e[-1] + e[-2], e[1] - e[2], e[-1] - e[-2]]).T / np.sqrt(2.0)
+    with pytest.raises(SymmetryError, match=r"does not decompose into M mod 4 sectors \(cluster size 2, sector members 4\)"):
+        classify_levels(np.abs(m)[order], eigvecs, system)
 
 
 def test_singlets_with_weight_in_another_sector_rejected(system):

@@ -4,7 +4,6 @@ import pytest
 from hfspec.hamiltonian import HyperfineConstants, LabelingError, hf_levels_exact
 from hfspec.perturbation import (
     delta_full,
-    k_correction,
     lambda_from_exact,
     lambda_from_model,
     quadratic_m2_coefficient,
@@ -109,75 +108,26 @@ def test_second_doublet_first_order_slope(cf_params, levels, system, m_grid):
         )
 
 
-def test_k_antisymmetry(levels, system, m_grid):
-    a_j = 0.02703
-    for m in m_grid:
-        assert k_correction(2, 3, m, levels, a_j, system) == -k_correction(
-            3, 2, m, levels, a_j, system
-        )
-        assert k_correction(1, 2, m, levels, a_j, system) == -k_correction(
-            2, 1, m, levels, a_j, system
-        )
-
-
-def test_k11_first_order_value(levels, system):
-    # a_j <J_z> 7/2 = 0.02703 * 5.3948 * 3.5, approximately 0.511
-    value = k_correction(1, 1, 3.5, levels, 0.02703, system)
-    assert value == pytest.approx(0.02703 * levels[0].jz_expect * 3.5, rel=0, abs=1e-15)
-    assert value == pytest.approx(0.511, abs=1e-3)
-    # first order is odd in m_z
-    assert k_correction(1, 1, -3.5, levels, 0.02703, system) == -value
-
-
-@pytest.mark.parametrize("pair", [(2, 2), (3, 3), (0, 1), (1, 4)])
-def test_k_invalid_indices(pair, levels, system):
-    with pytest.raises(ValueError):
-        k_correction(pair[0], pair[1], 0.5, levels, 0.02703, system)
-
-
-def test_k_assembly_matches_truncated_delta(levels, system, m_grid):
-    # three-level sums: delta_1 = K11 + K12 + K13, delta_2 = K23 + 2 K21,
-    # delta_3 = K32 + 2 K31.  The ground assembly equals the truncated general
-    # formula pointwise; the singlet assemblies inherit the asymmetric nuclear
-    # ladder factor through the antisymmetry rule, so they agree with true
-    # second-order theory in the even-in-m_z part (the only part any
-    # difference-series quantity sees), while the strict antisymmetry of K is
-    # preserved as written.
+def test_restricted_model_oracle(levels, system, m_grid):
+    # a literal transcription of the three-level model in the test suite is
+    # an independent oracle for delta_full on levels[:3].  The ground branch
+    # agrees pointwise; the oracle gives each singlet the ground repulsion by
+    # antisymmetry, which carries the ground branch's nuclear ladder factor,
+    # so the singlets agree in their even-in-m_z part, the only part any
+    # difference-series quantity sees
     a_j = 0.02703
     hf = HyperfineConstants(a_j, 0.0)
     truncated = levels[:3]
-
-    def k(i, j, m):
-        return k_correction(i, j, m, levels, a_j, system)
-
-    def even(fn, m):
-        return 0.5 * (fn(m) + fn(-m))
-
-    for m in m_grid:
-        d1 = k(1, 1, m) + k(1, 2, m) + k(1, 3, m)
-        assert d1 == pytest.approx(delta_full(1, +1, m, truncated, hf, system), rel=0, abs=1e-12)
-
-        d2 = even(lambda mm: k(2, 3, mm) + 2 * k(2, 1, mm), m)
-        d3 = even(lambda mm: k(3, 2, mm) + 2 * k(3, 1, mm), m)
-        t2 = even(lambda mm: delta_full(2, +1, mm, truncated, hf, system), m)
-        t3 = even(lambda mm: delta_full(3, +1, mm, truncated, hf, system), m)
-        assert d2 == pytest.approx(t2, rel=0, abs=1e-12)
-        assert d3 == pytest.approx(t3, rel=0, abs=1e-12)
-
-
-def test_restricted_model_oracle(levels, system, m_grid):
-    # literal transcription of the three-level model in the test suite acts
-    # as an independent oracle for the K-based evaluation
-    a_j = 0.02703
     d1, d2, d3 = restricted_three_level_deltas(levels, a_j, system)
 
-    def k(i, j, m):
-        return k_correction(i, j, m, levels, a_j, system)
+    def even(values, m):
+        return 0.5 * (values[m] + values[-m])
 
+    model = {n: {m: delta_full(n, +1, m, truncated, hf, system) for m in m_grid} for n in (1, 2, 3)}
     for m in m_grid:
-        assert k(1, 1, m) + k(1, 2, m) + k(1, 3, m) == pytest.approx(d1[m], rel=0, abs=1e-12)
-        assert k(2, 3, m) + 2 * k(2, 1, m) == pytest.approx(d2[m], rel=0, abs=1e-12)
-        assert k(3, 2, m) + 2 * k(3, 1, m) == pytest.approx(d3[m], rel=0, abs=1e-12)
+        assert model[1][m] == pytest.approx(d1[m], rel=0, abs=1e-12)
+        assert even(model[2], m) == pytest.approx(even(d2, m), rel=0, abs=1e-12)
+        assert even(model[3], m) == pytest.approx(even(d3, m), rel=0, abs=1e-12)
 
 
 def test_lambda_reference_values(levels, hyperfine, system):
