@@ -38,8 +38,8 @@ class SpinSystem:
     electron-nuclear product space.
     """
 
-    j: float = 8.0
-    i: float = 3.5
+    j: float
+    i: float
 
     def __post_init__(self) -> None:
         _check_spin(self.j, "j")

@@ -183,7 +183,8 @@ def _fit_report(result: fitting.FitResult, measured, sigmas, predictions) -> dic
             for name, v, e in zip(result.names, result.values, result.errors)
         },
         "unidentifiable": list(result.unidentifiable),
-        "covariance": [[float(_num(c)) for c in row] for row in np.atleast_2d(result.covariance)],
+        "covariance": [[float(_num(c)) if np.isfinite(c) else None for c in row]
+                       for row in np.atleast_2d(result.covariance)],
         "chi2": float(_num(result.chi2)),
         "dof": result.dof,
         "iterations": result.n_iter,

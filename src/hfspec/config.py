@@ -8,26 +8,22 @@ appear.  Unknown sections or keys are rejected (typos should fail loudly,
 not silently fall back to defaults).
 
 The bundled reference configuration and datasets live in the package's
-``data`` directory; set HFSPEC_DATA_DIR to override their location.
+``data`` directory.
 """
 
 import configparser
 import math
-import os
 from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
-from importlib import resources
 from pathlib import Path
 from typing import Any
 
 from .angular import SpinSystem
-from .hamiltonian import CF_COEFFICIENTS, CFParameters, HyperfineConstants, quadrupole_undefined
+from .hamiltonian import CF_COEFFICIENTS, NON_KRAMERS_ONLY, CFParameters, HyperfineConstants, quadrupole_undefined
 from .spectra import PEAK_SHAPES, IsotopeConfig
 
 SCHEMA_VERSION = 1
-
-DATA_DIR_ENV = "HFSPEC_DATA_DIR"
 
 REFERENCE_CONFIG = "reference.ini"
 MEASURED_LINES = "hf_transitions.csv"
@@ -104,15 +100,14 @@ def _checked(parse: Callable[[str], Any], ok: Callable[[Any], bool], rule: str) 
     return checked
 
 
-#: a finite float; datasets read their numeric cells with it too
 finite_float = _checked(float, math.isfinite, "finite")
 _positive = _checked(finite_float, lambda v: v > 0, "positive")
 _nonnegative = _checked(finite_float, lambda v: v >= 0, "nonnegative")
-_coupling = _checked(finite_float, lambda v: abs(v) <= MAX_COUPLING,
-                     f"at most MAX_COUPLING = {MAX_COUPLING:g} in magnitude")
+#: a finite float of magnitude at most MAX_COUPLING; datasets read their numeric cells with it too
+bounded_float = _checked(finite_float, lambda v: abs(v) <= MAX_COUPLING,
+                         f"at most MAX_COUPLING = {MAX_COUPLING:g} in magnitude")
 _spin = _checked(parse_half_integer, lambda v: v >= 0 and (2 * v).is_integer(), "an integer or half-integer >= 0")
-_integer_j = _checked(parse_half_integer, lambda v: v >= 0 and v.is_integer(),
-                      "an integer >= 0: the G1/G2/G34 level scheme covers non-Kramers ions only")
+_integer_j = _checked(parse_half_integer, lambda v: v >= 0 and v.is_integer(), f"an integer >= 0: {NON_KRAMERS_ONLY}")
 _shape = _checked(lambda text: text.strip().lower(), lambda v: v in PEAK_SHAPES, f"one of {PEAK_SHAPES}")
 _BOOLEANS = {"1": True, "true": True, "yes": True, "on": True,
              "0": False, "false": False, "no": False, "off": False}
@@ -148,8 +143,8 @@ _GRID_KEYS = ("start_cm1", "stop_cm1", "step_cm1")
 _SCHEMA: dict[str, dict[str, tuple[Callable[[str], Any], Any]]] = {
     "meta": {"schema_version": (int, None)},
     "system": {"j": (_integer_j, 8.0), "i": (_spin, 3.5)},
-    "cf": {key: (_coupling, 0.0) for key in CF_COEFFICIENTS},
-    "hyperfine": {"a_j": (_coupling, 0.0), "b_quad": (_coupling, 0.0)},
+    "cf": {key: (bounded_float, 0.0) for key in CF_COEFFICIENTS},
+    "hyperfine": {"a_j": (bounded_float, 0.0), "b_quad": (bounded_float, 0.0)},
     "conditions": {"temperature_k": (_positive, 3.5)},
     "grid": {key: (finite_float, None) for key in _GRID_KEYS},
     "isotope": {
@@ -251,16 +246,6 @@ def load_config(path: str | Path) -> RunConfig:
     )
 
 
-def data_dir() -> Path:
-    """Directory holding the bundled fixtures, overridable via HFSPEC_DATA_DIR."""
-    override = os.environ.get(DATA_DIR_ENV)
-    if override:
-        return Path(override)
-    return Path(str(resources.files("hfspec") / "data"))
-
-
 def bundled_path(name: str) -> Path:
-    path = data_dir() / name
-    if not path.exists():
-        raise FileNotFoundError(f"bundled data file not found: {path}")
-    return path
+    """A file of the package's data directory."""
+    return Path(__file__).with_name("data") / name

@@ -9,15 +9,20 @@ Transition dataset schema (UTF-8, LF, '#' comments allowed):
 
 m_z accepts rationals like -7/2 or decimals.  Level labels are
 '<manifold>.<n>' and must name the manifold j of the model (8 unless
-read_dataset is told otherwise).  Every number must be finite.
-Refractive-index data uses columns nu_cm1,n[,sigma_n] (wavenumber_cm1 is
-accepted for nu_cm1) with sigma_n > 0; spectra are written with columns
+read_dataset is told otherwise).  Refractive-index data uses columns
+nu_cm1,n[,sigma_n] (wavenumber_cm1 is accepted for nu_cm1) with
+sigma_n > 0; spectra are written with columns
 wavenumber_cm1,absorbance; the reference level table uses
 n,energy_cm1,irrep,jz.
 
 Every file is one table: its first record is the header, in any case, and
 every later record has exactly as many cells as the header.  Only the m_z
 cell of a dataset row and the jz cell of a level row may be blank.
+
+Every number must be finite and at most config.MAX_COUPLING = 1e100 in
+magnitude, and every uncertainty (sigma_cm1, sigma_n) at least
+max(1, |value|) / MAX_COUPLING, so that no weighted residual overflows; a
+violation is a DatasetError naming file:line.
 """
 
 import csv
@@ -25,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import (finite_float, format_level, format_transition, parse_half_integer,
+from .config import (MAX_COUPLING, bounded_float, format_level, format_transition, parse_half_integer,
                      parse_level, parse_transition_label)
 from .fitting import DatasetError, ObservationRow, TransitionDataset
 from .spectra import Spectrum
@@ -74,11 +79,18 @@ def _table(path: Path, headers: list[list[str]]):
 
 
 def _number(path: Path, number: int, text: str) -> float:
-    """One CSV cell as a finite float, or a DatasetError naming the line."""
+    """One CSV cell as a float of magnitude at most MAX_COUPLING, or a DatasetError naming the line."""
     try:
-        return finite_float(text)
+        return bounded_float(text)
     except ValueError as exc:
         raise DatasetError(f"{path}:{number}: bad numeric field: {exc}") from exc
+
+
+def _check_sigma(path: Path, number: int, value: float, sigma: float) -> None:
+    """A DatasetError naming the line unless sigma >= max(1, |value|) / MAX_COUPLING."""
+    floor = max(1.0, abs(value)) / MAX_COUPLING
+    if sigma < floor:
+        raise DatasetError(f"{path}:{number}: uncertainty {sigma:g} is below max(1, |value|) / MAX_COUPLING = {floor:g}")
 
 
 def format_table(header: list[str], rows) -> str:
@@ -107,6 +119,7 @@ def read_dataset(path: str | Path, j: float = DATASET_J) -> TransitionDataset:
                 rows.append(ObservationRow("cf" if m_z is None else "hf", ni, nf, m_z, value, sigma))
         except ValueError as exc:
             raise DatasetError(f"{path}:{number}: {exc}") from exc
+        _check_sigma(path, number, value, sigma)
     return TransitionDataset(rows)
 
 
@@ -135,8 +148,10 @@ def read_refractive_points(path: str | Path) -> np.ndarray:
     data = []
     for number, fields in _table(path, _REFRACTIVE_HEADERS):
         values = [_number(path, number, f) for f in fields]
-        if len(values) == 3 and not values[2] > 0:
-            raise DatasetError(f"{path}:{number}: sigma_n must be positive, got {values[2]:g}")
+        if len(values) == 3:
+            if not values[2] > 0:
+                raise DatasetError(f"{path}:{number}: sigma_n must be positive, got {values[2]:g}")
+            _check_sigma(path, number, values[1], values[2])
         data.append(values)
     if not data:
         raise DatasetError(f"{path}: no data rows")

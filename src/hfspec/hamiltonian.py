@@ -39,6 +39,8 @@ from .angular import (
 #: sector (M mod 4) of the sigma = +1 doublet branch
 SIGMA_PLUS_SECTOR = 3
 SIGMA_MINUS_SECTOR = 1
+#: why j must be an integer: a half-integer M has no M mod 4 sector
+NON_KRAMERS_ONLY = "the G1/G2/G34 level scheme covers non-Kramers ions only"
 
 #: eigenvalues of H_CF, or of H_CF + H_HF, closer than this fraction of their span are one energy
 DEGENERACY_RTOL = 1e-11
@@ -183,6 +185,8 @@ def build_hf_hamiltonian(hf: HyperfineConstants, system: SpinSystem) -> Operator
 
 
 def _sectors(system: SpinSystem) -> NDArray[np.int64]:
+    if not float(system.j).is_integer():
+        raise ValueError(f"j must be an integer, got {system.j:g}: {NON_KRAMERS_ONLY}")
     return np.mod(system.m_j, 4).astype(int)
 
 
@@ -255,7 +259,8 @@ def classify_levels(
     <J_z>, so every number equals that of one SVD per (cluster, sector) and
     one phase fix per vector, bit for bit.
 
-    Raises SymmetryError, which signals a symmetry-breaking Hamiltonian,
+    Raises ValueError for a half-integer j (a Kramers ion), and
+    SymmetryError, which signals a symmetry-breaking Hamiltonian,
     when a non-degenerate eigenvector has mixed-sector support beyond
     ``SECTOR_PURITY_TOL``, when a degenerate level does not resolve into
     sector-pure members, or when a level's sector-3 and sector-1 members do

@@ -372,6 +372,70 @@ def test_fit_refindex_roundtrip(tmp_path):
     assert report["parameters"]["c"]["value"] == pytest.approx(2.62, rel=1e-6)
 
 
+def test_fit_report_is_strict_json(tmp_path):
+    """Two moment rows leave b_quad unconstrained, so its covariance is
+    infinite; the report writes null there, not the non-JSON Infinity."""
+    path = tmp_path / "moments.csv"
+    path.write_text("transition,m_z,energy_cm1,sigma_cm1\njz:8.1,,5.4,0.02\njz:8.6,,-3.6,0.02\n")
+    result = invoke("fit", "--mode", "b", "--dataset", str(path))
+    assert result.exit_code == 0
+
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    report = json.loads(result.output, parse_constant=refuse)
+    assert report["covariance"] == [[None]]
+    assert report["parameters"]["b_quad"]["error"] is None
+
+
+def _family_rows(families, energy, sigma):
+    m_values = ["-7/2", "-5/2", "-3/2", "-1/2", "1/2", "3/2", "5/2", "7/2"]
+    return "".join(f"{family},{m},{energy},{sigma}\n" for family in families for m in m_values)
+
+
+THREE_FAMILIES = ("8.1-8.2", "8.1-8.3", "8.2-8.3")
+
+
+@pytest.mark.parametrize(
+    "mode,families,energy,sigma",
+    [
+        ("b", ("8.1-8.2",), "1e308", "0.01"),
+        ("b", ("8.1-8.2",), "7", "1e-320"),
+        ("cf_aj", ("8.1-8.2",), "1e308", "0.01"),
+        ("cf_aj", ("8.1-8.2",), "7", "1e-320"),
+        ("cf_aj", THREE_FAMILIES, "1e100", "1e-100"),
+    ],
+    ids=["b-energy", "b-sigma", "cf_aj-energy", "cf_aj-sigma", "cf_aj-ratio"],
+)
+def test_fit_refuses_numbers_it_cannot_hold(tmp_path, mode, families, energy, sigma):
+    """A cell above MAX_COUPLING, or a sigma below max(1, |value|) /
+    MAX_COUPLING, is refused with its line (exit 4), not left to overflow in
+    the fit (exit 1, or Infinity in the report)."""
+    path = tmp_path / "lines.csv"
+    path.write_text("transition,m_z,energy_cm1,sigma_cm1\n" + _family_rows(families, energy, sigma))
+    result = invoke("fit", "--mode", mode, "--dataset", str(path))
+    assert result.exit_code == EXIT_DATASET
+    assert f"{path}:2: " in result.output
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "nu_cm1,n\n10,2.7\n20,2.8\n30,2.9\n40,1e200\n",
+        "nu_cm1,n\n10,2.7\n20,2.8\n30,2.9\n1e308,3.0\n",
+        "nu_cm1,n\n10,2.7\n20,2.8\n30,2.9\n-1e308,3.0\n",
+        "nu_cm1,n,sigma_n\n10,2.7,0.01\n20,2.8,0.01\n30,2.9,0.01\n40,3.0,1e-320\n",
+    ],
+    ids=["n", "nu", "minus-nu", "sigma_n"],
+)
+def test_fit_refindex_refuses_numbers_it_cannot_hold(tmp_path, text):
+    path = tmp_path / "n.csv"
+    path.write_text(text)
+    result = invoke("fit", "--mode", "refindex", "--dataset", str(path))
+    assert result.exit_code == EXIT_DATASET
+    assert f"{path}:5: " in result.output
+
+
 # -------------------------------------------------------------------- analyze
 
 def test_analyze_bundled_lambdas():
@@ -393,6 +457,16 @@ def test_analyze_incomplete_families(tmp_path):
     result = invoke("analyze", "--dataset", str(partial))
     assert result.exit_code == EXIT_DATASET
     assert "8.2-8.3" in result.output
+
+
+def test_analyze_refuses_sigma_below_the_floor(tmp_path):
+    """Every sigma at 1e-320 made every slope, s and lambda nan (exit 0)."""
+    path = tmp_path / "lines.csv"
+    path.write_text("transition,m_z,energy_cm1,sigma_cm1\n" + _family_rows(THREE_FAMILIES, "7", "1e-320"))
+    result = invoke("analyze", "--dataset", str(path))
+    assert result.exit_code == EXIT_DATASET
+    assert f"{path}:2: uncertainty " in result.output
+    assert "is below max(1, |value|) / MAX_COUPLING = 7e-100" in result.output
 
 
 # ---------------------------------------------------------------------- synth

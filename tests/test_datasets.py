@@ -3,7 +3,6 @@ import hashlib
 import numpy as np
 import pytest
 
-from hfspec.config import DATA_DIR_ENV, MEASURED_LINES, bundled_path, data_dir
 from hfspec.datasets import (
     DatasetError,
     format_half_integer,
@@ -85,16 +84,6 @@ def test_spectrum_round_trip(tmp_path):
     back = np.array([[float(cell) for cell in row.split(",")] for row in rows])
     assert np.allclose(back[:, 0], grid, atol=1e-7)
     assert np.allclose(back[:, 1], np.sin(grid), atol=1e-7)
-
-
-def test_data_dir_override(tmp_path, monkeypatch):
-    (tmp_path / MEASURED_LINES).write_text(
-        "transition,m_z,energy_cm1,sigma_cm1\n8.1-8.2,-7/2,7.33,0.01\n"
-    )
-    monkeypatch.setenv(DATA_DIR_ENV, str(tmp_path))
-    assert data_dir() == tmp_path
-    dataset = read_dataset(bundled_path(MEASURED_LINES))
-    assert len(dataset.rows) == 1
 
 
 HEADER = "transition,m_z,energy_cm1,sigma_cm1\n"

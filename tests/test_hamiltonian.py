@@ -177,6 +177,16 @@ def test_lone_vectors_in_doublet_sectors_rejected(system):
         classify_levels(np.arange(17.0), np.eye(17), system)
 
 
+def test_kramers_ion_refused_with_the_reason(cf_params):
+    """A half-integer j has no M mod 4 sectors: the refusal names the level
+    scheme, not a missing time-reversal partner of the Hamiltonian."""
+    from hfspec.hamiltonian import SymmetryError
+
+    with pytest.raises(ValueError, match="G1/G2/G34 level scheme covers non-Kramers ions only") as excinfo:
+        cf_levels(cf_params, SpinSystem(7.5, 3.5))
+    assert not isinstance(excinfo.value, SymmetryError)
+
+
 def test_degenerate_cluster_across_sectors_rejected(system):
     """The diagonal spectrum E = |M|, with the E = 1 pair spanned by the sums
     and the E = 2 pair by the differences of the M = +-1 and M = +-2 states:
