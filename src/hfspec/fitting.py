@@ -490,6 +490,8 @@ def fit_refractive(points: NDArray[np.float64], initial: RefractiveModel | None 
     if (distinct := np.unique(nu).size) < 3:
         raise DatasetError(f"{distinct} distinct frequencies cannot place a pole (need 3)")
     lo, hi = float(nu.min()), float(nu.max())
+    if hi + (hi - lo) * POLE_RANGE[0] == hi or lo - (hi - lo) * POLE_RANGE[0] == lo:
+        raise DatasetError(f"frequency span {hi - lo:.3g} cm^-1 is too narrow to place a pole beside {lo:g}")
 
     def solve(nu0: float) -> tuple[float, float, NDArray[np.float64]]:
         design = np.column_stack([1.0 / (nu - nu0), np.ones_like(nu)]) / sigmas[:, None]

@@ -46,7 +46,7 @@ NON_KRAMERS_ONLY = "the G1/G2/G34 level scheme covers non-Kramers ions only"
 DEGENERACY_RTOL = 1e-11
 #: maximum tolerated eigenvector weight outside its M mod 4 sector
 SECTOR_PURITY_TOL = 1e-8
-#: lowest weight a label may have on its assigned energy cluster
+#: lowest weight a label may have on its majority energy cluster
 LABEL_CUT = 0.5
 #: CFParameters field of each Stevens coefficient, in SUPPORTED_STEVENS
 #: order: B_k^q is "b<k><q>", with "m" for a negative q (b4m4 is B_4^-4)
@@ -371,8 +371,8 @@ class _SolvedCF:
         energy of each label, read-only, in ``product_basis`` order.
 
         Per call it builds only H_HF, adds it to the held kron(H_CF, 1),
-        solves, takes one overlap product and the assignment, and checks each
-        label's weight on its cluster.
+        solves, takes one overlap product, puts each label on its majority
+        energy cluster, and checks each label's weight there.
         """
         system = self.system
         kron, labels, branches, _ = self.product_basis
@@ -380,29 +380,17 @@ class _SolvedCF:
         eigvals = eigvals - self.e_ground
 
         overlaps = _product_overlaps(branches, eigvecs, system)
-        rows, cols = linear_sum_assignment(-overlaps)
-
-        # Confidence is judged per degenerate cluster: mixing among eigenstates of
-        # equal energy (Kramers pairs, or whole blocks at zero coupling) cannot
-        # change any assigned energy, so the label weight is summed over the
-        # cluster holding the assigned eigenstate.
-        # Eigenvalues ascend, so each cluster is a contiguous run of columns.
-        new_cluster = _new_cluster(eigvals)
-        cluster_of = np.cumsum(new_cluster) - 1
-        cluster_weight = np.add.reduceat(overlaps.T, np.flatnonzero(new_cluster))
-        confidence = cluster_weight[cluster_of[cols], rows]
-        failing = np.flatnonzero(confidence < LABEL_CUT)
-        if failing.size:
-            first = failing[0]
-            n, sigma, m_z = labels[rows[first]]
+        # eigenvalues ascend, so each energy cluster is a contiguous run of columns
+        cols, weight = linear_sum_assignment(overlaps, np.flatnonzero(_new_cluster(eigvals)))
+        if (failing := np.flatnonzero(weight < LABEL_CUT)).size:
+            n, sigma, m_z = labels[failing[0]]
             raise LabelingError(
-                f"ambiguous labelling: state (n={n}, sigma={sigma:+d}, m_z={m_z}) "
-                f"has weight {confidence[first]:.3f} < {LABEL_CUT} on its assigned "
-                "energy cluster; hyperfine constants too large for perturbative "
-                "labelling"
+                f"ambiguous labelling: state (n={n}, sigma={sigma:+d}, m_z={m_z}) has weight "
+                f"{weight[failing[0]]:.3f} < {LABEL_CUT} on its assigned energy cluster; "
+                "hyperfine constants too large for perturbative labelling"
             )
 
-        # rows come back ascending, and labels already run in (n, -sigma, m_z) order
+        # labels already run in (n, -sigma, m_z) order
         energies = eigvals[cols]
         energies.setflags(write=False)
         return energies
@@ -431,71 +419,41 @@ def cf_levels(params: CFParameters, system: SpinSystem) -> list[CFLevel]:
 
 
 def linear_sum_assignment(
-    cost: NDArray[np.float64],
-) -> tuple[NDArray[np.int64], NDArray[np.int64]]:
-    """Minimum-cost one-to-one assignment of the rows of a square matrix to its columns.
+    overlaps: NDArray[np.float64], starts: NDArray[np.int64]
+) -> tuple[NDArray[np.int64], NDArray[np.float64]]:
+    """Each label's column, and its weight: its summed overlap on its majority energy cluster.
 
-    Returns (rows, cols) with row rows[k] assigned column cols[k], as
-    scipy.optimize.linear_sum_assignment does.  Shortest augmenting paths
-    (Jonker and Volgenant 1987, Computing 38, 325; Crouse 2016, IEEE Trans.
-    Aerosp. Electron. Syst. 52, 1679): the duals start at u = row minima and
-    v = 0, and each row takes its cheapest column unless an earlier row holds
-    it.  Every reduced cost cost - u - v is then >= 0 and equals 0 on each
-    match, so the start is optimal for the rows it matches; one Dijkstra
-    search on the reduced costs adds each row still unmatched.
+    ``overlaps`` holds squared overlaps, labels x eigenstates in ascending
+    energy; ``starts`` the first column of each energy cluster.  Each label
+    goes to the cluster where its weight is largest.  Inside it, labels in
+    label order take the columns in ascending order, or descending where that
+    holds more overlap: for a two-member (Kramers) cluster, the optimal
+    pairing.  Raises LabelingError when every weight reaches ``LABEL_CUT``
+    but a cluster is the majority cluster of a number of labels other than
+    its size; a weight below the cut is the caller's to report, by label.
+
+    Not a general assignment solver: the name stays because the benchmark
+    tracer (``perfbench/tracing.py``) wraps it by name to time this step,
+    until ROADMAP item 3 replaces that tracer.
     """
-    cost = np.asarray(cost, dtype=float)
-    if cost.ndim != 2 or cost.shape[0] != cost.shape[1] or cost.size == 0:
-        raise ValueError(f"cost must be a non-empty square matrix, got shape {cost.shape}")
-    if not np.all(np.isfinite(cost)):
-        raise ValueError("cost matrix has non-finite entries")
-    n = len(cost)
-    cheapest = cost.argmin(axis=1)
-    u, v = cost[np.arange(n), cheapest], np.zeros(n)
-    col4row, row4col = np.full(n, -1), np.full(n, -1)
-    taken, first_row = np.unique(cheapest, return_index=True)
-    col4row[first_row], row4col[taken] = taken, first_row
-    for start in np.flatnonzero(col4row < 0):
-        _augment(cost, u, v, col4row, row4col, start)
-    return np.arange(n), col4row
-
-
-def _augment(
-    cost: NDArray[np.float64],
-    u: NDArray[np.float64],
-    v: NDArray[np.float64],
-    col4row: NDArray[np.int64],
-    row4col: NDArray[np.int64],
-    start: int,
-) -> None:
-    """Match row ``start`` along a shortest alternating path; update duals and matching in place."""
-    n = len(v)
-    shortest, path = np.full(n, np.inf), np.full(n, -1)
-    rows_seen, cols_seen = np.zeros(n, dtype=bool), np.zeros(n, dtype=bool)
-    row, reach = start, 0.0
-    while True:
-        rows_seen[row] = True
-        via_row = reach + cost[row] - u[row] - v
-        closer = ~cols_seen & (via_row < shortest)
-        shortest[closer], path[closer] = via_row[closer], row
-        open_cols = np.flatnonzero(~cols_seen)
-        col = open_cols[np.argmin(shortest[open_cols])]
-        reach = shortest[col]
-        cols_seen[col] = True
-        if row4col[col] < 0:
-            break
-        row = row4col[col]
-    inner = np.flatnonzero(rows_seen)
-    inner = inner[inner != start]
-    u[start] += reach
-    u[inner] += reach - shortest[col4row[inner]]
-    v[cols_seen] -= reach - shortest[cols_seen]
-    while True:  # flip the path back to start
-        row = path[col]
-        row4col[col] = row
-        col4row[row], col = col, col4row[row]
-        if row == start:
-            break
+    weight = np.add.reduceat(overlaps, starts, axis=1)
+    rows = np.arange(len(overlaps))
+    cluster = np.argmax(weight, axis=1)
+    weight = weight[rows, cluster]
+    count = np.bincount(cluster, minlength=len(starts))
+    sizes = np.diff(starts, append=len(rows))
+    if weight.min() >= LABEL_CUT and np.any(count != sizes):
+        c = np.argmax(count != sizes)
+        raise LabelingError(
+            f"ambiguous labelling: an energy cluster of {sizes[c]} eigenstates is the majority "
+            f"cluster of {count[c]} labels; hyperfine constants too large for perturbative labelling"
+        )
+    first = np.cumsum(count) - count
+    ascending = np.empty_like(rows)
+    ascending[np.argsort(cluster, kind="stable")] = rows
+    descending = 2 * first[cluster] + count[cluster] - 1 - ascending
+    gain = np.bincount(cluster, overlaps[rows, descending] - overlaps[rows, ascending], len(starts))
+    return np.where(gain[cluster] > 0, descending, ascending), weight
 
 
 def _product_overlaps(
@@ -517,17 +475,19 @@ def hf_levels_exact(
 ) -> list[HFLevel]:
     """Full diagonalization of H_CF + H_HF on the product space, with labels.
 
-    Every eigenstate is assigned the (n, sigma, m_z) label of the CF x nuclear
-    product state it overlaps most, using an optimal one-to-one assignment so
-    that each label is used exactly once.  Exactly degenerate eigenstates
-    (Kramers partners, whole blocks at zero coupling) may come out of the
-    eigensolver as arbitrary mixtures; mixing within one energy cluster cannot
-    change any assigned energy, so confidence is judged per cluster, cut by
-    the ``DEGENERACY_RTOL`` rule that groups the CF levels.
+    Each (n, sigma, m_z) label of a CF x nuclear product state takes one
+    eigenstate in the energy cluster (cut as the CF levels are, by
+    ``DEGENERACY_RTOL``) that holds most of its squared overlap; see
+    ``linear_sum_assignment``.  A cluster's weight does not depend on how the
+    eigensolver mixed its exactly degenerate eigenstates (Kramers partners,
+    whole levels at zero coupling).  A label's weights sum to 1, so where each
+    reaches ``LABEL_CUT`` = 0.5, this is the optimal one-to-one assignment up
+    to the pairing inside clusters of more than two members.
 
-    Raises LabelingError when a label's weight on its assigned energy cluster
-    falls below ``LABEL_CUT``: the hyperfine coupling is then too strong for
-    perturbative labelling to mean anything, and we report rather than guess.
+    Raises LabelingError when a label's majority weight falls below
+    ``LABEL_CUT``, or a cluster is the majority of a wrong number of labels:
+    the coupling is then too strong for perturbative labelling to mean
+    anything, and we report rather than guess.
 
     The last point asked for is remembered, with the H_CF that ``cf_levels``
     solved there, and each call returns a fresh list of (immutable) levels.

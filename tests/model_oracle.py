@@ -3,12 +3,16 @@ evaluation at a time, kept as an oracle for the batched code in hfspec.
 
 ``classify_levels`` resolves each degenerate cluster sector by sector with
 one SVD per (cluster, sector) and checks the purity of every member it
-builds; ``exact_predictor`` solves H_CF + H_HF at every evaluation, builds
-its labelled levels and reads the rows through a dict.  Both must give the
-bits hfspec gives.
+builds; ``exact_predictor`` solves H_CF + H_HF at every evaluation, labels
+it by scipy's optimal one-to-one assignment, builds its labelled levels and
+reads the rows through a dict.  Both must give the bits hfspec gives, but
+for which label takes which eigenvalue inside an energy cluster of more than
+two members (a whole CF level at zero coupling), a pairing the optimum does
+not fix.
 """
 
 import numpy as np
+from scipy.optimize import linear_sum_assignment
 
 from hfspec.angular import build_jz
 from hfspec.hamiltonian import (
@@ -23,7 +27,6 @@ from hfspec.hamiltonian import (
     SymmetryError,
     build_cf_hamiltonian,
     build_hf_hamiltonian,
-    linear_sum_assignment,
 )
 
 

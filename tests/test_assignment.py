@@ -1,64 +1,32 @@
-"""The numpy assignment solver behind hyperfine labelling, checked against scipy."""
+"""Hyperfine labelling by majority energy cluster, checked against scipy's optimal assignment."""
 
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import model_oracle
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
-from hypothesis.extra.numpy import arrays
 
 import hfspec
-import hfspec.hamiltonian as hamiltonian
-from hfspec.hamiltonian import CFParameters, HyperfineConstants, hf_levels_exact, linear_sum_assignment
-
-assignment_settings = settings(max_examples=200, deadline=None, derandomize=True, database=None)
+from hfspec.hamiltonian import (CFParameters, HyperfineConstants, LabelingError, hf_levels_exact,
+                                linear_sum_assignment)
 
 
-@pytest.fixture(scope="module")
-def oracle():
-    return pytest.importorskip("scipy.optimize").linear_sum_assignment
+@pytest.mark.parametrize("overlaps, cols", [([[0.7, 0.3], [0.3, 0.7]], [0, 1]), ([[0.3, 0.7], [0.7, 0.3]], [1, 0])],
+                         ids=["ascending", "descending"])
+def test_a_kramers_pair_takes_its_better_pairing(overlaps, cols):
+    got, weight = linear_sum_assignment(np.array(overlaps), np.array([0]))
+    assert got.tolist() == cols
+    assert weight.tolist() == [1.0, 1.0]
 
 
-def _is_permutation(rows, cols, n):
-    return np.array_equal(rows, np.arange(n)) and np.array_equal(np.sort(cols), np.arange(n))
-
-
-@assignment_settings
-@given(st.integers(1, 40), st.integers(0, 2**32 - 1), st.floats(-6.0, 6.0))
-def test_real_matrices_match_scipy(oracle, n, seed, log_scale):
-    cost = 10.0**log_scale * np.random.default_rng(seed).standard_normal((n, n))
-    rows, cols = linear_sum_assignment(cost)
-    ref_rows, ref_cols = oracle(cost)
-    assert np.array_equal(rows, ref_rows)
-    assert np.array_equal(cols, ref_cols)
-
-
-@assignment_settings
-@given(st.integers(1, 8).flatmap(lambda n: arrays(np.int64, (n, n), elements=st.integers(0, 3))))
-def test_integer_matrices_with_ties_reach_scipy_optimum(oracle, cost):
-    n = len(cost)
-    rows, cols = linear_sum_assignment(cost)
-    assert _is_permutation(rows, cols, n)
-    assert cost[rows, cols].sum() == cost[oracle(cost)].sum()
-
-
-def test_conflicting_first_choices_augment():
-    # both rows want column 0; the optimum gives it to row 1
-    rows, cols = linear_sum_assignment(np.array([[1.0, 2.0], [1.0, 3.0]]))
-    assert rows.tolist() == [0, 1]
-    assert cols.tolist() == [1, 0]
-
-
-@pytest.mark.parametrize(
-    "cost", [np.zeros((0, 0)), np.zeros((2, 3)), np.zeros(4), np.array([[0.0, np.nan], [1.0, 2.0]])]
-)
-def test_rejects_bad_cost(cost):
-    with pytest.raises(ValueError):
-        linear_sum_assignment(cost)
+def test_a_cluster_that_is_the_majority_of_surplus_labels_is_refused():
+    # labels 0-2 hold 0.6 each on the two-member cluster {0, 1}, label 3 holds 0.8 on {2, 3}
+    overlaps = np.array([[0.3, 0.3, 0.2, 0.2]] * 3 + [[0.1, 0.1, 0.4, 0.4]])
+    with pytest.raises(LabelingError, match="cluster of 2 eigenstates is the majority cluster of 3 labels"):
+        linear_sum_assignment(overlaps, np.array([0, 2]))
 
 
 def _scan_points():
@@ -76,11 +44,8 @@ def _scan_points():
 
 
 @pytest.mark.parametrize("cf, hf", _scan_points())
-def test_labels_equal_those_from_scipy_assignment(oracle, monkeypatch, cf, hf, system):
-    ours = hf_levels_exact(cf, hf, system)
-    monkeypatch.setattr(hamiltonian, "linear_sum_assignment", oracle)
-    hamiltonian._hf_levels.cache_clear()  # else the second call reads the first's result
-    assert hf_levels_exact(cf, hf, system) == ours
+def test_labels_equal_those_from_scipy_assignment(cf, hf, system):
+    assert hf_levels_exact(cf, hf, system) == model_oracle.hf_levels(cf, hf, system)
 
 
 def test_cli_import_leaves_scipy_out():

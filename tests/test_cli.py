@@ -419,21 +419,32 @@ def test_fit_refuses_numbers_it_cannot_hold(tmp_path, mode, families, energy, si
 
 
 @pytest.mark.parametrize(
-    "text",
+    "text, line",
     [
-        "nu_cm1,n\n10,2.7\n20,2.8\n30,2.9\n40,1e200\n",
-        "nu_cm1,n\n10,2.7\n20,2.8\n30,2.9\n1e308,3.0\n",
-        "nu_cm1,n\n10,2.7\n20,2.8\n30,2.9\n-1e308,3.0\n",
-        "nu_cm1,n,sigma_n\n10,2.7,0.01\n20,2.8,0.01\n30,2.9,0.01\n40,3.0,1e-320\n",
+        ("nu_cm1,n\n10,2.7\n20,2.8\n30,2.9\n40,1e200\n", 5),
+        ("nu_cm1,n\n10,2.7\n20,2.8\n30,2.9\n1e308,3.0\n", 5),
+        ("nu_cm1,n\n10,2.7\n20,2.8\n30,2.9\n-1e308,3.0\n", 5),
+        ("nu_cm1,n,sigma_n\n10,2.7,0.01\n20,2.8,0.01\n30,2.9,0.01\n40,3.0,1e-320\n", 5),
+        # sigma_n is floored relative to n, not to itself
+        ("nu_cm1,n,sigma_n\n10,1e50,1e-60\n20,2.8,0.01\n30,2.9,0.01\n40,3.0,0.01\n", 2),
     ],
-    ids=["n", "nu", "minus-nu", "sigma_n"],
+    ids=["n", "nu", "minus-nu", "sigma_n", "sigma_n-of-large-n"],
 )
-def test_fit_refindex_refuses_numbers_it_cannot_hold(tmp_path, text):
+def test_fit_refindex_refuses_numbers_it_cannot_hold(tmp_path, text, line):
     path = tmp_path / "n.csv"
     path.write_text(text)
     result = invoke("fit", "--mode", "refindex", "--dataset", str(path))
     assert result.exit_code == EXIT_DATASET
-    assert f"{path}:5: " in result.output
+    assert f"{path}:{line}: " in result.output
+
+
+def test_fit_refindex_refuses_a_span_too_narrow_for_a_pole(tmp_path):
+    """Frequencies one ulp apart leave no room for a pole beside the data."""
+    path = tmp_path / "n.csv"
+    path.write_text("nu_cm1,n\n10,2.7\n10.000000000000002,2.8\n10.000000000000004,2.9\n10.000000000000005,3.0\n")
+    result = invoke("fit", "--mode", "refindex", "--dataset", str(path))
+    assert result.exit_code == EXIT_DATASET
+    assert "span" in result.output
 
 
 # -------------------------------------------------------------------- analyze

@@ -38,3 +38,26 @@ def test_perfbench_import_resolves(module, name):
     # as ``from module import name`` does, fall back to a submodule of that name
     found = hasattr(importlib.import_module(module), name) or importlib.util.find_spec(f"{module}.{name}")
     assert found, f"from {module} import {name}"
+
+
+def test_perfbench_tracer_installs_on_the_package():
+    """The harness tracer wraps hfspec functions by name, among them
+    ``hamiltonian.linear_sum_assignment``, which a labelled solve calls once;
+    a wrapped name that hfspec no longer has fails here, not only in the
+    harness self-check."""
+    import hfspec
+    from hfspec import hamiltonian
+
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", PERFBENCH / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    before = dict(vars(hamiltonian))
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        hamiltonian._hf_levels.cache_clear()
+        hfspec.hf_levels_exact(hfspec.CF_HO_LIYF4, hfspec.HYPERFINE_HO_LIYF4, hfspec.HO_LIYF4)
+    finally:
+        tracer.uninstall()
+    assert [span[0] for span in tracer.spans].count("linear_sum_assignment") == 1
+    assert vars(hamiltonian) == before

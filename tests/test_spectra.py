@@ -188,6 +188,14 @@ def test_empty_line_list_zero_spectrum():
     assert np.array_equal(spec.absorbance, np.zeros_like(grid))
 
 
+def test_empty_grid_is_refused_and_one_sample_is_its_profile_value():
+    shape = PeakModel("lorentzian", 0.0, 0.1, 1.0)
+    with pytest.raises(ValueError, match="grid must be nonempty"):
+        synthesize([TransitionLine(1, 2, None, 0.5)], shape, np.array([]))
+    spec = synthesize([TransitionLine(1, 2, None, 0.5)], shape, np.array([0.52]))
+    assert spec.absorbance.tolist() == PeakModel("lorentzian", 0.5, 0.1, 1.0).profile([0.52]).tolist()
+
+
 def test_gaussian_integral_matches_area():
     fwhm = 0.01
     peak = PeakModel("gaussian", 0.5, fwhm, 2.0)
