@@ -15,6 +15,7 @@ All printed numbers use 8 significant digits; identical inputs produce
 byte-identical output.
 """
 
+import functools
 import json
 import sys
 from pathlib import Path
@@ -153,10 +154,15 @@ def hf(config_path, transition, compare, fmt, output):
     else:
         groups = [(datasets.format_half_integer(ln.m_z), [ln]) for ln in sorted(lines, key=lambda l: l.m_z)]
 
+    @functools.cache
+    def ladder(n, sigma):
+        """delta at each m_z of branch (n, sigma): one delta_full call per branch."""
+        m = cfg.system.m_i
+        return dict(zip(m.tolist(), perturbation.delta_full(n, sigma, m, lvls, cfg.hyperfine, cfg.system).tolist()))
+
     def perturbative_energy(line):
         si, sf = line.branches
-        d_i = perturbation.delta_full(ni, si, line.m_z, lvls, cfg.hyperfine, cfg.system)
-        d_f = perturbation.delta_full(nf, sf, line.m_z, lvls, cfg.hyperfine, cfg.system)
+        d_i, d_f = ladder(ni, si)[line.m_z], ladder(nf, sf)[line.m_z]
         return by_n[nf].energy + d_f - by_n[ni].energy - d_i
 
     out_rows = []

@@ -62,23 +62,29 @@ def _operators(system: SpinSystem):
     return build_jz(system.j).matrix, build_jplus(system.j).matrix, build_jminus(system.j).matrix
 
 
-def _delta_over_m(
+def delta_full(
     n: int,
     sigma: int,
-    m_z: NDArray[np.float64],
+    m_z: float | NDArray[np.float64],
     levels: list[CFLevel],
     hf: HyperfineConstants,
     system: SpinSystem,
-) -> NDArray[np.float64]:
-    """``delta_full`` at every nuclear projection in the 1-d array ``m_z`` at once.
+) -> float | NDArray[np.float64]:
+    """Second-order correction of level (n, sigma) along its nuclear ladder.
 
-    The matrix elements are computed once per intermediate state; the sum
-    over states runs in level order, as a scalar evaluation at each m_z
-    would, so every entry is bit-identical to the one-m_z result.
+    ``m_z`` is one nuclear projection (a float comes back) or a 1-d array of
+    them (an array of the same length comes back).  Sums over every branch
+    of every other level in ``levels``; the one second-order formula, for
+    doublets and singlets alike.  The matrix elements are computed once per
+    intermediate state and the sum runs in level order, so each entry is
+    bit-identical whether evaluated alone or along a whole ladder.  Raises
+    LabelingError when another level has the same energy.
     """
     level = _level(levels, n)
     if sigma not in level.vectors:
         raise ValueError(f"level {n} has no sigma={sigma:+d} branch")
+    scalar = np.ndim(m_z) == 0
+    m_z = np.atleast_1d(np.asarray(m_z, dtype=float))
     jz, jp, jm = _operators(system)
     psi = level.vectors[sigma]
     jz_psi, jm_psi, jp_psi = jz @ psi, jm @ psi, jp @ psi
@@ -114,24 +120,8 @@ def _delta_over_m(
     if hf.b_quad != 0.0:
         o20 = float(np.real(psi.conj() @ (3 * jz @ jz) @ psi)) - j * (j + 1)
         quad = hf.b_quad * o20 / (4 * i * (2 * i - 1) * j * (2 * j - 1)) * (3 * m2 - i * (i + 1))
-    return delta + quad
-
-
-def delta_full(
-    n: int,
-    sigma: int,
-    m_z: float,
-    levels: list[CFLevel],
-    hf: HyperfineConstants,
-    system: SpinSystem,
-) -> float:
-    """General second-order correction of level (n, sigma) at nuclear projection m_z.
-
-    Sums over every branch of every other level in ``levels``; the one
-    second-order formula, for doublets and singlets alike.  Raises
-    LabelingError when another level has the same energy.
-    """
-    return float(_delta_over_m(n, sigma, np.array([m_z], dtype=float), levels, hf, system)[0])
+    delta = delta + quad
+    return float(delta[0]) if scalar else delta
 
 
 def quadratic_m2_coefficient(
@@ -161,7 +151,7 @@ def lambda_from_model(
     m = system.m_i
     out = []
     for n in (1, 2, 3):
-        out.append(2 * quadratic_m2_coefficient(m, _delta_over_m(n, +1, m, levels, hf, system)))
+        out.append(2 * quadratic_m2_coefficient(m, delta_full(n, +1, m, levels, hf, system)))
     return LambdaCoefficients(*out)
 
 

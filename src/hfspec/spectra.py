@@ -177,9 +177,10 @@ def synthesize(
     lines: list[TransitionLine],
     shape: PeakModel,
     grid: NDArray[np.float64],
-    isotope: IsotopeConfig | None = None,
+    isotope: IsotopeConfig,
 ) -> Spectrum:
-    """Sum of line profiles on a grid, each with an optional isotope satellite.
+    """Sum of line profiles on a grid, each with an isotope satellite when
+    ``isotope.enabled``.
 
     ``shape`` supplies the profile type, FWHM and the amplitude scale; each
     line is placed at its energy with height shape.amplitude x intensity
@@ -201,7 +202,7 @@ def synthesize(
     for line in lines:
         height = shape.amplitude * (1.0 if line.intensity is None else line.intensity)
         peaks.append((line, line.energy, height))
-        if isotope is not None and isotope.enabled:
+        if isotope.enabled:
             peaks.append((line, line.energy + isotope.splitting, height * isotope.satellite_ratio))
     for line, center, height in peaks:
         if not (math.isfinite(center) and math.isfinite(height)):

@@ -15,9 +15,13 @@ from hfspec.cli import (
     EXIT_MODEL,
     main,
 )
-from hfspec.config import MEASURED_LINES, REFERENCE_CONFIG, bundled_path, load_config, parse_half_integer
+from hfspec import perturbation
+from hfspec.config import (MEASURED_LINES, REFERENCE_CONFIG, bundled_path, load_config, parse_half_integer,
+                           parse_transition_label)
+from hfspec.datasets import format_half_integer
 from hfspec.hamiltonian import cf_levels, hf_levels_exact
 from hfspec.perturbation import delta_full
+from hfspec.spectra import transition_lines
 
 runner = CliRunner()
 
@@ -247,6 +251,89 @@ def test_hf_compare_at_zero_couplings_exits_model(tmp_path):
     result = invoke("hf", "--config", config, "--transition", "8.1-8.2", "--compare")
     assert result.exit_code == EXIT_MODEL
     assert "levels 1 and 2 are degenerate" in result.output
+
+
+#: the CI's complex H_CF (b4m4 = 0.01, b6m4 = 1.68e-4) and its uncoupled model (a_j = b_quad = 0)
+CI_CONFIGS = {
+    "complex": (("b4m4 = 0.0", "b4m4 = 0.01"), ("b6m4 = 0.0", "b6m4 = 1.68e-4")),
+    "uncoupled": (("a_j = 0.02703", "a_j = 0"), ("b_quad = 0.04", "b_quad = 0")),
+}
+
+
+def _ci_config(path, name):
+    text = bundled_path(REFERENCE_CONFIG).read_text()
+    for old, new in CI_CONFIGS[name]:
+        assert old in text
+        text = text.replace(old, new)
+    path.write_text(text)
+    return str(path)
+
+
+def _compare_oracle(config, transition, fmt):
+    """``hf --compare`` output from one scalar delta_full call per line end:
+    each line's perturbative energy is E_f + delta_f - E_i - delta_i, and a
+    singlet-pair row averages its +-m_z members."""
+    cfg = load_config(config)
+    ni, nf = parse_transition_label(transition, cfg.system.j)
+    levels = cf_levels(cfg.cf, cfg.system)
+    lines = transition_lines(hf_levels_exact(cfg.cf, cfg.hyperfine, cfg.system), ni, nf)
+
+    def perturbative(line):
+        si, sf = line.branches
+        d_i = delta_full(ni, si, line.m_z, levels, cfg.hyperfine, cfg.system)
+        d_f = delta_full(nf, sf, line.m_z, levels, cfg.hyperfine, cfg.system)
+        return levels[nf - 1].energy + d_f - levels[ni - 1].energy - d_i
+
+    if levels[ni - 1].degeneracy == levels[nf - 1].degeneracy == 1:
+        groups = [(f"±{format_half_integer(m)}", [ln for ln in lines if abs(ln.m_z) == m])
+                  for m in sorted({abs(ln.m_z) for ln in lines})]
+    else:
+        groups = [(format_half_integer(ln.m_z), [ln]) for ln in sorted(lines, key=lambda ln: ln.m_z)]
+    rows = []
+    for m_text, members in groups:
+        energy = float(np.mean([ln.energy for ln in members]))
+        pert = float(np.mean([perturbative(ln) for ln in members]))
+        rows.append((m_text, f"{energy:.8g}", f"{pert:.8g}", f"{pert - energy:.8g}"))
+    if fmt == "csv":
+        header = ("m_z", "energy_cm1", "perturbative_cm1", "deviation_cm1")
+        return "".join(",".join(row) + "\n" for row in [header, *rows])
+    entries = [{"m_z": m, "energy_cm1": float(e), "perturbative_cm1": float(p), "deviation_cm1": float(d)}
+               for m, e, p, d in rows]
+    return json.dumps({"transition": transition, "lines": entries}, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("transition", ["8.1-8.2", "8.2-8.3", "8.6-8.12"])
+@pytest.mark.parametrize("name", sorted(CI_CONFIGS))
+def test_hf_compare_equals_the_per_line_oracle(tmp_path, name, transition, fmt):
+    """Reading each line's delta off its branch's ladder prints the bytes of
+    one scalar delta_full evaluation per line end."""
+    config = _ci_config(tmp_path / f"{name}.ini", name)
+    result = invoke("hf", "--config", config, "--transition", transition, "--compare", "--format", fmt)
+    assert result.exit_code == 0, result.output
+    assert result.output == _compare_oracle(config, transition, fmt)
+
+
+@pytest.mark.parametrize("transition, branches", [("8.1-8.2", 2), ("8.2-8.3", 2), ("8.6-8.12", 3)])
+def test_hf_compare_evaluates_each_branch_once(monkeypatch, transition, branches):
+    """One delta_full call over the whole nuclear ladder per (n, sigma)
+    branch that the transition's lines use."""
+    calls = []
+    real = perturbation.delta_full
+
+    def spy(n, sigma, m_z, *rest):
+        calls.append((n, sigma, np.array(m_z, dtype=float).tolist()))
+        return real(n, sigma, m_z, *rest)
+
+    monkeypatch.setattr(perturbation, "delta_full", spy)
+    assert invoke("hf", "--transition", transition, "--compare").exit_code == 0
+    cfg = load_config(bundled_path(REFERENCE_CONFIG))
+    ni, nf = parse_transition_label(transition, cfg.system.j)
+    lines = transition_lines(hf_levels_exact(cfg.cf, cfg.hyperfine, cfg.system), ni, nf)
+    used = {(ni, ln.branches[0]) for ln in lines} | {(nf, ln.branches[1]) for ln in lines}
+    assert sorted((n, sigma) for n, sigma, _ in calls) == sorted(used)
+    assert len(calls) == branches
+    assert all(m == cfg.system.m_i.tolist() for _, _, m in calls)
 
 
 def test_hf_json_matches_csv():

@@ -389,7 +389,7 @@ def test_forward_model_solves_each_hamiltonian_once(monkeypatch, cf_params, hype
     """Levels, hyperfine levels, both lambda routes and a spectrum at one
     point, from cold: one 17-dim H_CF solve and one 136-dim H solve."""
     from hfspec.perturbation import lambda_from_exact, lambda_from_model
-    from hfspec.spectra import PeakModel, boltzmann_weights, synthesize, transition_lines
+    from hfspec.spectra import IsotopeConfig, PeakModel, boltzmann_weights, synthesize, transition_lines
 
     rows = []
     eigh = np.linalg.eigh
@@ -399,7 +399,8 @@ def test_forward_model_solves_each_hamiltonian_once(monkeypatch, cf_params, hype
     lambda_from_model(levels, hyperfine, system)
     lambda_from_exact(cf_params, hyperfine, system)
     lines = transition_lines(hf_lvls, 1, 3, weights=boltzmann_weights(hf_lvls, 3.5))
-    synthesize(lines, PeakModel("gaussian", 0.0, 0.009, 1.0), np.linspace(22.5, 24.1, 50))
+    grid = np.linspace(22.5, 24.1, 50)
+    synthesize(lines, PeakModel("gaussian", 0.0, 0.009, 1.0), grid, IsotopeConfig(enabled=False))
     assert rows == [system.dim_j, system.dim]
 
 

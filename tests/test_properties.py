@@ -27,8 +27,7 @@ from hfspec.hamiltonian import (
     hf_levels_exact,
 )
 from hfspec.angular import build_jminus, build_jplus, build_jz
-from hfspec.perturbation import (_delta_over_m, delta_full, lambda_from_exact, lambda_from_model,
-                                 quadratic_m2_coefficient)
+from hfspec.perturbation import delta_full, lambda_from_exact, lambda_from_model, quadratic_m2_coefficient
 from hfspec.spectra import transition_lines
 
 CF_NAMES = ("b20", "b40", "b44", "b60", "b64")
@@ -128,9 +127,10 @@ def test_lambda_from_model_equals_per_m_regression(point):
     assert lambda_from_model(levels, hf, system).as_tuple() == expected
 
 
-def _delta_over_m_scalar_loop(n, sigma, m_z, levels, hf, system):
-    """Reference: ``perturbation._delta_over_m`` as it was before its m_z
-    arithmetic was stacked, adding one array term per intermediate branch."""
+def _delta_ladder_loop(n, sigma, m_z, levels, hf, system):
+    """Reference: ``perturbation.delta_full`` over a ladder as it was before
+    its m_z arithmetic was stacked, adding one array term per intermediate
+    branch."""
     level = next(lv for lv in levels if lv.n == n)
     jz, jp, jm = build_jz(system.j).matrix, build_jplus(system.j).matrix, build_jminus(system.j).matrix
     psi = level.vectors[sigma]
@@ -171,10 +171,11 @@ def test_stacked_delta_is_bit_identical_to_scalar_loop(point, quadrupole):
     for levels in (full, full[:3]):
         for level in levels:
             for sigma in level.branches():
-                expected = _delta_over_m_scalar_loop(level.n, sigma, m, levels, hf, system)
-                got = _delta_over_m(level.n, sigma, m, levels, hf, system)
+                expected = _delta_ladder_loop(level.n, sigma, m, levels, hf, system)
+                got = delta_full(level.n, sigma, m, levels, hf, system)
                 assert got.tobytes() == expected.tobytes()
                 one_at_a_time = [delta_full(level.n, sigma, mz, levels, hf, system) for mz in m]
+                assert all(type(d) is float for d in one_at_a_time)
                 assert np.array(one_at_a_time).tobytes() == expected.tobytes()
 
 
@@ -502,3 +503,37 @@ def test_turn_about_the_c_axis_changes_nothing(point, b4m4_share, phi):
     got = _gauge_observables(_rotated(cf, phi), hf, system)
     assert got[:2] == (verdict, structure)
     np.testing.assert_allclose(got[2], numbers, rtol=0, atol=1e-11 * span)
+
+
+@property_settings
+@given(s4_points, st.floats(min_value=-0.3, max_value=0.3))
+@example(((1.0,) * len(CF_NAMES), 1.0, 0.04, 0.1), 0.3)
+def test_s4_blocks_and_time_reversal_of_the_dense_h(point, b4m4_share):
+    """The facts a block solve would rest on, checked on the dense
+    kron(H_CF, 1) + H_HF, complex H_CF included: no entry couples two
+    (M + m_z) mod 4 blocks; the blocks' eigenvalues are the dense ones to
+    1e-12 of the span; and time reversal, T|M, m_z> = (-1)^(J-M+I-m_z)
+    |-M, -m_z> with complex conjugation, maps each eigenvector of block 1/2
+    to one of block 7/2 with the same eigenvalue."""
+    cf, hf = _model(point)
+    cf = CFParameters(**dict(cf.items(), b4m4=cf.b44 * b4m4_share))
+    system = HO_LIYF4
+    h_cf = np.kron(build_cf_hamiltonian(cf, system).matrix, np.eye(system.dim_i))
+    h = h_cf + build_hf_hamiltonian(hf, system).matrix
+    m, m_z = np.repeat(system.m_j, system.dim_i), np.tile(system.m_i, system.dim_j)
+    block = np.mod(m + m_z, 4)
+    assert np.all(h[block[:, None] != block] == 0)
+    dense = np.linalg.eigvalsh(h)
+    span = dense[-1] - dense[0]
+    blocks = [np.linalg.eigvalsh(h[np.ix_(block == b, block == b)]) for b in (0.5, 1.5, 2.5, 3.5)]
+    np.testing.assert_allclose(np.sort(np.concatenate(blocks)), dense, rtol=0, atol=1e-12 * span)
+    # the basis runs over (M, m_z) ascending, so (-M, -m_z) is the mirrored
+    # index; inside one block the sign is one global phase
+    half = block == 0.5
+    values, vectors = np.linalg.eigh(h[np.ix_(half, half)])
+    u = np.zeros((system.dim, len(values)), dtype=complex)
+    u[half] = vectors
+    t_u = ((-1.0) ** (system.j - m + system.i - m_z))[:, None] * u.conj()
+    t_u = t_u[::-1]
+    assert np.all(block[::-1][half] == 3.5)
+    assert np.linalg.norm(h @ t_u - t_u * values, axis=0).max() <= 1e-12 * span

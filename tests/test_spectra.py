@@ -128,6 +128,7 @@ def test_gaussian_half_maximum():
         [TransitionLine(1, 2, None, 0.0)],
         PeakModel("gaussian", 0.0, fwhm, 1.0),
         grid,
+        IsotopeConfig(enabled=False),
     )
     center = np.interp(0.0, grid, spec.absorbance)
     at_half = np.interp(fwhm / 2, grid, spec.absorbance)
@@ -148,6 +149,7 @@ def test_lorentzian_half_maximum():
         [TransitionLine(1, 2, None, 0.0)],
         PeakModel("lorentzian", 0.0, 0.2, 2.0),
         grid,
+        IsotopeConfig(enabled=False),
     )
     assert np.interp(0.1, grid, spec.absorbance) == pytest.approx(1.0, abs=1e-9)
 
@@ -174,7 +176,7 @@ def test_ground_ladder_resolved_at_measured_linewidth(hf_levels):
     # eight clean peaks at the instrument linewidth of the low-energy setup
     lines = transition_lines(hf_levels, 1, 2)
     grid = np.arange(6.1, 7.6, 0.001)
-    spec = synthesize(lines, PeakModel("gaussian", 0.0, 0.017, 1.0), grid)
+    spec = synthesize(lines, PeakModel("gaussian", 0.0, 0.017, 1.0), grid, IsotopeConfig(enabled=False))
     y = spec.absorbance
     count = sum(
         1 for k in range(1, len(grid) - 1) if y[k] > y[k - 1] and y[k] > y[k + 1]
@@ -184,15 +186,15 @@ def test_ground_ladder_resolved_at_measured_linewidth(hf_levels):
 
 def test_empty_line_list_zero_spectrum():
     grid = np.linspace(0.0, 1.0, 11)
-    spec = synthesize([], PeakModel("gaussian", 0.0, 0.1, 1.0), grid)
+    spec = synthesize([], PeakModel("gaussian", 0.0, 0.1, 1.0), grid, IsotopeConfig(enabled=False))
     assert np.array_equal(spec.absorbance, np.zeros_like(grid))
 
 
 def test_empty_grid_is_refused_and_one_sample_is_its_profile_value():
     shape = PeakModel("lorentzian", 0.0, 0.1, 1.0)
     with pytest.raises(ValueError, match="grid must be nonempty"):
-        synthesize([TransitionLine(1, 2, None, 0.5)], shape, np.array([]))
-    spec = synthesize([TransitionLine(1, 2, None, 0.5)], shape, np.array([0.52]))
+        synthesize([TransitionLine(1, 2, None, 0.5)], shape, np.array([]), IsotopeConfig(enabled=False))
+    spec = synthesize([TransitionLine(1, 2, None, 0.5)], shape, np.array([0.52]), IsotopeConfig(enabled=False))
     assert spec.absorbance.tolist() == PeakModel("lorentzian", 0.5, 0.1, 1.0).profile([0.52]).tolist()
 
 
@@ -201,7 +203,7 @@ def test_gaussian_integral_matches_area():
     peak = PeakModel("gaussian", 0.5, fwhm, 2.0)
     grid = np.arange(0.5 - 20 * fwhm, 0.5 + 20 * fwhm, fwhm / 20)
     spec = synthesize([TransitionLine(1, 2, None, 0.5, intensity=2.0)],
-                      PeakModel("gaussian", 0.0, fwhm, 1.0), grid)
+                      PeakModel("gaussian", 0.0, fwhm, 1.0), grid, IsotopeConfig(enabled=False))
     integral = np.trapezoid(spec.absorbance, grid)
     area = peak.amplitude * peak.fwhm * 0.5 * math.sqrt(math.pi / math.log(2.0))
     assert integral == pytest.approx(area, rel=1e-3)
@@ -241,7 +243,7 @@ def test_spectrum_validation():
         Spectrum(np.array([0.0, 1.0]), np.zeros(3))
 
 
-def _synthesize_full_grid(lines, shape, grid, isotope=None):
+def _synthesize_full_grid(lines, shape, grid, isotope):
     """Reference: every profile evaluated on the whole grid and added in line
     order, as ``synthesize`` did before it evaluated each peak only within
     its reach."""
@@ -249,7 +251,7 @@ def _synthesize_full_grid(lines, shape, grid, isotope=None):
     for line in lines:
         height = shape.amplitude * (1.0 if line.intensity is None else line.intensity)
         total += PeakModel(shape.shape, line.energy, shape.fwhm, height).profile(grid)
-        if isotope is not None and isotope.enabled:
+        if isotope.enabled:
             satellite = PeakModel(
                 shape.shape, line.energy + isotope.splitting, shape.fwhm, height * isotope.satellite_ratio
             )
@@ -288,7 +290,7 @@ def synthesis_cases(draw):
         for _ in range(draw(st.integers(min_value=0, max_value=8)))
     ]
     shape = PeakModel(draw(st.sampled_from(PEAK_SHAPES)), 0.0, fwhm, draw(st.sampled_from([1.0, -0.7, 1e-300])))
-    isotope = draw(st.sampled_from([None, IsotopeConfig(), IsotopeConfig(enabled=False),
+    isotope = draw(st.sampled_from([IsotopeConfig(), IsotopeConfig(enabled=False),
                                     IsotopeConfig(splitting=-0.3, satellite_ratio=1.5)]))
     return lines, shape, isotope
 
@@ -313,8 +315,8 @@ def test_tiny_fwhm_is_bit_identical_to_full_grid_sum(fwhm):
         grid = np.unique(rng.uniform(-100.0, 100.0, 200)) * fwhm
         lines = [TransitionLine(1, 2, 0.5, c) for c in rng.uniform(-30.0, 30.0, 3) * fwhm]
         with np.errstate(divide="ignore", invalid="ignore", under="ignore"):
-            spectrum = synthesize(lines, shape, grid)
-            expected = _synthesize_full_grid(lines, shape, grid)
+            spectrum = synthesize(lines, shape, grid, IsotopeConfig(enabled=False))
+            expected = _synthesize_full_grid(lines, shape, grid, IsotopeConfig(enabled=False))
         assert spectrum.absorbance.tobytes() == expected.tobytes()
 
 
