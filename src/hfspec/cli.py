@@ -23,7 +23,7 @@ from pathlib import Path
 import click
 import numpy as np
 
-from . import analysis, datasets, fitting, perturbation, spectra
+from . import analysis, datasets, fitting, perturbation, reference, spectra
 from .config import (
     ConfigError,
     MEASURED_LINES,
@@ -234,7 +234,8 @@ def fit(config_path, dataset_path, mode, output):
                 best_cf, best_aj, data.rows, cfg.system
             )
         else:
-            result = fitting.fit_b(data, cfg.cf, cfg.hyperfine.a_j, cfg.system, initial_b=cfg.hyperfine.b_quad or 0.04)
+            start = cfg.hyperfine.b_quad or reference.HYPERFINE_HO_LIYF4.b_quad
+            result = fitting.fit_b(data, cfg.cf, cfg.hyperfine.a_j, cfg.system, initial_b=start)
             best_hf = HyperfineConstants(cfg.hyperfine.a_j, float(result.values[0]))
             predictions = fitting.predict_lines_exact(
                 cfg.cf, best_hf, data.rows, cfg.system

@@ -26,13 +26,13 @@ violation is a DatasetError naming file:line.
 """
 
 import csv
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .config import (MAX_COUPLING, bounded_float, format_level, format_transition, parse_half_integer,
                      parse_level, parse_transition_label)
-from .fitting import DatasetError, ObservationRow, TransitionDataset
 from .spectra import Spectrum
 
 
@@ -43,6 +43,52 @@ _COLUMNS = ["transition", "m_z", "energy_cm1", "sigma_cm1"]
 _REFRACTIVE_HEADERS = [[nu, "n", *sigma] for nu in ("nu_cm1", "wavenumber_cm1") for sigma in ([], ["sigma_n"])]
 _SPECTRUM_COLUMNS = ["wavenumber_cm1", "absorbance"]
 _LEVEL_COLUMNS = ["n", "energy_cm1", "irrep", "jz"]
+
+ROW_KINDS = ("hf", "cf", "moment")
+
+
+class DatasetError(ValueError):
+    """A dataset is malformed or cannot constrain the fit; file errors carry the row number."""
+
+
+@dataclass(frozen=True)
+class ObservationRow:
+    """One measured quantity entering a fit.
+
+    kind "hf": a hyperfine-resolved transition energy at fixed m_z.
+    kind "cf": a transition energy averaged over the hyperfine structure
+        (m_z is None).
+    kind "moment": a pseudo-observation of <J_z> on the sigma = +1 branch of
+        CF level n_init (n_final and m_z are None).
+    """
+
+    kind: str
+    n_init: int
+    n_final: int | None
+    m_z: float | None
+    value: float
+    sigma: float
+
+    def __post_init__(self) -> None:
+        if self.kind not in ROW_KINDS:
+            raise ValueError(f"unknown row kind {self.kind!r}")
+        if not self.sigma > 0:
+            raise ValueError(f"row uncertainty must be positive, got {self.sigma}")
+        if self.kind == "hf" and (self.m_z is None or self.n_final is None):
+            raise ValueError("hf rows need both a final level and an m_z")
+        if self.kind == "cf" and self.n_final is None:
+            raise ValueError("cf rows need a final level")
+        if self.n_init < 1 or (self.n_final is not None and self.n_final < 1):
+            raise ValueError(f"level indices must be >= 1, got {self.n_init} and {self.n_final}")
+        if self.m_z is not None and not float(2 * self.m_z).is_integer():
+            raise ValueError(f"m_z must be an integer or half-integer, got {self.m_z}")
+
+
+@dataclass
+class TransitionDataset:
+    """The rows of one measured dataset."""
+
+    rows: list[ObservationRow]
 
 
 def _rows_with_numbers(path: Path):

@@ -27,12 +27,11 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .angular import SpinSystem
+from .datasets import ROW_KINDS, DatasetError, ObservationRow, TransitionDataset
 from .hamiltonian import CF_COEFFICIENTS, CFParameters, HyperfineConstants, _cf_point, cf_levels
 
 #: free parameters of fit_cf_aj: every CF coefficient but the gauged b4m4, then a_j
 CF_AJ_PARAM_NAMES = tuple(name for name in CF_COEFFICIENTS if name != "b4m4") + ("a_j",)
-
-ROW_KINDS = ("hf", "cf", "moment")
 
 #: central-difference Jacobian step, relative to each parameter's scale
 JAC_REL_STEP = 1e-6
@@ -55,52 +54,6 @@ GOLDEN_STEPS = 50
 
 class ConvergenceError(RuntimeError):
     """The optimizer hit its iteration cap or could not find a downhill step."""
-
-
-class DatasetError(ValueError):
-    """A dataset is malformed or cannot constrain the fit; file errors carry the row number."""
-
-
-@dataclass(frozen=True)
-class ObservationRow:
-    """One measured quantity entering a fit.
-
-    kind "hf": a hyperfine-resolved transition energy at fixed m_z.
-    kind "cf": a transition energy averaged over the hyperfine structure
-        (m_z is None).
-    kind "moment": a pseudo-observation of <J_z> on the sigma = +1 branch of
-        CF level n_init (n_final and m_z are None).
-    """
-
-    kind: str
-    n_init: int
-    n_final: int | None
-    m_z: float | None
-    value: float
-    sigma: float
-
-    def __post_init__(self) -> None:
-        if self.kind not in ROW_KINDS:
-            raise ValueError(f"unknown row kind {self.kind!r}")
-        if not self.sigma > 0:
-            raise ValueError(f"row uncertainty must be positive, got {self.sigma}")
-        if self.kind == "hf" and (self.m_z is None or self.n_final is None):
-            raise ValueError("hf rows need both a final level and an m_z")
-        if self.kind == "cf" and self.n_final is None:
-            raise ValueError("cf rows need a final level")
-        if self.n_init < 1 or (self.n_final is not None and self.n_final < 1):
-            raise ValueError(
-                f"level indices must be >= 1, got {self.n_init} and {self.n_final}"
-            )
-        if self.m_z is not None and not float(2 * self.m_z).is_integer():
-            raise ValueError(f"m_z must be an integer or half-integer, got {self.m_z}")
-
-
-@dataclass
-class TransitionDataset:
-    """The rows of one measured dataset."""
-
-    rows: list[ObservationRow]
 
 
 @dataclass(frozen=True)
@@ -437,7 +390,7 @@ def fit_b(
     params: CFParameters,
     a_j: float,
     system: SpinSystem,
-    initial_b: float = 0.04,
+    initial_b: float,
 ) -> FitResult:
     """One-parameter fit of the quadrupolar constant at fixed CF parameters.
 
@@ -467,7 +420,7 @@ def _weighted_fit(
     return _build_result(names, solution, len(rows))
 
 
-def fit_refractive(points: NDArray[np.float64], initial: RefractiveModel | None = None) -> FitResult:
+def fit_refractive(points: NDArray[np.float64]) -> FitResult:
     """Least-squares fit of n(nu) = a/(nu - nu0) + c by variable projection.
 
     ``points`` has columns (nu, n) or (nu, n, sigma).  At a fixed pole the
@@ -476,8 +429,8 @@ def fit_refractive(points: NDArray[np.float64], initial: RefractiveModel | None 
     the data it is scanned at ``POLE_SCAN_POINTS`` distances from the nearest
     data point, log-spaced over ``POLE_RANGE`` times the data span, and the
     best scan bracket is refined by ``GOLDEN_STEPS`` golden-section steps; the
-    side with the lower chi^2 wins.  No start is needed: ``initial`` is not
-    read.  ``n_iter`` is the number of golden-section steps, 2 * GOLDEN_STEPS.
+    side with the lower chi^2 wins.  ``n_iter`` is the number of
+    golden-section steps, 2 * GOLDEN_STEPS.
     The covariance comes from the closed-form Jacobian at the optimum.
     """
     points = np.asarray(points, dtype=float)

@@ -79,14 +79,14 @@ def _peak_profile(
 class IsotopeConfig:
     """Satellite produced by one substituted light-isotope neighbour.
 
-    The default amplitude ratio 0.33 models four equivalent neighbour sites
-    at natural light-isotope abundance (4 x 0.076/0.924); it is configurable
-    because observed ratios are sample dependent.
+    reference.ini's amplitude ratio 0.33 models four equivalent neighbour
+    sites at natural light-isotope abundance (4 x 0.076/0.924); it is
+    configurable because observed ratios are sample dependent.
     """
 
-    splitting: float = 0.0098
-    satellite_ratio: float = 0.33
-    enabled: bool = True
+    splitting: float
+    satellite_ratio: float
+    enabled: bool
 
     def __post_init__(self) -> None:
         if not np.isfinite(self.splitting):

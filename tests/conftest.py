@@ -9,7 +9,7 @@ from hfspec import (
     hamiltonian,
     hf_levels_exact,
 )
-from hfspec.config import MEASURED_LINES, bundled_path
+from hfspec.config import MEASURED_LINES, REFERENCE_CONFIG, bundled_path
 from hfspec.datasets import read_dataset
 
 
@@ -65,6 +65,24 @@ def measured_by_family(measured):
 @pytest.fixture(scope="session")
 def m_grid(system):
     return system.m_i
+
+
+#: the CI's complex H_CF (b4m4 = 0.01, b6m4 = 1.68e-4) and its uncoupled model (a_j = b_quad = 0)
+CI_CONFIGS = {
+    "complex": (("b4m4 = 0.0", "b4m4 = 0.01"), ("b6m4 = 0.0", "b6m4 = 1.68e-4")),
+    "uncoupled": (("a_j = 0.02703", "a_j = 0"), ("b_quad = 0.04", "b_quad = 0")),
+}
+
+
+def ci_config(path, name):
+    """Write the CI config ``name`` (bundled reference.ini with CI_CONFIGS'
+    edits) to ``path``; returns the path as a string."""
+    text = bundled_path(REFERENCE_CONFIG).read_text()
+    for old, new in CI_CONFIGS[name]:
+        assert old in text
+        text = text.replace(old, new)
+    path.write_text(text)
+    return str(path)
 
 
 def synthetic_cf_dataset(cf_params, a_j, system, rng=None):

@@ -15,7 +15,6 @@ from hfspec.config import EXPECTED_LEVELS, bundled_path
 from hfspec.datasets import read_expected_levels
 from hfspec.fitting import (
     CF_AJ_PARAM_NAMES,
-    RefractiveModel,
     fit_b,
     fit_cf_aj,
     fit_refractive,
@@ -264,7 +263,7 @@ def test_criterion_11_refractive_round_trip():
     worst = 0.0
     for a, nu0, c in ((-11.1, 110.0, 2.62), (-13.5, 115.0, 2.62)):
         data = np.column_stack([nu, a / (nu - nu0) + c])
-        result = fit_refractive(data, RefractiveModel(-8.0, 100.0, 2.5))
+        result = fit_refractive(data)
         for name, target in (("a", a), ("nu0", nu0), ("c", c)):
             rel = abs(result.params[name] - target) / abs(target)
             assert rel < 1e-6, name

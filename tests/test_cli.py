@@ -23,6 +23,8 @@ from hfspec.hamiltonian import cf_levels, hf_levels_exact
 from hfspec.perturbation import delta_full
 from hfspec.spectra import transition_lines
 
+from conftest import CI_CONFIGS, ci_config
+
 runner = CliRunner()
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -253,22 +255,6 @@ def test_hf_compare_at_zero_couplings_exits_model(tmp_path):
     assert "levels 1 and 2 are degenerate" in result.output
 
 
-#: the CI's complex H_CF (b4m4 = 0.01, b6m4 = 1.68e-4) and its uncoupled model (a_j = b_quad = 0)
-CI_CONFIGS = {
-    "complex": (("b4m4 = 0.0", "b4m4 = 0.01"), ("b6m4 = 0.0", "b6m4 = 1.68e-4")),
-    "uncoupled": (("a_j = 0.02703", "a_j = 0"), ("b_quad = 0.04", "b_quad = 0")),
-}
-
-
-def _ci_config(path, name):
-    text = bundled_path(REFERENCE_CONFIG).read_text()
-    for old, new in CI_CONFIGS[name]:
-        assert old in text
-        text = text.replace(old, new)
-    path.write_text(text)
-    return str(path)
-
-
 def _compare_oracle(config, transition, fmt):
     """``hf --compare`` output from one scalar delta_full call per line end:
     each line's perturbative energy is E_f + delta_f - E_i - delta_i, and a
@@ -308,7 +294,7 @@ def _compare_oracle(config, transition, fmt):
 def test_hf_compare_equals_the_per_line_oracle(tmp_path, name, transition, fmt):
     """Reading each line's delta off its branch's ladder prints the bytes of
     one scalar delta_full evaluation per line end."""
-    config = _ci_config(tmp_path / f"{name}.ini", name)
+    config = ci_config(tmp_path / f"{name}.ini", name)
     result = invoke("hf", "--config", config, "--transition", transition, "--compare", "--format", fmt)
     assert result.exit_code == 0, result.output
     assert result.output == _compare_oracle(config, transition, fmt)

@@ -173,7 +173,8 @@ def test_writers_write_the_recorded_bytes(tmp_path, measured):
     write_dataset(tmp_path / "lines.csv", TransitionDataset(measured.rows + extra))
     lines = [TransitionLine(1, 2, m, 7.3 + 0.012 * m, intensity=1.0 / (1 + abs(m))) for m in np.arange(-3.5, 4.0)]
     spectrum = synthesize(
-        lines, PeakModel("gaussian", 0.0, 0.004, 1.0), np.arange(7.2, 7.4, 0.0005), IsotopeConfig(enabled=True)
+        lines, PeakModel("gaussian", 0.0, 0.004, 1.0), np.arange(7.2, 7.4, 0.0005),
+        IsotopeConfig(splitting=0.0098, satellite_ratio=0.33, enabled=True),
     )
     write_spectrum(tmp_path / "spectrum.csv", spectrum)
     for name, digest in WRITTEN_SHA256.items():

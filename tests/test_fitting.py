@@ -6,7 +6,6 @@ from hfspec.fitting import (
     CF_AJ_PARAM_NAMES,
     ConvergenceError,
     ObservationRow,
-    RefractiveModel,
     TransitionDataset,
     cf_parameters_from_result,
     covariance_from_jacobian,
@@ -132,12 +131,12 @@ def test_too_few_rows_is_a_dataset_error(cf_params, system):
     with pytest.raises(DatasetError, match="2 rows cannot constrain 7 parameters"):
         fit_cf_aj(TransitionDataset(rows), cf_params, A_J_REF, system)
     with pytest.raises(DatasetError, match="0 rows cannot constrain 1 parameter$"):
-        fit_b(TransitionDataset([]), cf_params, A_J_REF, system)
+        fit_b(TransitionDataset([]), cf_params, A_J_REF, system, initial_b=0.04)
     with pytest.raises(DatasetError, match="1 rows cannot constrain 1 parameter$"):
-        fit_b(TransitionDataset(rows[:1]), cf_params, A_J_REF, system)
+        fit_b(TransitionDataset(rows[:1]), cf_params, A_J_REF, system, initial_b=0.04)
     points = np.array([[50.0, 2.4], [60.0, 2.45], [70.0, 2.5]])
     with pytest.raises(DatasetError, match="3 points cannot constrain 3 parameters"):
-        fit_refractive(points, RefractiveModel(-1.0, 100.0, 2.5))
+        fit_refractive(points)
 
 
 # -------------------------------------------------------------------- engine
@@ -330,7 +329,7 @@ def test_fit_b_classifies_h_cf_once(monkeypatch, measured, cf_params, system):
     calls = []
     classify = hamiltonian.classify_levels
     monkeypatch.setattr(hamiltonian, "classify_levels", lambda *args: calls.append(1) or classify(*args))
-    result = fit_b(measured, cf_params, A_J_REF, system)
+    result = fit_b(measured, cf_params, A_J_REF, system, initial_b=0.04)
     assert result.n_iter > 1
     assert len(calls) == 1
 
@@ -341,7 +340,7 @@ def test_fit_b_takes_its_solved_point_once(monkeypatch, measured, cf_params, sys
     calls = []
     take = fitting._cf_point
     monkeypatch.setattr(fitting, "_cf_point", lambda *args: calls.append(1) or take(*args))
-    fit_b(measured, cf_params, A_J_REF, system)
+    fit_b(measured, cf_params, A_J_REF, system, initial_b=0.04)
     assert len(calls) == 1
 
 
@@ -390,7 +389,7 @@ def test_refractive_noiseless_round_trip(truth):
     a, nu0, c = truth
     nu = np.linspace(10.0, 70.0, 40)
     data = np.column_stack([nu, a / (nu - nu0) + c])
-    result = fit_refractive(data, RefractiveModel(-8.0, 100.0, 2.5))
+    result = fit_refractive(data)
     assert result.params["a"] == pytest.approx(a, rel=1e-6)
     assert result.params["nu0"] == pytest.approx(nu0, rel=1e-6)
     assert result.params["c"] == pytest.approx(c, rel=1e-6)
@@ -405,7 +404,7 @@ def test_refractive_noisy_round_trip():
         [nu, a / (nu - nu0) + c + rng.normal(0, sigma_n, nu.size),
          np.full(nu.size, sigma_n)]
     )
-    result = fit_refractive(data, RefractiveModel(-10.0, 100.0, 2.5))
+    result = fit_refractive(data)
     for name, target in (("a", a), ("nu0", nu0), ("c", c)):
         assert abs(result.params[name] - target) < 3 * result.param_errors[name]
 
@@ -413,7 +412,7 @@ def test_refractive_noisy_round_trip():
 def test_refractive_constant_data():
     nu = np.linspace(10.0, 70.0, 20)
     data = np.column_stack([nu, np.full(nu.size, 2.62)])
-    result = fit_refractive(data, RefractiveModel(-1.0, 100.0, 2.5))
+    result = fit_refractive(data)
     assert result.params["a"] == pytest.approx(0.0, abs=1e-6)
     assert result.params["c"] == pytest.approx(2.62, abs=1e-8)
 
@@ -422,7 +421,7 @@ def test_refractive_pole_inside_rejected():
     nu = np.linspace(10.0, 70.0, 20)
     data = np.column_stack([nu, np.full(nu.size, 2.62)])
     with pytest.raises(ValueError, match="points"):
-        fit_refractive(data[:3], RefractiveModel(-1.0, 100.0, 2.5))
+        fit_refractive(data[:3])
 
 
 def test_refractive_needs_three_distinct_frequencies():
@@ -441,16 +440,13 @@ REFINDEX_NU = np.linspace(10.0, 70.0, 31)
 
 
 @pytest.mark.parametrize(
-    "truth,wrong_start",
-    [((-11.1, 110.0, 2.62), -50.0), ((11.1, -20.0, 2.62), 110.0)],
-    ids=["pole-above", "pole-below"],
+    "truth", [(-11.1, 110.0, 2.62), (11.1, -20.0, 2.62)], ids=["pole-above", "pole-below"]
 )
-def test_refractive_pole_on_either_side(truth, wrong_start):
-    """The pole is found on whichever side of the data it lies; a start on
-    the other side is not read."""
+def test_refractive_pole_on_either_side(truth):
+    """The pole is found on whichever side of the data it lies."""
     a, nu0, c = truth
     data = np.column_stack([REFINDEX_NU, a / (REFINDEX_NU - nu0) + c])
-    result = fit_refractive(data, RefractiveModel(a, wrong_start, c))
+    result = fit_refractive(data)
     for name, target in (("a", a), ("nu0", nu0), ("c", c)):
         assert result.params[name] == pytest.approx(target, rel=1e-8), name
     assert result.chi2 < 1e-20

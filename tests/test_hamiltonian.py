@@ -400,7 +400,8 @@ def test_forward_model_solves_each_hamiltonian_once(monkeypatch, cf_params, hype
     lambda_from_exact(cf_params, hyperfine, system)
     lines = transition_lines(hf_lvls, 1, 3, weights=boltzmann_weights(hf_lvls, 3.5))
     grid = np.linspace(22.5, 24.1, 50)
-    synthesize(lines, PeakModel("gaussian", 0.0, 0.009, 1.0), grid, IsotopeConfig(enabled=False))
+    no_isotope = IsotopeConfig(splitting=0.0098, satellite_ratio=0.33, enabled=False)
+    synthesize(lines, PeakModel("gaussian", 0.0, 0.009, 1.0), grid, no_isotope)
     assert rows == [system.dim_j, system.dim]
 
 

@@ -1,4 +1,5 @@
-"""The names the benchmark harness imports from hfspec all exist.
+"""The names the benchmark harness imports from hfspec all exist, and
+``datasets`` imports nothing from the fit layer.
 
 ``perfbench/`` imports hfspec at run time only, so a name dropped from the
 package namespace (or from one of its modules) would otherwise surface only
@@ -12,7 +13,8 @@ from pathlib import Path
 
 import pytest
 
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+ROOT = Path(__file__).resolve().parent.parent
+PERFBENCH = ROOT / "perfbench"
 
 
 def _imported_names():
@@ -61,3 +63,19 @@ def test_perfbench_tracer_installs_on_the_package():
         tracer.uninstall()
     assert [span[0] for span in tracer.spans].count("linear_sum_assignment") == 1
     assert vars(hamiltonian) == before
+
+
+def test_datasets_imports_nothing_from_the_fit_layer():
+    """The dataset rows and DatasetError are defined in ``datasets``, which
+    reads files without the fit engine: neither ``from .fitting import ...``,
+    ``from . import fitting`` nor any absolute import of hfspec.fitting."""
+    tree = ast.parse((ROOT / "src" / "hfspec" / "datasets.py").read_text(encoding="utf-8"))
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            # a relative import in datasets.py is relative to the hfspec package
+            module = ".".join(filter(None, ["hfspec" if node.level else None, node.module]))
+            imported += [module] + [f"{module}.{alias.name}" for alias in node.names]
+    assert not [name for name in imported if name == "hfspec.fitting" or name.startswith("hfspec.fitting.")]

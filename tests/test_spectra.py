@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,6 +19,10 @@ from hfspec.spectra import (
     synthesize,
     transition_lines,
 )
+
+#: the isotope satellite of reference.ini, and the same with the satellite off
+ISOTOPE = IsotopeConfig(splitting=0.0098, satellite_ratio=0.33, enabled=True)
+NO_ISOTOPE = replace(ISOTOPE, enabled=False)
 
 
 def test_reference_12_lines(hf_levels):
@@ -128,7 +133,7 @@ def test_gaussian_half_maximum():
         [TransitionLine(1, 2, None, 0.0)],
         PeakModel("gaussian", 0.0, fwhm, 1.0),
         grid,
-        IsotopeConfig(enabled=False),
+        NO_ISOTOPE,
     )
     center = np.interp(0.0, grid, spec.absorbance)
     at_half = np.interp(fwhm / 2, grid, spec.absorbance)
@@ -149,13 +154,13 @@ def test_lorentzian_half_maximum():
         [TransitionLine(1, 2, None, 0.0)],
         PeakModel("lorentzian", 0.0, 0.2, 2.0),
         grid,
-        IsotopeConfig(enabled=False),
+        NO_ISOTOPE,
     )
     assert np.interp(0.1, grid, spec.absorbance) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_satellite_resolved():
-    iso = IsotopeConfig(splitting=0.0098, satellite_ratio=0.33, enabled=True)
+    iso = ISOTOPE
     grid = np.arange(-0.03, 0.045, 0.0002)
     spec = synthesize(
         [TransitionLine(1, 3, None, 0.0)],
@@ -176,7 +181,7 @@ def test_ground_ladder_resolved_at_measured_linewidth(hf_levels):
     # eight clean peaks at the instrument linewidth of the low-energy setup
     lines = transition_lines(hf_levels, 1, 2)
     grid = np.arange(6.1, 7.6, 0.001)
-    spec = synthesize(lines, PeakModel("gaussian", 0.0, 0.017, 1.0), grid, IsotopeConfig(enabled=False))
+    spec = synthesize(lines, PeakModel("gaussian", 0.0, 0.017, 1.0), grid, NO_ISOTOPE)
     y = spec.absorbance
     count = sum(
         1 for k in range(1, len(grid) - 1) if y[k] > y[k - 1] and y[k] > y[k + 1]
@@ -186,15 +191,15 @@ def test_ground_ladder_resolved_at_measured_linewidth(hf_levels):
 
 def test_empty_line_list_zero_spectrum():
     grid = np.linspace(0.0, 1.0, 11)
-    spec = synthesize([], PeakModel("gaussian", 0.0, 0.1, 1.0), grid, IsotopeConfig(enabled=False))
+    spec = synthesize([], PeakModel("gaussian", 0.0, 0.1, 1.0), grid, NO_ISOTOPE)
     assert np.array_equal(spec.absorbance, np.zeros_like(grid))
 
 
 def test_empty_grid_is_refused_and_one_sample_is_its_profile_value():
     shape = PeakModel("lorentzian", 0.0, 0.1, 1.0)
     with pytest.raises(ValueError, match="grid must be nonempty"):
-        synthesize([TransitionLine(1, 2, None, 0.5)], shape, np.array([]), IsotopeConfig(enabled=False))
-    spec = synthesize([TransitionLine(1, 2, None, 0.5)], shape, np.array([0.52]), IsotopeConfig(enabled=False))
+        synthesize([TransitionLine(1, 2, None, 0.5)], shape, np.array([]), NO_ISOTOPE)
+    spec = synthesize([TransitionLine(1, 2, None, 0.5)], shape, np.array([0.52]), NO_ISOTOPE)
     assert spec.absorbance.tolist() == PeakModel("lorentzian", 0.5, 0.1, 1.0).profile([0.52]).tolist()
 
 
@@ -203,7 +208,7 @@ def test_gaussian_integral_matches_area():
     peak = PeakModel("gaussian", 0.5, fwhm, 2.0)
     grid = np.arange(0.5 - 20 * fwhm, 0.5 + 20 * fwhm, fwhm / 20)
     spec = synthesize([TransitionLine(1, 2, None, 0.5, intensity=2.0)],
-                      PeakModel("gaussian", 0.0, fwhm, 1.0), grid, IsotopeConfig(enabled=False))
+                      PeakModel("gaussian", 0.0, fwhm, 1.0), grid, NO_ISOTOPE)
     integral = np.trapezoid(spec.absorbance, grid)
     area = peak.amplitude * peak.fwhm * 0.5 * math.sqrt(math.pi / math.log(2.0))
     assert integral == pytest.approx(area, rel=1e-3)
@@ -290,8 +295,8 @@ def synthesis_cases(draw):
         for _ in range(draw(st.integers(min_value=0, max_value=8)))
     ]
     shape = PeakModel(draw(st.sampled_from(PEAK_SHAPES)), 0.0, fwhm, draw(st.sampled_from([1.0, -0.7, 1e-300])))
-    isotope = draw(st.sampled_from([IsotopeConfig(), IsotopeConfig(enabled=False),
-                                    IsotopeConfig(splitting=-0.3, satellite_ratio=1.5)]))
+    isotope = draw(st.sampled_from([ISOTOPE, NO_ISOTOPE,
+                                    IsotopeConfig(splitting=-0.3, satellite_ratio=1.5, enabled=True)]))
     return lines, shape, isotope
 
 
@@ -315,8 +320,8 @@ def test_tiny_fwhm_is_bit_identical_to_full_grid_sum(fwhm):
         grid = np.unique(rng.uniform(-100.0, 100.0, 200)) * fwhm
         lines = [TransitionLine(1, 2, 0.5, c) for c in rng.uniform(-30.0, 30.0, 3) * fwhm]
         with np.errstate(divide="ignore", invalid="ignore", under="ignore"):
-            spectrum = synthesize(lines, shape, grid, IsotopeConfig(enabled=False))
-            expected = _synthesize_full_grid(lines, shape, grid, IsotopeConfig(enabled=False))
+            spectrum = synthesize(lines, shape, grid, NO_ISOTOPE)
+            expected = _synthesize_full_grid(lines, shape, grid, NO_ISOTOPE)
         assert spectrum.absorbance.tobytes() == expected.tobytes()
 
 
@@ -337,11 +342,11 @@ def test_non_finite_line_is_refused(energy, intensity, shape):
     good = TransitionLine(1, 2, -0.5, 23.1)
     bad = TransitionLine(1, 3, 1.5, energy, intensity=intensity)
     with pytest.raises(ValueError, match=r"TransitionLine\(n_init=1, n_final=3, m_z=1\.5, .*non-finite"):
-        synthesize([good, bad], PeakModel(shape, 0.0, 0.009, 1.0), GRID, IsotopeConfig())
+        synthesize([good, bad], PeakModel(shape, 0.0, 0.009, 1.0), GRID, ISOTOPE)
 
 
 def test_non_finite_satellite_is_refused():
     line = TransitionLine(1, 2, 0.5, 23.0)
     with pytest.raises(ValueError, match="non-finite"):
         synthesize([line], PeakModel("gaussian", 0.0, 0.009, 1.0), GRID,
-                   IsotopeConfig(satellite_ratio=math.inf))
+                   replace(ISOTOPE, satellite_ratio=math.inf))
