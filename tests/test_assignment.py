@@ -49,8 +49,11 @@ def test_labels_equal_those_from_scipy_assignment(cf, hf, system):
 
 
 def test_cli_import_leaves_scipy_out():
+    """Neither scipy nor concurrent.futures (fit_b's worker pool, imported
+    where fit_b runs) is loaded by ``import hfspec.cli``."""
     src = str(Path(hfspec.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = "import sys, hfspec.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    code = ("import sys, hfspec.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'concurrent')))")
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert proc.stdout.strip() == "[]"

@@ -1,3 +1,8 @@
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -17,7 +22,7 @@ from hfspec.fitting import (
     predict_lines_exact,
     predict_lines_first_order,
 )
-from hfspec.hamiltonian import CFParameters, HyperfineConstants
+from hfspec.hamiltonian import CFParameters, HyperfineConstants, LabelingError
 
 from conftest import synthetic_cf_dataset
 
@@ -380,6 +385,324 @@ def test_fit_b_branch_convention_insensitive(cf_params, hyperfine, system, hf_le
         plus = energy[(2, +1, m)] - energy[(1, +1, m)]
         minus = energy[(2, +1, -m)] - energy[(1, -1, -m)]
         assert plus == pytest.approx(minus, abs=1e-6)
+
+
+# ------------------------------------------- two-wide fit_b, sequential oracle
+
+def _sequential_jacobian(fun, x, x_scale, bounds=(-np.inf, np.inf), log=None):
+    """Reference: ``numerical_jacobian`` as it was before it took an
+    evaluator, each probe evaluated where the loop reaches it."""
+    x = np.asarray(x, dtype=float)
+    lo, hi = (np.broadcast_to(b, x.shape) for b in bounds)
+    columns = []
+    for k in range(len(x)):
+        h = fitting.JAC_REL_STEP * x_scale[k]
+        xp = x.copy()
+        xm = x.copy()
+        xp[k] += h
+        xm[k] -= h
+        width = 2.0 * h
+        if xp[k] > hi[k] or xm[k] < lo[k]:
+            xp[k], xm[k] = min(xp[k], hi[k]), max(xm[k], lo[k])
+            width = xp[k] - xm[k]
+        if log is not None:
+            log += [("J", xp), ("J", xm)]
+        columns.append((fun(xp) - fun(xm)) / width)
+    return np.array(columns).T
+
+
+def _sequential_lsq(fun, x0, x_scale, bounds=(-np.inf, np.inf), log=None):
+    """Reference: ``damped_least_squares`` as it was before it took an
+    evaluator, one evaluation at a time, each where the loop first needs it,
+    and again wherever a point comes back.  ``log`` collects ("t", trial)
+    and ("J", probe) in evaluation order."""
+    x = np.asarray(x0, dtype=float).copy()
+    x_scale = np.asarray(x_scale, dtype=float)
+
+    r = np.asarray(fun(x), dtype=float)
+    if not np.all(np.isfinite(r)):
+        raise ValueError("residuals are not finite at the starting point")
+    chi2 = float(r @ r)
+    history = [chi2]
+    mu = 1e-3
+
+    for iteration in range(1, fitting.MAX_ITERATIONS + 1):
+        jac = _sequential_jacobian(fun, x, x_scale, bounds, log)
+        gradient = jac.T @ r
+        normal = jac.T @ jac
+        diag = np.diag(normal)
+        damping = np.maximum(diag, 1e-14 * max(float(diag.max()), 1e-300))
+
+        grad_scale = float(np.max(np.abs(gradient) * x_scale))
+        accepted = False
+        while mu < 1e16:
+            try:
+                step = np.linalg.solve(normal + mu * np.diag(damping), -gradient)
+            except np.linalg.LinAlgError:
+                mu *= 10.0
+                continue
+            x_new = np.clip(x + step, *bounds)
+            if log is not None:
+                log.append(("t", x_new))
+            r_new = np.asarray(fun(x_new), dtype=float)
+            chi2_new = float(r_new @ r_new)
+            if chi2_new <= chi2:
+                drop = (chi2 - chi2_new) / max(chi2, 1e-300)
+                step_norm = float(np.linalg.norm(x_new - x))
+                x, r, chi2 = x_new, r_new, chi2_new
+                history.append(chi2)
+                mu = max(mu / 10.0, 1e-15)
+                accepted = True
+                break
+            mu *= 10.0
+        if not accepted:
+            if grad_scale < 1e-8 * max(chi2, 1.0):
+                break
+            raise ConvergenceError(
+                f"no downhill step found at iteration {iteration} "
+                f"(damping exhausted, |gradient| ~ {grad_scale:.3e})"
+            )
+        if drop < fitting.CHI2_RTOL or step_norm < fitting.STEP_ATOL:
+            break
+    else:
+        raise ConvergenceError(f"iteration cap {fitting.MAX_ITERATIONS} exceeded")
+
+    jac = _sequential_jacobian(fun, x, x_scale, bounds, log)
+    return fitting.LSQSolution(x, chi2, jac, iteration, tuple(history), x_scale.copy())
+
+
+def _two_wide_lsq(fun, x0, x_scale, bounds=(-np.inf, np.inf)):
+    """damped_least_squares with the evaluator that fit_b uses."""
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        return damped_least_squares(fun, x0, x_scale, bounds, evaluate=fitting._evaluate_two_wide(pool))
+
+
+def _outcome(run, *args):
+    """run(*args), or the repr of the exception it raised."""
+    try:
+        return run(*args)
+    except Exception as exc:  # the oracle compares whatever is raised
+        return repr(exc)
+
+
+def _assert_same(got, want):
+    """Two LSQSolutions, or two exception reprs, agree bit for bit."""
+    if isinstance(want, str):
+        assert got == want
+        return
+    assert not isinstance(got, str), got
+    assert got.x.tobytes() == want.x.tobytes()
+    assert np.float64(got.chi2).tobytes() == np.float64(want.chi2).tobytes()
+    assert got.jacobian.tobytes() == want.jacobian.tobytes()
+    assert got.n_iter == want.n_iter
+    assert np.array(got.chi2_history).tobytes() == np.array(want.chi2_history).tobytes()
+
+
+def _captured_solutions(monkeypatch):
+    """The raw solutions that fits build their results from, as they come."""
+    solutions = []
+    build = fitting._build_result
+    monkeypatch.setattr(fitting, "_build_result", lambda *args: solutions.append(args[1]) or build(*args))
+    return solutions
+
+
+def _fit_b_against_oracle(monkeypatch, dataset, params, a_j, system, initial_b):
+    """Run fit_b, and the sequential loop on the same residual; both outcomes
+    (the raw solution fit_b builds its result from, or the exception's repr)
+    must agree.  Returns fit_b's, after checking that it left no thread behind."""
+    solutions = _captured_solutions(monkeypatch)
+    threads = threading.active_count()
+    got = _outcome(lambda: fit_b(dataset, params, a_j, system, initial_b) and solutions[-1])
+    assert threading.active_count() == threads
+
+    predict = fitting._exact_predictor(params, dataset.rows, system)
+    data = np.array([row.value for row in dataset.rows])
+    sigmas = np.array([row.sigma for row in dataset.rows])
+    residual = lambda x: (data - predict(HyperfineConstants(a_j, float(x[0])))) / sigmas
+    want = _outcome(_sequential_lsq, residual, np.array([initial_b]), np.array([max(abs(initial_b), 1e-3)]))
+    _assert_same(got, want)
+    return got
+
+
+def test_fit_b_bundled_matches_the_sequential_loop(monkeypatch, measured, cf_params, system):
+    solution = _fit_b_against_oracle(monkeypatch, measured, cf_params, A_J_REF, system, 0.04)
+    assert solution.n_iter == 4
+
+
+def test_fit_b_from_zero_with_cold_operators_and_fast_switching(monkeypatch, measured, cf_params, system):
+    """Started at b_quad = 0, the first evaluations that need the quadrupole
+    operator are the first Jacobian's two probes, so both threads build it at
+    once, while the interpreter switches threads every microsecond."""
+    from hfspec import angular
+
+    angular.quadrupole_matrix.cache_clear()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        _fit_b_against_oracle(monkeypatch, measured, cf_params, A_J_REF, system, 0.0)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def _fit_b_draws(n=20):
+    """Truths drawn as perfbench's refine op draws them: each non-zero CF
+    coefficient within about 2 %, b_quad from N(0.04, 0.004), a_j the
+    reference.  Returns (CF, b_quad, noise seed) per draw."""
+    from hfspec import CF_HO_LIYF4
+
+    rng = np.random.default_rng(30)
+    names = ("b20", "b40", "b44", "b60", "b64")
+    draws = []
+    for k in range(n):
+        factors = 1.0 + 0.02 * rng.standard_normal(len(names))
+        cf = replace(CF_HO_LIYF4, **{name: getattr(CF_HO_LIYF4, name) * f for name, f in zip(names, factors)})
+        draws.append((cf, float(rng.normal(0.04, 0.004)), k))
+    return draws
+
+
+@pytest.mark.parametrize("cf, b_quad, seed", _fit_b_draws(), ids=[f"draw{k}" for k in range(20)])
+def test_fit_b_draw_matches_the_sequential_loop(monkeypatch, measured, system, cf, b_quad, seed):
+    """The bundled lines' layout with values predicted at a drawn truth plus
+    noise of their sigma, fitted at the truth's CF from b_quad = 0.04."""
+    rows = measured.rows
+    values = predict_lines_exact(cf, HyperfineConstants(A_J_REF, b_quad), rows, system)
+    values += np.random.default_rng(seed).normal(0.0, [row.sigma for row in rows])
+    dataset = TransitionDataset([replace(row, value=float(v)) for row, v in zip(rows, values)])
+    _fit_b_against_oracle(monkeypatch, dataset, cf, A_J_REF, system, 0.04)
+
+
+#: the inputs of fit_b in perfbench's refine op, seed 4 input 41: fit_cf_aj's
+#: CF and a_j, and the bundled lines' layout with synthetic values
+REFUSED_CF = CFParameters(b20=-0.2700274913522167, b40=0.0016860559641829794, b44=0.027763775211058737,
+                          b60=5.90428087971763e-06, b64=0.0005505268110247071, b6m4=0.0, b4m4=0.0)
+REFUSED_AJ = 0.026601825603251677
+REFUSED_VALUES = (
+    7.497811861740247, 7.35905267497504, 7.238341854380077, 7.122436719311721, 6.959966143415948,
+    6.815057217374933, 6.661322476759909, 6.484040418840917, 23.357529380797374, 23.215689158155882,
+    23.0713191935785, 22.92899262234427, 22.784719971506373, 22.639316288547978, 22.4934156610309,
+    22.346847162577866, 15.857045073293104, 15.832483979966899, 15.83022616622749, 15.820320159815592,
+    15.821642789722778, 15.827459766660631, 15.838680384847349, 15.85177827312322,
+)
+
+
+def test_fit_b_refusal_matches_the_sequential_loop(monkeypatch, measured, system):
+    rows = [replace(row, value=v) for row, v in zip(measured.rows, REFUSED_VALUES, strict=True)]
+    got = _fit_b_against_oracle(monkeypatch, TransitionDataset(rows), REFUSED_CF, REFUSED_AJ, system, 0.04)
+    assert got == repr(LabelingError(
+        "ambiguous labelling: state (n=9, sigma=+1, m_z=-1.5) has weight 0.465 < 0.5 on its assigned "
+        "energy cluster; hyperfine constants too large for perturbative labelling"
+    ))
+
+
+def _long_rejections(x):
+    """A line with a fine ripple: near its foot the Gauss-Newton step jumps
+    across ripples, and the damping climbs through runs of rejected trials."""
+    return np.array([x[0] - 3.0, 1e-6 * np.sin(1e7 * x[0])])
+
+
+LONG_REJECTIONS = (_long_rejections, np.array([40.0]), np.array([1.0]))
+
+
+def test_a_long_rejection_run_matches_the_sequential_loop():
+    log = []
+    want = _sequential_lsq(*LONG_REJECTIONS, log=log)
+    pattern = "".join(role for role, _ in log)
+    assert pattern.count("t" * 10) == 2, pattern
+    _assert_same(_two_wide_lsq(*LONG_REJECTIONS), want)
+
+
+@pytest.mark.parametrize("two_wide", [False, True], ids=["sequential", "two-wide"])
+def test_a_bounded_fit_matches_the_sequential_loop(two_wide):
+    """Bounds that clip both the trials and the Jacobian probes near the foot."""
+    fun, x0, x_scale = LONG_REJECTIONS
+    bounds = (np.array([3.0 + 2e-7]), np.array([41.0]))
+    engine = _two_wide_lsq if two_wide else damped_least_squares
+    _assert_same(engine(fun, x0, x_scale, bounds), _sequential_lsq(fun, x0, x_scale, bounds))
+
+
+def test_fit_cf_aj_matches_the_sequential_loop(monkeypatch, cf_params, system):
+    """Seven parameters, evaluated one at a time: the probes in column order."""
+    dataset = synthetic_cf_dataset(cf_params, A_J_REF, system, rng=np.random.default_rng(3))
+    solutions = _captured_solutions(monkeypatch)
+    start = perturbed(cf_params, 1.05)
+    fit_cf_aj(dataset, start, A_J_REF * 1.05, system)
+
+    at_point = fitting._first_order_predictor(dataset.rows, system)
+    data = np.array([row.value for row in dataset.rows])
+    sigmas = np.array([row.sigma for row in dataset.rows])
+    residual = lambda x: (data - at_point(*fitting._cf_aj_point(x, start))) / sigmas
+    x0 = np.array([getattr(start, name) for name in CF_AJ_PARAM_NAMES[:-1]] + [A_J_REF * 1.05])
+    _assert_same(solutions[-1], _sequential_lsq(residual, x0, np.maximum(np.abs(x0), 1e-8)))
+
+
+def _raising_at(fun, point):
+    def raising(x):
+        if x.tobytes() == point.tobytes():
+            raise ArithmeticError(f"no residual at {x!r}")
+        return fun(x)
+
+    return raising
+
+
+@pytest.mark.parametrize("role", ["t", "J"], ids=["trial", "probe"])
+def test_an_exception_the_sequential_loop_meets_is_raised(role):
+    """A residual that raises at any one trial, or any one Jacobian probe,
+    that the sequential loop evaluates: the two-wide fit raises the same."""
+    fun, x0, x_scale = LONG_REJECTIONS
+    log = []
+    _sequential_lsq(*LONG_REJECTIONS, log=log)
+    points = [x for kind, x in log if kind == role]
+    assert len(points) > 10
+    for point in points:
+        raising = _raising_at(fun, point)
+        want = _outcome(_sequential_lsq, raising, x0, x_scale)
+        assert "no residual" in want
+        assert _outcome(_two_wide_lsq, raising, x0, x_scale) == want
+
+
+def test_an_exception_at_a_speculative_trial_is_discarded():
+    """A residual that raises only at trials the sequential loop never
+    evaluates: the two-wide fit ends as the sequential loop does."""
+    fun, x0, x_scale = LONG_REJECTIONS
+    log = []
+    want = _sequential_lsq(*LONG_REJECTIONS, log=log)
+    needed = {x.tobytes() for _, x in log} | {x0.tobytes()}
+    evaluated = []
+    _two_wide_lsq(lambda x: evaluated.append(x) or fun(x), x0, x_scale)
+    speculative = [x for x in evaluated if x.tobytes() not in needed]
+    assert len(speculative) == 2
+    for point in speculative:
+        _assert_same(_two_wide_lsq(_raising_at(fun, point), x0, x_scale), want)
+
+
+def test_the_worker_evaluates_under_the_callers_errstate():
+    """A division by zero at the first Jacobian's - probe, which the worker
+    thread evaluates, raises under ``np.errstate(divide="raise")`` as it
+    does on the calling thread."""
+    fun, x0, x_scale = LONG_REJECTIONS
+    log = []
+    _sequential_lsq(*LONG_REJECTIONS, log=log)
+    probe = log[1][1].tobytes()
+    dividing = lambda x: fun(x) / float(x.tobytes() != probe)
+    with np.errstate(divide="raise"):
+        want = _outcome(_sequential_lsq, dividing, x0, x_scale)
+        assert want.startswith("FloatingPointError")
+        assert _outcome(_two_wide_lsq, dividing, x0, x_scale) == want
+
+
+@pytest.mark.parametrize("g", [0.0, 5e-9])
+def test_no_point_is_evaluated_twice(g):
+    """At a kink the sequential loop evaluates the final Jacobian's probes a
+    second time, and at g = 0 also the start, where a step of zero length is
+    accepted; the engine evaluates the same points once each and returns
+    the same solution."""
+    fun = lambda x: np.array([1.0 + abs(x[0]) + g * x[0]])
+    evaluated = []
+    got = damped_least_squares(lambda x: evaluated.append(x.tobytes()) or fun(x), np.array([0.0]), np.array([1.0]))
+    _assert_same(got, _sequential_lsq(fun, np.array([0.0]), np.array([1.0])))
+    log = []
+    _sequential_lsq(fun, np.array([0.0]), np.array([1.0]), log=log)
+    assert len(evaluated) == len(set(evaluated)) == len({x.tobytes() for _, x in log} | {evaluated[0]}) < len(log) + 1
 
 
 # ---------------------------------------------------------------- refractive
