@@ -220,7 +220,8 @@ def fit(config_path, dataset_path, mode, output):
     if mode == "refindex":
         points = datasets.read_refractive_points(dataset_path)
         result = fitting.fit_refractive(points)
-        predictions = fitting.RefractiveModel(*result.values).evaluate(points[:, 0])
+        a, nu0, c = result.values
+        predictions = a / (points[:, 0] - nu0) + c
         sigmas = points[:, 2] if points.shape[1] == 3 else np.ones(len(points))
         report = _fit_report(result, points[:, 1], sigmas, predictions)
     else:

@@ -99,18 +99,6 @@ class FitResult:
 
 
 @dataclass(frozen=True)
-class RefractiveModel:
-    """Phenomenological index of refraction with a pole outside the fit window."""
-
-    a: float
-    nu0: float
-    c: float
-
-    def evaluate(self, nu: NDArray[np.float64]) -> NDArray[np.float64]:
-        return self.a / (np.asarray(nu, dtype=float) - self.nu0) + self.c
-
-
-@dataclass(frozen=True)
 class LSQSolution:
     """Raw optimizer output; FitResult wraps it with names and covariance."""
 

@@ -80,6 +80,10 @@ def test_difference_series_input_validation():
         difference_series(good[:3] + good[4:])  # missing an interior rung
     with pytest.raises(ValueError, match="families"):
         difference_series(good[:-1] + [TransitionLine(1, 3, 3.5, 0.0)])
+    with pytest.raises(ValueError, match="no lines supplied"):
+        difference_series([])
+    with pytest.raises(ValueError, match="hyperfine-resolved lines with m_z"):
+        difference_series(good[:-1] + [TransitionLine(1, 2, None, 0.0)])
 
 
 # --------------------------------------------------------------------- slopes
@@ -199,6 +203,15 @@ def test_single_peak_exact_recovery():
     assert cov.shape == (3, 3)
 
 
+def test_peak_fit_input_validation():
+    grid = np.arange(0.0, 1.0, 0.1)
+    spectrum = Spectrum(grid, PeakModel("gaussian", 0.5, 0.2, 1.0).profile(grid))
+    with pytest.raises(ValueError, match="n_peaks must be at least 1"):
+        fit_peaks(spectrum, 0, "gaussian")
+    with pytest.raises(ValueError, match="too few samples"):
+        fit_peaks(spectrum, 4, "gaussian")
+
+
 def test_isotope_doublet_recovery():
     grid = np.arange(23.48, 23.58, 0.0005)
     signal = (
@@ -273,6 +286,30 @@ def test_zero_amplitude_peak_has_infinite_variance():
     assert np.all(np.isinf(variance[flat]))
     kept = np.delete(variance, flat)
     assert np.all(np.isfinite(kept)) and np.all(kept > 0)
+
+
+@pytest.mark.xfail(strict=True, raises=ConvergenceError,
+                   reason="ROADMAP item 8: the spare profile neither converges nor reaches amplitude 0")
+def test_spare_profile_is_flagged_on_noise_seed_4():
+    """The one noisy peak of the test above, with noise seed 4."""
+    grid = np.arange(23.48, 23.58, 0.0005)
+    signal = PeakModel("gaussian", 23.527, 0.0090, 1.0).profile(grid)
+    signal = signal + 0.003 * np.random.default_rng(4).standard_normal(grid.size)
+    peaks, cov = fit_peaks(Spectrum(grid, signal), 2, "gaussian")
+    spare = [k for k, p in enumerate(peaks) if p.amplitude == 0.0]
+    assert len(spare) == 1
+    assert abs(peaks[1 - spare[0]].center - 23.527) < 1e-4
+    assert np.all(np.isinf(np.diag(cov)[[spare[0], 4 + spare[0]]]))
+
+
+@pytest.mark.xfail(strict=True, raises=ConvergenceError,
+                   reason="ROADMAP item 8: the greedy start places one profile on the merged pair")
+def test_four_overlapping_lorentzians_are_recovered():
+    grid = np.arange(16.40, 16.54, 0.0005)
+    centers = [16.450, 16.455, 16.467, 16.489]
+    signal = sum(PeakModel("lorentzian", c, 0.013, h).profile(grid) for c, h in zip(centers, [1.0, 0.8, 0.6, 0.35]))
+    peaks, _ = fit_peaks(Spectrum(grid, signal), 4, "lorentzian")
+    assert np.max(np.abs(np.array([p.center for p in peaks]) - centers)) < 1e-3
 
 
 def test_fwhm_probe_below_zero_is_refused():

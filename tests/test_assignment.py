@@ -55,5 +55,5 @@ def test_cli_import_leaves_scipy_out():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     code = ("import sys, hfspec.cli; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'concurrent')))")
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    proc = subprocess.run([sys.executable, "-W", "error", "-c", code], env=env, capture_output=True, text=True, check=True)
     assert proc.stdout.strip() == "[]"

@@ -3,12 +3,16 @@ import functools
 import hashlib
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import hfspec
 from hfspec.cli import (
     EXIT_CONFIG,
     EXIT_DATASET,
@@ -23,7 +27,7 @@ from hfspec.hamiltonian import cf_levels, hf_levels_exact
 from hfspec.perturbation import delta_full
 from hfspec.spectra import transition_lines
 
-from conftest import CI_CONFIGS, ci_config
+from conftest import EDITED_CONFIGS, edited_config
 
 runner = CliRunner()
 
@@ -290,11 +294,11 @@ def _compare_oracle(config, transition, fmt):
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 @pytest.mark.parametrize("transition", ["8.1-8.2", "8.2-8.3", "8.6-8.12"])
-@pytest.mark.parametrize("name", sorted(CI_CONFIGS))
+@pytest.mark.parametrize("name", sorted(EDITED_CONFIGS))
 def test_hf_compare_equals_the_per_line_oracle(tmp_path, name, transition, fmt):
     """Reading each line's delta off its branch's ladder prints the bytes of
     one scalar delta_full evaluation per line end."""
-    config = ci_config(tmp_path / f"{name}.ini", name)
+    config = edited_config(tmp_path / f"{name}.ini", name)
     result = invoke("hf", "--config", config, "--transition", transition, "--compare", "--format", fmt)
     assert result.exit_code == 0, result.output
     assert result.output == _compare_oracle(config, transition, fmt)
@@ -383,6 +387,12 @@ def test_fit_too_few_rows_exits_dataset(tmp_path):
     result = invoke("fit", "--mode", "b", "--dataset", str(header_only))
     assert result.exit_code == EXIT_DATASET
     assert "0 rows cannot constrain 1 parameter" in result.output
+
+    header_only = tmp_path / "n.csv"
+    header_only.write_text("nu_cm1,n\n")
+    result = invoke("fit", "--mode", "refindex", "--dataset", str(header_only))
+    assert result.exit_code == EXIT_DATASET
+    assert f"{header_only}: no data rows" in result.output
 
     three = tmp_path / "three.csv"
     three.write_text("nu_cm1,n\n50,2.40\n60,2.45\n70,2.50\n")
@@ -607,6 +617,20 @@ def test_synth_line_narrower_than_grid_step_exits_config(tmp_path, fwhm):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("grid, message", [
+    ("", "config has no [grid] section; synthesis needs one"),
+    ("\n[grid]\nstart_cm1 = 1.0\n", "section [grid] needs start_cm1, stop_cm1, step_cm1"),
+], ids=["no-grid", "start-only"])
+def test_synth_without_a_whole_grid_exits_config(tmp_path, grid, message):
+    config = tmp_path / "grid.ini"
+    config.write_text(MINIMAL_CONFIG + grid)
+    out = tmp_path / "out.csv"
+    result = invoke("synth", "--config", str(config), "--output", str(out))
+    assert result.exit_code == EXIT_CONFIG
+    assert message in result.output
+    assert not out.exists()
+
+
 def test_synth_no_transitions_zero_spectrum(tmp_path):
     config = tmp_path / "empty.ini"
     config.write_text(
@@ -700,6 +724,55 @@ def test_output_matches_recording(tmp_path, name):
     if paths["{output}"].exists():
         blob += b"\0" + paths["{output}"].read_bytes()
     assert hashlib.sha256(blob).hexdigest() == MORE_RECORDED[name]["sha256"]
+
+
+@pytest.mark.parametrize(
+    "config, args",
+    [
+        (None, ("hf", "--transition", "8.6-8.12", "--compare")),
+        (None, ("hf", "--transition", "8.2-8.3", "--compare", "--format", "json")),
+        (None, ("fit", "--mode", "refindex", "--dataset", "{refindex}")),
+        ("complex", ("fit", "--mode", "b", "--dataset", str(bundled_path(MEASURED_LINES)))),
+        ("complex", ("synth", "--output", "{output}")),
+        ("uncoupled", ("synth", "--output", "{output}")),
+    ],
+    ids=["hf_8.6-8.12_compare", "hf_8.2-8.3_compare_json", "fit_refindex_5_points", "complex-fit_b",
+         "complex-synth", "uncoupled-synth"],
+)
+def test_command_exits_0_with_nothing_on_stderr(tmp_path, config, args):
+    """Commands that no pin or oracle runs. Every warning is an error in this
+    suite (pyproject.toml), so a warning would end the command with exit 1."""
+    refindex = tmp_path / "refindex.csv"
+    refindex.write_text("nu_cm1,n\n10,2.731\n25,2.75059\n40,2.77857\n55,2.82182\n70,2.8975\n")
+    paths = {"{refindex}": str(refindex), "{output}": str(tmp_path / "out.csv")}
+    config_args = ["--config", edited_config(tmp_path / "ci.ini", config)] if config else []
+    result = invoke(*[paths.get(a, a) for a in args], *config_args)
+    assert result.exit_code == 0, result.output
+    assert result.stderr == ""
+    assert result.stdout or (tmp_path / "out.csv").read_text()
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no os.sched_setaffinity on this platform")
+@pytest.mark.parametrize("config", [None, "complex"], ids=["bundled", "complex"])
+def test_fit_b_prints_the_same_bytes_on_one_cpu(tmp_path, config):
+    """fit_b evaluates on two threads; its report, from a fresh interpreter
+    with every warning an error, depends neither on the CPUs it may use nor
+    on the scheduling."""
+    args = ["fit", "--mode", "b", "--dataset", str(bundled_path(MEASURED_LINES))]
+    if config:
+        args += ["--config", edited_config(tmp_path / "ci.ini", config)]
+    src = str(Path(hfspec.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    one_cpu = {min(os.sched_getaffinity(0))}
+
+    def run(pin):
+        proc = subprocess.run([sys.executable, "-W", "error", "-m", "hfspec.cli", *args], env=env,
+                              capture_output=True, check=False,
+                              preexec_fn=(lambda: os.sched_setaffinity(0, one_cpu)) if pin else None)
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        return proc.stdout
+
+    assert run(pin=False) == run(pin=True)
 
 
 # ------------------------------------------------------- boundary rules

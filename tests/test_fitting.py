@@ -180,6 +180,11 @@ def test_engine_rejects_a_step_to_non_finite_residuals():
     assert np.all(np.diff(solution.chi2_history) <= 0)
 
 
+def test_engine_refuses_a_non_finite_start():
+    with pytest.raises(ValueError, match="residuals are not finite at the starting point"):
+        damped_least_squares(lambda x: np.array([x[0], np.nan]), np.array([1.0]), x_scale=np.array([1.0]))
+
+
 def test_engine_iteration_cap(monkeypatch):
     """The cap is read when the engine runs, so lowering it takes effect."""
     monkeypatch.setattr(fitting, "MAX_ITERATIONS", 2)
@@ -745,6 +750,8 @@ def test_refractive_pole_inside_rejected():
     data = np.column_stack([nu, np.full(nu.size, 2.62)])
     with pytest.raises(ValueError, match="points"):
         fit_refractive(data[:3])
+    with pytest.raises(ValueError, match=r"points must have columns \(nu, n\[, sigma\]\)"):
+        fit_refractive(data[:, :1])
 
 
 def test_refractive_needs_three_distinct_frequencies():

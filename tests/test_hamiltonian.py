@@ -246,6 +246,13 @@ def test_hf_spin_half_pair():
     assert np.allclose(np.sort(vals), [-0.75, 0.25, 0.25, 0.25], atol=1e-12)
 
 
+def test_non_finite_couplings_refused():
+    with pytest.raises(ValueError, match="CF parameter b40 must be finite, got nan"):
+        CFParameters(-0.266, np.nan, 0.0281, 5.74e-6, 5.6e-4)
+    with pytest.raises(ValueError, match="hyperfine constants must be finite"):
+        HyperfineConstants(0.02703, np.inf)
+
+
 def test_quadrupole_needs_large_enough_spins():
     with pytest.raises(ValueError, match="quadrupolar"):
         build_hf_hamiltonian(HyperfineConstants(0.0, 1.0), SpinSystem(0.5, 0.5))

@@ -182,6 +182,15 @@ def test_convergence_order_in_coupling(cf_params, levels, system, m_grid):
     assert ratio == pytest.approx(8.0, rel=0.5)
 
 
+def test_absent_level_or_branch_refused(system, levels):
+    """Level 2 is a singlet: it has the branch sigma = +1 only."""
+    hf = HyperfineConstants(0.02703, 0.0)
+    with pytest.raises(ValueError, match="level 2 not present in the supplied level list"):
+        delta_full(2, +1, 0.5, levels[:1], hf, system)
+    with pytest.raises(ValueError, match="level 2 has no sigma=-1 branch"):
+        delta_full(2, -1, 0.5, levels, hf, system)
+
+
 def test_degenerate_interfering_level_rejected(cf_params, system, levels):
     from hfspec.hamiltonian import CFLevel
 

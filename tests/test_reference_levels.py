@@ -25,7 +25,7 @@ from hfspec.config import REFERENCE_CONFIG, bundled_path, load_config
 from hfspec.hamiltonian import CFParameters
 
 import mp_reference
-from conftest import ci_config
+from conftest import edited_config
 
 J = 8
 #: float64 entries of an operator within this fraction of its largest entry
@@ -37,9 +37,9 @@ LEVEL_ATOL = 1e-12
 #: boundary of its 8 digits is listed, not asserted
 BOUNDARY_GAP = 1e-13
 #: (config, level n, column) of every printed number within BOUNDARY_GAP of a
-#: rounding boundary; none, on the bundled and the CI complex config
+#: rounding boundary; none, on the bundled and the complex config
 NEAR_BOUNDARY: set[tuple[str, int, str]] = set()
-#: configs of ``levels``: the bundled reference.ini and the CI's complex H_CF
+#: configs of ``levels``: the bundled reference.ini and the complex H_CF of conftest
 CONFIGS = ("bundled", "complex")
 #: CF levels of j = 8 in S4: four doublets among 17 states
 N_LEVELS = 13
@@ -119,7 +119,7 @@ def printed(tmp_path_factory):
     """{config: (rows ``levels`` prints, reference levels)}."""
     paths = {
         "bundled": str(bundled_path(REFERENCE_CONFIG)),
-        "complex": ci_config(tmp_path_factory.mktemp("levels") / "complex.ini", "complex"),
+        "complex": edited_config(tmp_path_factory.mktemp("levels") / "complex.ini", "complex"),
     }
     out = {}
     for name, path in paths.items():

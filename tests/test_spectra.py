@@ -241,6 +241,13 @@ def test_peak_model_validation():
         PeakModel("voigt", 0.0, 0.1, 1.0)
 
 
+def test_isotope_config_validation():
+    with pytest.raises(ValueError, match="isotope splitting must be finite"):
+        replace(ISOTOPE, splitting=np.inf)
+    with pytest.raises(ValueError, match="satellite ratio must be nonnegative"):
+        replace(ISOTOPE, satellite_ratio=-1.0)
+
+
 def test_spectrum_validation():
     with pytest.raises(ValueError):
         Spectrum(np.array([0.0, 1.0, 0.5]), np.zeros(3))
