@@ -30,6 +30,6 @@ from .fitting import (
     predict_lines_exact,
     predict_lines_first_order,
 )
-from .reference import CF_HO_LIYF4, HO_LIYF4, HYPERFINE_HO_LIYF4
+from .config import CF_HO_LIYF4, HO_LIYF4, HYPERFINE_HO_LIYF4
 
 __version__ = "0.1.0"

@@ -235,8 +235,6 @@ def fit_peaks(
     def model(x):
         total = np.zeros_like(grid)
         for c, a, f in zip(*x.reshape(3, -1).tolist()):
-            if not f > 0:
-                raise ValueError(f"fwhm must be positive, got {f}")
             total += _peak_profile(shape, c, f, a, grid)
         return total
 

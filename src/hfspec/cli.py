@@ -23,11 +23,11 @@ from pathlib import Path
 import click
 import numpy as np
 
-from . import analysis, datasets, fitting, perturbation, reference, spectra
+from . import analysis, datasets, fitting, perturbation, spectra
 from .config import (
     ConfigError,
     MEASURED_LINES,
-    REFERENCE_CONFIG,
+    REFERENCE,
     RunConfig,
     bundled_path,
     format_level,
@@ -94,7 +94,7 @@ def _check_levels(pairs: list[tuple[int, int]], n_levels: int, j: float) -> None
 
 
 def _load(config_path: str | None) -> RunConfig:
-    return load_config(bundled_path(REFERENCE_CONFIG) if config_path is None else config_path)
+    return REFERENCE if config_path is None else load_config(config_path)
 
 
 @click.group(cls=_ExitCodes)
@@ -235,7 +235,7 @@ def fit(config_path, dataset_path, mode, output):
                 best_cf, best_aj, data.rows, cfg.system
             )
         else:
-            start = cfg.hyperfine.b_quad or reference.HYPERFINE_HO_LIYF4.b_quad
+            start = cfg.hyperfine.b_quad or REFERENCE.hyperfine.b_quad
             result = fitting.fit_b(data, cfg.cf, cfg.hyperfine.a_j, cfg.system, initial_b=start)
             best_hf = HyperfineConstants(cfg.hyperfine.a_j, float(result.values[0]))
             predictions = fitting.predict_lines_exact(

@@ -7,8 +7,10 @@ hand-editable, with fractions like 7/2 accepted wherever half-integers
 appear.  Unknown sections or keys are rejected (typos should fail loudly,
 not silently fall back to defaults).
 
-The bundled reference configuration and datasets live in the package's
-``data`` directory.
+The bundled reference model, reference.ini, and the measured line list live
+in the package's ``data`` directory.  reference.ini is read once, at import,
+as REFERENCE: the Ho3+:LiYF4 model whose parts are HO_LIYF4, CF_HO_LIYF4 and
+HYPERFINE_HO_LIYF4.
 """
 
 import configparser
@@ -27,7 +29,6 @@ SCHEMA_VERSION = 1
 
 REFERENCE_CONFIG = "reference.ini"
 MEASURED_LINES = "hf_transitions.csv"
-EXPECTED_LEVELS = "cf_levels_expected.csv"
 
 #: largest electron-nuclear product dimension (2j+1)(2i+1) accepted; Ho:LiYF4
 #: has 136, and one dense complex matrix of the cap takes 16 MB
@@ -101,11 +102,11 @@ def _checked(parse: Callable[[str], Any], ok: Callable[[Any], bool], rule: str) 
 
 
 finite_float = _checked(float, math.isfinite, "finite")
-_positive = _checked(finite_float, lambda v: v > 0, "positive")
-_nonnegative = _checked(finite_float, lambda v: v >= 0, "nonnegative")
 #: a finite float of magnitude at most MAX_COUPLING; datasets read their numeric cells with it too
 bounded_float = _checked(finite_float, lambda v: abs(v) <= MAX_COUPLING,
                          f"at most MAX_COUPLING = {MAX_COUPLING:g} in magnitude")
+_positive = _checked(bounded_float, lambda v: v > 0, "positive")
+_nonnegative = _checked(bounded_float, lambda v: v >= 0, "nonnegative")
 _spin = _checked(parse_half_integer, lambda v: v >= 0 and (2 * v).is_integer(), "an integer or half-integer >= 0")
 _integer_j = _checked(parse_half_integer, lambda v: v >= 0 and v.is_integer(), f"an integer >= 0: {NON_KRAMERS_ONLY}")
 _shape = _checked(lambda text: text.strip().lower(), lambda v: v in PEAK_SHAPES, f"one of {PEAK_SHAPES}")
@@ -119,7 +120,7 @@ def _labels(text: str) -> tuple[str, ...]:
     return tuple(text.replace(",", " ").split())
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
     """Validated configuration for the command-line tools; see load_config."""
 
@@ -132,7 +133,7 @@ class RunConfig:
     lineshape: str
     fwhm: float
     amplitude: float
-    transitions: list[tuple[int, int]]
+    transitions: tuple[tuple[int, int], ...]
 
 
 _GRID_KEYS = ("start_cm1", "stop_cm1", "step_cm1")
@@ -149,13 +150,13 @@ _SCHEMA: dict[str, dict[str, tuple[Callable[[str], Any], Any]]] = {
     "grid": {key: (finite_float, None) for key in _GRID_KEYS},
     "isotope": {
         "enabled": (_bool, False),
-        "splitting_cm1": (finite_float, 0.0098),
+        "splitting_cm1": (bounded_float, 0.0098),
         "satellite_ratio": (_nonnegative, 0.33),
     },
     "lineshape": {
         "shape": (_shape, "gaussian"),
         "fwhm_cm1": (_positive, 0.009),
-        "amplitude": (finite_float, 1.0),
+        "amplitude": (bounded_float, 1.0),
     },
     "transitions": {"include": (_labels, ())},
 }
@@ -226,7 +227,7 @@ def load_config(path: str | Path) -> RunConfig:
     if v["b_quad"] != 0.0 and (why := quadrupole_undefined(system)):
         raise ConfigError(f"{path}: bad value for hyperfine.b_quad: {why}")
     try:
-        transitions = [parse_transition_label(label, v["j"]) for label in v["include"]]
+        transitions = tuple(parse_transition_label(label, v["j"]) for label in v["include"])
     except ConfigError as exc:
         raise bad("transitions", "include", exc) from exc
 
@@ -249,3 +250,10 @@ def load_config(path: str | Path) -> RunConfig:
 def bundled_path(name: str) -> Path:
     """A file of the package's data directory."""
     return Path(__file__).with_name("data") / name
+
+
+REFERENCE = load_config(bundled_path(REFERENCE_CONFIG))
+#: Ho3+ electronic ground multiplet and the I = 7/2 holmium nuclear spin
+HO_LIYF4 = REFERENCE.system
+CF_HO_LIYF4 = REFERENCE.cf
+HYPERFINE_HO_LIYF4 = REFERENCE.hyperfine

@@ -12,12 +12,11 @@ m_z accepts rationals like -7/2 or decimals.  Level labels are
 read_dataset is told otherwise).  Refractive-index data uses columns
 nu_cm1,n[,sigma_n] (wavenumber_cm1 is accepted for nu_cm1) with
 sigma_n > 0; spectra are written with columns
-wavenumber_cm1,absorbance; the reference level table uses
-n,energy_cm1,irrep,jz.
+wavenumber_cm1,absorbance.
 
 Every file is one table: its first record is the header, in any case, and
 every later record has exactly as many cells as the header.  Only the m_z
-cell of a dataset row and the jz cell of a level row may be blank.
+cell of a dataset row may be blank.
 
 Every number must be finite and at most config.MAX_COUPLING = 1e100 in
 magnitude, and every uncertainty (sigma_cm1, sigma_n) at least
@@ -42,7 +41,6 @@ DATASET_J = 8.0
 _COLUMNS = ["transition", "m_z", "energy_cm1", "sigma_cm1"]
 _REFRACTIVE_HEADERS = [[nu, "n", *sigma] for nu in ("nu_cm1", "wavenumber_cm1") for sigma in ([], ["sigma_n"])]
 _SPECTRUM_COLUMNS = ["wavenumber_cm1", "absorbance"]
-_LEVEL_COLUMNS = ["n", "energy_cm1", "irrep", "jz"]
 
 ROW_KINDS = ("hf", "cf", "moment")
 
@@ -207,23 +205,3 @@ def read_refractive_points(path: str | Path) -> np.ndarray:
 def write_spectrum(path: str | Path, spectrum: Spectrum) -> None:
     text = format_table(_SPECTRUM_COLUMNS, zip(spectrum.grid, spectrum.absorbance))
     Path(path).write_text(text, encoding="utf-8", newline="\n")
-
-
-def read_expected_levels(path: str | Path) -> list[dict]:
-    """Reference level table: n, energy_cm1, irrep, jz (blank for singlets)."""
-    path = Path(path)
-    out = []
-    for number, (n_text, energy, irrep, jz) in _table(path, [_LEVEL_COLUMNS]):
-        try:
-            n = int(n_text)
-        except ValueError as exc:
-            raise DatasetError(f"{path}:{number}: {exc}") from exc
-        out.append(
-            {
-                "n": n,
-                "energy": _number(path, number, energy),
-                "irrep": irrep,
-                "jz": _number(path, number, jz) if jz != "" else None,
-            }
-        )
-    return out

@@ -1,3 +1,6 @@
+import csv
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -50,6 +53,18 @@ def hf_levels(cf_params, hyperfine, system):
 @pytest.fixture(scope="session")
 def measured():
     return read_dataset(bundled_path(MEASURED_LINES))
+
+
+def expected_levels() -> list[dict]:
+    """The published level table ``tests/data/cf_levels_expected.csv``:
+    n, energy, irrep and jz (None for the singlets) per level."""
+    with open(Path(__file__).with_name("data") / "cf_levels_expected.csv", encoding="utf-8", newline="") as handle:
+        rows = csv.DictReader(line for line in handle if not line.startswith("#"))
+        return [
+            {"n": int(r["n"]), "energy": float(r["energy_cm1"]), "irrep": r["irrep"],
+             "jz": float(r["jz"]) if r["jz"] else None}
+            for r in rows
+        ]
 
 
 @pytest.fixture(scope="session")

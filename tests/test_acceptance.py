@@ -11,8 +11,6 @@ from click.testing import CliRunner
 
 from hfspec.analysis import fit_peaks
 from hfspec.cli import main
-from hfspec.config import EXPECTED_LEVELS, bundled_path
-from hfspec.datasets import read_expected_levels
 from hfspec.fitting import (
     CF_AJ_PARAM_NAMES,
     fit_b,
@@ -29,7 +27,7 @@ from hfspec.perturbation import delta_full, lambda_from_exact, lambda_from_model
 from hfspec.spectra import PeakModel, Spectrum
 from hfspec.angular import build_jplus, build_jz
 
-from conftest import synthetic_cf_dataset
+from conftest import expected_levels, synthetic_cf_dataset
 
 A_J_REF = 0.02703
 
@@ -43,7 +41,7 @@ def test_criterion_01_level_table_reproduction(cf_params, system):
     levels = cf_levels(cf_params, system)
     elapsed = time.perf_counter() - start
 
-    expected = read_expected_levels(bundled_path(EXPECTED_LEVELS))
+    expected = expected_levels()
     assert len(levels) == 13
     worst_low = worst_high = worst_moment = 0.0
     for lv, ref in zip(levels, expected):
@@ -83,7 +81,7 @@ def test_criterion_02_first_order_spacing(levels, measured_by_family):
 
 
 def test_criterion_03_centroid_consistency(measured_by_family):
-    expected = read_expected_levels(bundled_path(EXPECTED_LEVELS))
+    expected = expected_levels()
     mean12 = np.mean([r.value for r in measured_by_family[(1, 2)]])
     mean13 = np.mean([r.value for r in measured_by_family[(1, 3)]])
     assert mean12 == pytest.approx(expected[1]["energy"], abs=0.02)

@@ -288,6 +288,26 @@ def test_zero_amplitude_peak_has_infinite_variance():
     assert np.all(np.isfinite(kept)) and np.all(kept > 0)
 
 
+def test_peak_covariance_scales_by_chi2_over_n_minus_3():
+    """One noisy Gaussian: the covariance is (J^T J)^-1 scaled by the residual
+    variance chi^2 / (N - 3), three fitted parameters off N samples.  The
+    oracle differentiates the model at the returned parameters and inverts
+    J^T J directly; scaling by chi^2 / N instead differs by 3/N = 1.5e-2."""
+    grid = np.arange(23.48, 23.58, 0.0005)
+    signal = PeakModel("gaussian", 23.527, 0.0090, 1.0).profile(grid)
+    signal = signal + 0.003 * np.random.default_rng(2).standard_normal(grid.size)
+    (peak,), cov = fit_peaks(Spectrum(grid, signal), 1, "gaussian")
+    x = np.array([peak.center, peak.amplitude, peak.fwhm])
+
+    def residual(p):
+        return signal - PeakModel("gaussian", p[0], p[2], p[1]).profile(grid)
+
+    jac = fitting.numerical_jacobian(residual, x, np.abs(x))
+    chi2 = float(np.sum(residual(x) ** 2))
+    expected = chi2 / (grid.size - 3) * np.linalg.inv(jac.T @ jac)
+    np.testing.assert_allclose(np.diag(cov), np.diag(expected), rtol=1e-3)
+
+
 @pytest.mark.xfail(strict=True, raises=ConvergenceError,
                    reason="ROADMAP item 8: the spare profile neither converges nor reaches amplitude 0")
 def test_spare_profile_is_flagged_on_noise_seed_4():
@@ -315,10 +335,10 @@ def test_four_overlapping_lorentzians_are_recovered():
 def test_fwhm_probe_below_zero_is_refused():
     """One sample 1e-9 after another sets the FWHM lower bound to 1e-9.  The
     spare profile's FWHM falls to that bound, where a central Jacobian probe,
-    a step of 1e-6 times the start width, would put it below 0, which the
-    model refuses.  The engine does not probe there: the probe stops at the
-    bound, and the fit returns the real peak where it is and the spare width
-    at its bound with variance inf."""
+    a step of 1e-6 times the start width, would put it below 0.  The bound
+    keeps the probe inside: it stops at the bound, so the model never sees a
+    width below it, and the fit returns the real peak where it is and the
+    spare width at its bound with variance inf."""
     base = np.arange(23.48, 23.58, 0.0005)
     grid = np.sort(np.append(base, base[20] + 1e-9))
     spacing = float(np.min(np.diff(grid)))

@@ -617,6 +617,29 @@ def test_synth_line_narrower_than_grid_step_exits_config(tmp_path, fwhm):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("edits, key", [
+    ((("fwhm_cm1 = 0.009", "fwhm_cm1 = 1e300"),), "lineshape.fwhm_cm1"),
+    ((("fwhm_cm1 = 0.009", "fwhm_cm1 = 1e200"), ("shape = gaussian", "shape = lorentzian")), "lineshape.fwhm_cm1"),
+    ((("amplitude = 1.0", "amplitude = 1e308"), ("satellite_ratio = 0.33", "satellite_ratio = 1e10")),
+     "lineshape.amplitude"),
+], ids=["gaussian-fwhm-1e300", "lorentzian-fwhm-1e200", "amplitude-1e308"])
+def test_synth_value_above_max_coupling_exits_config(tmp_path, edits, key):
+    """A line width whose square overflows a float, or a satellite height
+    that does, is refused as a config value above MAX_COUPLING, naming the
+    key (both exited 1 before, at the profile or the satellite line)."""
+    text = bundled_path(REFERENCE_CONFIG).read_text()
+    for old, new in edits:
+        assert old in text
+        text = text.replace(old, new)
+    config = tmp_path / "huge.ini"
+    config.write_text(text)
+    out = tmp_path / "huge.csv"
+    result = invoke("synth", "--config", str(config), "--output", str(out))
+    assert result.exit_code == EXIT_CONFIG
+    assert f"bad value for {key}: must be at most MAX_COUPLING = 1e+100 in magnitude" in result.output
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("grid, message", [
     ("", "config has no [grid] section; synthesis needs one"),
     ("\n[grid]\nstart_cm1 = 1.0\n", "section [grid] needs start_cm1, stop_cm1, step_cm1"),

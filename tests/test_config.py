@@ -1,9 +1,15 @@
 import dataclasses
+import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import hfspec
 from hfspec.angular import SpinSystem
 from hfspec.cli import EXIT_CONFIG, main
 from hfspec.config import (
@@ -43,7 +49,7 @@ def test_every_default(tmp_path):
         lineshape="gaussian",
         fwhm=0.009,
         amplitude=1.0,
-        transitions=[],
+        transitions=(),
     )
 
 
@@ -72,6 +78,9 @@ BAD_VALUES = [
     ("system", "j", "1e400"),
     ("cf", "b64", "-1e306"),
     ("hyperfine", "a_j", "1.0000001e100"),
+    ("conditions", "temperature_k", "1e101"),
+    ("isotope", "splitting_cm1", "-1e101"),
+    ("isotope", "satellite_ratio", "1e101"),
     ("fit", "max_iterations", "0"),
 ]
 
@@ -166,6 +175,30 @@ def test_line_width_at_least_grid_step(tmp_path):
         with pytest.raises(ConfigError, match=r"lineshape\.fwhm_cm1: must be at least grid\.step_cm1 = 0\.01"):
             load_config(_write(tmp_path, f"{HEADER}{lineshape}{grid}"))
     assert load_config(_write(tmp_path, f"{HEADER}\n[lineshape]\nfwhm_cm1 = 1e-170\n")).fwhm == 1e-170
+
+
+def test_reference_model_is_parsed_once():
+    """``import hfspec.cli`` and a default ``levels`` in a fresh interpreter
+    read reference.ini once: config holds it as REFERENCE, and every command
+    without --config and every library constant takes it from there."""
+    src = str(Path(hfspec.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = (
+        "import configparser, json, sys\n"
+        "reads = []\n"
+        "read_file = configparser.ConfigParser.read_file\n"
+        "def counted(self, *args, **kwargs):\n"
+        "    reads.append(kwargs.get('source'))\n"
+        "    return read_file(self, *args, **kwargs)\n"
+        "configparser.ConfigParser.read_file = counted\n"
+        "import hfspec.cli\n"
+        "hfspec.cli.main(['levels'], standalone_mode=False)\n"
+        "print(json.dumps(reads), file=sys.stderr)\n"
+    )
+    proc = subprocess.run([sys.executable, "-W", "error", "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert proc.stdout.startswith("level,energy_cm1,")
+    reads = json.loads(proc.stderr)
+    assert len(reads) == 1 and Path(reads[0]).name == REFERENCE_CONFIG, reads
 
 
 def test_non_utf8_config_is_config_error(tmp_path):

@@ -7,7 +7,6 @@ from hfspec.datasets import (
     DatasetError,
     format_half_integer,
     read_dataset,
-    read_expected_levels,
     read_refractive_points,
     write_dataset,
     write_spectrum,
@@ -185,17 +184,10 @@ def test_writers_write_the_recorded_bytes(tmp_path, measured):
 #: record is its header and every later record is as wide as the header
 BROKEN_TABLES = {
     "refractive-no-header": (read_refractive_points, "50,2.4\n60,2.45\n", ":1: bad header"),
-    "levels-no-header": (read_expected_levels, "1,0.00,G34,5.40\n2,6.84,G2,\n", ":1: bad header"),
     "refractive-blank-cell": (read_refractive_points, "nu_cm1,n,sigma_n\n10,,0.01\n20,,0.01\n", ":2: bad numeric field"),
-    "levels-blank-cell": (read_expected_levels, "n,energy_cm1,irrep,jz\n1,0.00,G34,5.40\n2,,G2,\n", ":3: bad numeric field"),
     "refractive-wider": (read_refractive_points, "nu_cm1,n\n50,2.4,0.01\n60,2.45,0.01\n", ":2: expected 2 columns, got 3"),
-    "levels-wider": (read_expected_levels, "n,energy_cm1,irrep,jz\n1,0.00,G34,5.40,1\n", ":2: expected 4 columns, got 5"),
     "refractive-narrower": (read_refractive_points, "nu_cm1,n,sigma_n\n50,2.4\n60,2.45\n", ":2: expected 3 columns, got 2"),
-    "levels-narrower": (read_expected_levels, "n,energy_cm1,irrep,jz\n1,0.00,G34\n", ":2: expected 4 columns, got 3"),
     "refractive-repeated-header": (read_refractive_points, "nu_cm1,n\n50,2.4\nnu_cm1,n\n60,2.45\n", ":3: bad numeric field"),
-    "levels-repeated-header": (
-        read_expected_levels, "n,energy_cm1,irrep,jz\n1,0.00,G34,5.40\nn,energy_cm1,irrep,jz\n2,6.84,G2,\n", ":3: invalid literal"
-    ),
 }
 
 
@@ -208,18 +200,9 @@ def test_table_rules(tmp_path, case):
         reader(path)
 
 
-@pytest.mark.parametrize("reader", [read_dataset, read_refractive_points, read_expected_levels])
+@pytest.mark.parametrize("reader", [read_dataset, read_refractive_points])
 def test_file_without_records_has_no_header(tmp_path, reader):
     path = tmp_path / "empty.csv"
     path.write_text("# only a comment\n\n")
     with pytest.raises(DatasetError, match=r"empty\.csv: no header; expected "):
         reader(path)
-
-
-def test_level_table_reads_blank_jz_and_header_in_any_case(tmp_path):
-    path = tmp_path / "levels.csv"
-    path.write_text("N,Energy_cm1,IRREP,jz\n1,0.00,G34,5.40\n2,6.84,G2,\n")
-    assert read_expected_levels(path) == [
-        {"n": 1, "energy": 0.0, "irrep": "G34", "jz": 5.4},
-        {"n": 2, "energy": 6.84, "irrep": "G2", "jz": None},
-    ]
