@@ -28,8 +28,8 @@ from typing import NamedTuple
 import numpy as np
 from numpy.typing import NDArray
 
-from .fitting import LSQSolution, covariance_from_jacobian, damped_least_squares
-from .spectra import PeakModel, Spectrum, TransitionLine, _peak_profile
+from .fitting import LSQSolution, _evaluate_stacked, covariance_from_jacobian, damped_least_squares
+from .spectra import PeakModel, Spectrum, TransitionLine, _peak_profiles
 
 #: difference-series index per (n_init, n_final) family
 FAMILY_INDEX = {(2, 3): 1, (1, 2): 2, (1, 3): 3}
@@ -232,14 +232,21 @@ def fit_peaks(
         [np.full(n_peaks, grid[-1]), np.full(n_peaks, np.inf), np.full(n_peaks, span)]
     )
 
-    def model(x):
-        total = np.zeros_like(grid)
-        for c, a, f in zip(*x.reshape(3, -1).tolist()):
-            total += _peak_profile(shape, c, f, a, grid)
-        return total
+    held = {}
+
+    def hold(points):
+        """The model at each point, its peaks' profiles summed in turn as
+        ``PeakModel.profile`` gives them, over one (points, grid) array."""
+        total = np.zeros((len(points), grid.size))
+        for c, a, f in zip(*np.reshape(points, (len(points), 3, n_peaks)).transpose(1, 2, 0)):
+            total += _peak_profiles(shape, c, f, a, grid)
+        held.clear()
+        held.update(zip([x.tobytes() for x in points], total))
 
     def residual(x):
-        return signal - model(x)
+        if (key := x.tobytes()) not in held:
+            hold([x])
+        return signal - held[key]
 
     scale = np.concatenate(
         [
@@ -248,7 +255,9 @@ def fit_peaks(
             np.full(n_peaks, fwhm0),
         ]
     )
-    solution: LSQSolution = damped_least_squares(residual, x0, x_scale=scale, bounds=(lo, hi))
+    solution: LSQSolution = damped_least_squares(
+        residual, x0, x_scale=scale, bounds=(lo, hi), evaluate=_evaluate_stacked(hold)
+    )
 
     dof = max(len(grid) - len(x0), 1)
     cov, _, flat = covariance_from_jacobian(solution.jacobian, solution.x_scale)

@@ -20,23 +20,32 @@ parameter directions (e.g. a q = -4 coefficient starting from zero, where
 the spectrum is stationary) are reported as unidentifiable with infinite
 error rather than silently inverted.
 
-The engine hands its model evaluations to an evaluator in batches: a
-Jacobian's probes, and the trials after an iteration's first one is
-rejected.  ``fit_b`` evaluates two at a time, on the calling thread and one
-worker thread: each central-difference probe pair, and after a rejected
-trial the next two, at mu and 10 mu.  Its evaluation is mostly a 136-dim
-``eigh``, which releases the GIL: a pair takes 5.4-6.5 ms where two in turn
-take 7.8 ms (median of 200 pairs, OpenBLAS 0.3.31 on one thread, 2-core
-Xeon).  ``fit_cf_aj`` and ``fit_peaks`` evaluate one at a time: their
-evaluations are small and hold the GIL, and on the same machine a second
-thread made a ``fit_cf_aj`` fit 1.9x slower (81.5 against 42.6 ms).
-Results are read in the sequential order, and a trial the sequential loop
-would not have made is discarded with any exception it raised, so every fit
-returns or raises exactly what one evaluation at a time gives.
+How each fit evaluates.  The engine hands its model evaluations to an
+evaluator in batches: a Jacobian's probes, and the trials after an
+iteration's first one is rejected.  ``fit_b`` evaluates two at a time, on
+the calling thread and one worker thread: each central-difference probe
+pair, and after a rejected trial the next two, at mu and 10 mu.  Its
+evaluation is mostly a 136-dim ``eigh``, which releases the GIL: a pair
+takes 5.4-6.5 ms where two in turn take 7.8 ms (median of 200 pairs,
+OpenBLAS 0.3.31 on one thread, 2-core Xeon).  ``fit_cf_aj`` and
+``fit_peaks`` evaluate each Jacobian as a stack (``_evaluate_stacked``):
+their evaluations are small and hold the GIL, so a second thread made a
+``fit_cf_aj`` fit 1.9x slower (81.5 against 42.6 ms), but most of their time
+is per-point overhead.  ``fit_cf_aj`` solves its twelve CF probes with one
+``cf_level_stack`` call, and its two a_j probes reuse the solve at x;
+``fit_peaks`` sums every probe's profiles over one (probes, grid) array.
+On the same machine a ``fit_cf_aj`` fit of perfbench's refine inputs took
+16.3 ms against 33.9 ms one point at a time, and the eight doublet fits of
+one input 8.3 against 10.6 ms (medians of 5 alternated runs of 16 inputs).
+Their trials are evaluated one at a time.  Results are read in the
+sequential order, ``fun`` is called once per point, and a trial the
+sequential loop would not have made is discarded with any exception it
+raised, so every fit returns or raises exactly what one evaluation at a
+time gives.
 """
 
 import contextvars
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import chain, islice
 
 import numpy as np
@@ -44,7 +53,7 @@ from numpy.typing import NDArray
 
 from .angular import SpinSystem
 from .datasets import ROW_KINDS, DatasetError, ObservationRow, TransitionDataset
-from .hamiltonian import CF_COEFFICIENTS, CFParameters, HyperfineConstants, _cf_point, cf_levels
+from .hamiltonian import CF_COEFFICIENTS, CFParameters, HyperfineConstants, SymmetryError, _cf_point, cf_level_stack
 
 #: free parameters of fit_cf_aj: every CF coefficient but the gauged b4m4, then a_j
 CF_AJ_PARAM_NAMES = tuple(name for name in CF_COEFFICIENTS if name != "b4m4") + ("a_j",)
@@ -136,13 +145,31 @@ def _evaluate_two_wide(pool):
     return evaluate
 
 
+def _evaluate_stacked(hold):
+    """An evaluator that hands each Jacobian's probes, a list of points, to
+    ``hold`` and then calls ``fun`` at each probe in order; a batch of trials,
+    an iterator of damping values, is mapped one at a time as it is asked
+    for.  ``hold`` evaluates the model at every probe as one stack and keeps
+    each point's value, or the exception it raises, for ``fun`` to read:
+    ``fun`` is still called once per point, so an exception surfaces where
+    one evaluation at a time meets it."""
+
+    def evaluate(fun, points):
+        if isinstance(points, list):
+            hold(points)
+        return map(fun, points)
+
+    return evaluate
+
+
 def numerical_jacobian(fun, x, x_scale, bounds=(-np.inf, np.inf), evaluate=map):
     """Central-difference Jacobian of a residual vector function.
 
     A probe that would leave ``bounds`` = (lo, hi) stops at the bound, and
     its column divides by the distance actually probed; a column whose two
     probes lie inside is the central difference over 2h.  The probes go to
-    ``evaluate`` as one batch, each column's + probe before its - probe.
+    ``evaluate`` as one batch, a list, each column's + probe before its -
+    probe.
     """
     x = np.asarray(x, dtype=float)
     lo, hi = (np.broadcast_to(b, x.shape) for b in bounds)
@@ -207,11 +234,13 @@ def damped_least_squares(fun, x0, x_scale, bounds=(-np.inf, np.inf), evaluate=ma
 
     ``evaluate(fun, points)`` yields ``fun`` at each point in order; the
     default, ``map``, evaluates one at a time, each when its result is asked
-    for.  It gets each Jacobian's probes as one batch, an iteration's first
-    trial alone, and the trials after a rejected first one, mu after mu, as
-    a second batch.  An evaluator may work ahead within a batch; the results
-    are read in order and the first accepted trial ends the batch, so the
-    fit, its exceptions included, is the same whatever evaluator runs it.
+    for.  It gets each Jacobian's probes as one batch, a list of points, an
+    iteration's first trial alone, and the trials after a rejected first
+    one, mu after mu, as a second batch; a trial batch is an iterator of
+    damping values, each made into its point only when asked for.  An
+    evaluator may work ahead within a batch; the results are read in order
+    and the first accepted trial ends the batch, so the fit, its exceptions
+    included, is the same whatever evaluator runs it.
     ``fun`` must be a function of x alone: a trial that rounds onto the
     current x reuses its residuals, and the final Jacobian, where x has not
     moved since the last one, reuses it.
@@ -327,10 +356,15 @@ def _check_level_range(rows: list[ObservationRow], n_levels: int, i: float) -> N
     for k, row in enumerate(rows):
         if row.n_init > n_levels or (row.n_final is not None and row.n_final > n_levels):
             raise DatasetError(f"row {k}: level index out of range (have 1..{n_levels})")
-        if row.m_z is not None and (abs(row.m_z) > i or (row.m_z + i) % 1 != 0):
+        if _not_a_projection(row, i):
             raise DatasetError(
                 f"row {k}: m_z {row.m_z:g} is not a nuclear projection (have {-i:g}..{i:g})"
             )
+
+
+def _not_a_projection(row: ObservationRow, i: float) -> bool:
+    """The row names an m_z that is not one of -i, -i + 1, ..., i."""
+    return row.m_z is not None and (abs(row.m_z) > i or (row.m_z + i) % 1 != 0)
 
 
 def predict_lines_first_order(
@@ -350,24 +384,50 @@ def predict_lines_first_order(
 
 
 def _first_order_predictor(rows: list[ObservationRow], system: SpinSystem):
-    """predict_lines_first_order as a function of (params, a_j); each row's
-    levels are indexed once, and checked against the levels of every point."""
+    """predict_lines_first_order as a function of (params, a_j).
+
+    Each row's levels are indexed, and its m_z checked, once; at each point
+    only the rows' highest level index is compared with the point's number
+    of levels, and a refusal names the first failing row as
+    ``_check_level_range`` does.  ``predict.hold(points)`` solves the CF
+    points among ``points`` that it does not hold as one stack
+    (``cf_level_stack``), and then holds exactly those points; a point asked
+    for but not held is solved alone, and held.  A held refusal is raised
+    when its point is asked for.
+    """
     init = np.array([row.n_init - 1 for row in rows], dtype=int)
     final = np.array([row.n_init - 1 if row.n_final is None else row.n_final - 1 for row in rows], dtype=int)
     hf = np.array([row.kind == "hf" for row in rows], dtype=bool)
     moment = np.array([row.kind == "moment" for row in rows], dtype=bool)
     m_z = np.array([row.m_z for row in rows if row.kind == "hf"], dtype=float)
+    top = max((max(row.n_init, row.n_final or 0) for row in rows), default=0)
+    # every point refuses the first row with a bad m_z, or a row before it
+    bad_m_z = next((k for k, row in enumerate(rows) if _not_a_projection(row, system.i)), len(rows))
+    held = {}
+
+    def hold(points: list[CFParameters]) -> None:
+        new = [p for p in dict.fromkeys(points) if p not in held]
+        keep = {p: held[p] for p in points if p in held}
+        if new:
+            keep.update(zip(new, cf_level_stack(new, system)))
+        held.clear()
+        held.update(keep)
 
     def predict(params: CFParameters, a_j: float) -> NDArray[np.float64]:
-        levels = cf_levels(params, system)
-        _check_level_range(rows, len(levels), system.i)
-        energy = np.array([level.energy for level in levels])
-        jz = np.array([level.jz_expect for level in levels])
+        if params not in held:
+            hold([params])
+        levels = held[params]
+        if isinstance(levels, SymmetryError):
+            raise levels
+        energy, jz = levels.energy, levels.jz
+        if top > len(energy) or bad_m_z < len(rows):
+            _check_level_range(rows[: bad_m_z + 1], len(energy), system.i)
         out = energy[final] - energy[init]
         out[hf] += a_j * (jz[final[hf]] - jz[init[hf]]) * m_z
         out[moment] = jz[init[moment]]
         return out
 
+    predict.hold = hold
     return predict
 
 
@@ -389,15 +449,17 @@ def fit_cf_aj(
 
     at_point = _first_order_predictor(dataset.rows, system)
     predict = lambda x: at_point(*_cf_aj_point(x, initial))
+    hold = lambda points: at_point.hold([_cf_aj_point(x, initial)[0] for x in points])
 
-    return _weighted_fit(CF_AJ_PARAM_NAMES, dataset.rows, predict, values, np.maximum(np.abs(values), 1e-8))
+    return _weighted_fit(
+        CF_AJ_PARAM_NAMES, dataset.rows, predict, values, np.maximum(np.abs(values), 1e-8), _evaluate_stacked(hold)
+    )
 
 
 def _cf_aj_point(x: NDArray[np.float64], template: CFParameters) -> tuple[CFParameters, float]:
     """(CF parameters, a_j) at a vector over ``CF_AJ_PARAM_NAMES``; b4m4 is the template's."""
-    values = dict(zip(CF_AJ_PARAM_NAMES, map(float, x)))
-    a_j = values.pop("a_j")
-    return replace(template, **values), a_j
+    *cf, a_j = x.tolist()
+    return CFParameters(**dict(zip(CF_AJ_PARAM_NAMES, cf)), b4m4=template.b4m4), a_j
 
 
 def cf_parameters_from_result(

@@ -22,6 +22,7 @@ directly as (energy - parent CF energy).
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 import numpy as np
 from numpy.typing import NDArray
@@ -149,12 +150,26 @@ class HFLevel:
 
 def build_cf_hamiltonian(params: CFParameters, system: SpinSystem) -> OperatorMatrix:
     """H_CF = sum over (k, q) of B_k^q O_k^q on the 2j+1 electronic space."""
+    return OperatorMatrix(_cf_matrices([params], system)[0])
+
+
+def _cf_matrices(points: list[CFParameters], system: SpinSystem) -> NDArray[np.complex128]:
+    """H_CF at each point, as a (points, 2j+1, 2j+1) stack.  Each matrix is
+    summed from zero, B_k^q O_k^q in SUPPORTED_STEVENS order, and a zero
+    coefficient is skipped in that matrix alone, so every matrix holds the
+    bits a stack of one gives."""
     dim = system.dim_j
-    mat = np.zeros((dim, dim), dtype=complex)
-    for k, q, value in params.terms():
-        if value != 0.0:
-            mat = mat + value * build_stevens(k, q, system.j).matrix
-    return OperatorMatrix(mat)
+    mats = np.zeros((len(points), dim, dim), dtype=complex)
+    coefficients = np.array([[getattr(p, name) for name in CF_COEFFICIENTS] for p in points])
+    nonzero = coefficients != 0.0
+    terms = zip(SUPPORTED_STEVENS, coefficients.T[:, :, None, None], nonzero.T,
+                nonzero.all(axis=0).tolist(), nonzero.any(axis=0).tolist())
+    for (k, q), values, at, everywhere, somewhere in terms:
+        if everywhere:
+            mats = mats + values * build_stevens(k, q, system.j).matrix
+        elif somewhere:
+            mats[at] = mats[at] + values[at] * build_stevens(k, q, system.j).matrix
+    return mats
 
 
 def quadrupole_undefined(system: SpinSystem) -> str:
@@ -190,59 +205,53 @@ def _sectors(system: SpinSystem) -> NDArray[np.int64]:
     return np.mod(system.m_j, 4).astype(int)
 
 
-def _resolve_clusters(
-    eigvecs: NDArray[np.complex128],
-    in_sector: NDArray[np.bool_],
-    starts: list[int],
-    sizes: list[int],
-    occupied: list[list[bool]],
-) -> dict[int, dict[int, list[NDArray[np.complex128]]]]:
-    """Resolve every degenerate cluster into sector-pure orthonormal vectors:
-    {cluster: {sector: members}}.
-
-    Projecting a cluster's eigenvectors onto one M mod 4 sector and keeping
-    the left singular vectors with singular value above 0.5 recovers the
-    symmetry-adapted basis however the eigensolver mixed the degenerate
-    states; for a G34 doublet this coincides with diagonalizing J_z on the
-    pair.  Those vectors are zero outside the sector by construction.  The
-    projections of all clusters of one size onto each sector they occupy
-    (``occupied``, sector x cluster) go to one stacked SVD, which makes the
-    same LAPACK call on each matrix as an SVD of that projection alone.
-    """
-    resolved: dict[int, dict[int, list[NDArray[np.complex128]]]] = {}
-    for size in sorted({size for size in sizes if size > 1}):
-        pairs = [(c, s) for c, n in enumerate(sizes) if n == size for s in range(4) if occupied[s][c]]
-        columns = np.array([starts[c] for c, _ in pairs])[:, None] + np.arange(size)
-        mask = in_sector[[s for _, s in pairs]]
-        proj = np.where(mask[:, :, None], eigvecs[:, columns].transpose(1, 0, 2), 0.0)
-        u, sv, _ = np.linalg.svd(proj, full_matrices=False)
-        for (c, s), u_p, count in zip(pairs, u, np.sum(sv > 0.5, axis=1).tolist()):
-            if count:
-                resolved.setdefault(c, {})[s] = [u_p[:, k] for k in range(count)]
-    return resolved
-
-
-def _fix_phases(vectors: list[NDArray[np.complex128]]) -> NDArray[np.complex128]:
-    """The vectors as read-only rows, each rotated by a global phase so its
-    largest component is real positive.  The phase is taken one vector at a
-    time, as the scalar vec[k] / abs(vec[k]): the array abs differs from the
-    scalar one in the last bit."""
-    stacked = np.array(vectors)
-    pivots = stacked[np.arange(len(stacked)), np.argmax(np.abs(stacked), axis=1)]
-    fixed = stacked / np.array([p / abs(p) for p in pivots])[:, None]
-    fixed.setflags(write=False)
-    return fixed
-
-
 def _new_cluster(eigvals: NDArray[np.float64]) -> NDArray[np.bool_]:
-    """True where ascending ``eigvals`` start a new energy cluster: after a gap above DEGENERACY_RTOL x their span."""
-    return np.concatenate(([True], np.diff(eigvals) > DEGENERACY_RTOL * (eigvals[-1] - eigvals[0])))
+    """True where ascending ``eigvals`` start a new energy cluster: after a
+    gap above DEGENERACY_RTOL x their span.  A stack is cut row by row."""
+    new = np.ones(eigvals.shape, dtype=bool)
+    new[..., 1:] = eigvals[..., 1:] - eigvals[..., :-1] > DEGENERACY_RTOL * (eigvals[..., -1:] - eigvals[..., :1])
+    return new
+
+
+class LevelArrays(NamedTuple):
+    """One point's crystal-field levels as arrays, level n at index n - 1.
+
+    ``sector`` is the M mod 4 sector of each level's sigma = +1 member (0
+    for G1, 2 for G2, 3 for G34), ``jz`` its <J_z>, exactly 0.0 for a
+    singlet (time reversal leaves it no moment).  ``vectors`` holds the
+    phase-fixed members as read-only rows: each level's sigma = +1 member,
+    followed for a doublet by its sigma = -1 member.
+    """
+
+    energy: NDArray[np.float64]
+    sector: NDArray[np.int64]
+    jz: NDArray[np.float64]
+    vectors: NDArray[np.complex128]
+
+    def cf_levels(self) -> list[CFLevel]:
+        """The levels as CFLevel objects, their vectors rows of ``vectors``."""
+        rows = iter(self.vectors)
+        levels = []
+        for n, (energy, sector, jz) in enumerate(zip(self.energy.tolist(), self.sector.tolist(), self.jz.tolist()), 1):
+            if sector == SIGMA_PLUS_SECTOR:
+                levels.append(CFLevel(n, energy, "G34", 2, jz, {+1: next(rows), -1: next(rows)}))
+            else:
+                levels.append(CFLevel(n, energy, "G1" if sector == 0 else "G2", 1, jz, {+1: next(rows)}))
+        return levels
 
 
 def classify_levels(
     eigvals: NDArray[np.float64], eigvecs: NDArray[np.complex128], system: SpinSystem
-) -> list[CFLevel]:
-    """Group a crystal-field eigensystem into levels with irrep and branch labels.
+) -> list[CFLevel] | list[LevelArrays | SymmetryError]:
+    """Group crystal-field eigensystems into levels with irrep and branch labels.
+
+    One eigensystem, ``eigvals`` of shape (2j+1,) with ``eigvecs`` in
+    columns, gives its list of CFLevel.  A stack of them, shapes (P, 2j+1)
+    and (P, 2j+1, 2j+1), is classified in one pass and gives one entry per
+    point: its LevelArrays, or the SymmetryError it raises, in its place and
+    not raised, so that a caller taking the points in turn raises it where
+    one point at a time would.  A point's levels do not depend on the others
+    in its stack, bit for bit.
 
     Eigenvalues closer than ``DEGENERACY_RTOL`` times their span (all of
     them when the span is 0) form one level, at any crystal-field scale.
@@ -250,90 +259,170 @@ def classify_levels(
     and G2 singlets with <J_z> = 0, a sector 1/3 pair gives a G34 doublet
     whose sigma = +1 branch is the sector-3 member.  Energies are shifted so
     the ground level is 0; levels are numbered n = 1, 2, ... as they are
-    made, in ascending energy.
+    made, in ascending energy: in each energy cluster the G1 singlets, the
+    G2 singlets, then the doublets, in ascending <J_z>.
 
-    The work is batched: one product gives every eigenvector's weight in
-    each sector, one ``np.add.reduceat`` every level energy (the mean of its
-    cluster), and ``_resolve_clusters`` one stacked SVD per cluster size.
-    What stays per vector is the phase (``_fix_phases``) and per doublet
-    <J_z>, so every number equals that of one SVD per (cluster, sector) and
-    one phase fix per vector, bit for bit.
+    Every step is batched over all clusters of all points: one product gives
+    each eigenvector's weight in each sector, one ``np.add.reduceat`` each
+    level energy (the mean of its cluster), ``_resolve_clusters`` one
+    stacked SVD per cluster size, and one division each member's phase fix,
+    its largest component made real positive.  Every number equals that of
+    one SVD per (cluster, sector) and one phase fix per vector, bit for bit.
 
-    Raises ValueError for a half-integer j (a Kramers ion), and
-    SymmetryError, which signals a symmetry-breaking Hamiltonian,
-    when a non-degenerate eigenvector has mixed-sector support beyond
+    Raises ValueError for a half-integer j (a Kramers ion).  A point gets a
+    SymmetryError, which signals a symmetry-breaking Hamiltonian, when a
+    non-degenerate eigenvector has mixed-sector support beyond
     ``SECTOR_PURITY_TOL``, when a degenerate level does not resolve into
     sector-pure members, or when a level's sector-3 and sector-1 members do
-    not pair up (a lone eigenvector in a doublet sector among them).
+    not pair up (a lone eigenvector in a doublet sector among them); the
+    first such cluster names it.
     """
+    eigvals, eigvecs = np.asarray(eigvals), np.asarray(eigvecs)
+    if eigvals.ndim == 2:
+        return _classify(eigvals, eigvecs, system)
+    (levels,) = _classify(eigvals[None], eigvecs[None], system)
+    if isinstance(levels, SymmetryError):
+        raise levels
+    return levels.cf_levels()
+
+
+def _classify(
+    eigvals: NDArray[np.float64], eigvecs: NDArray[np.complex128], system: SpinSystem
+) -> list[LevelArrays | SymmetryError]:
+    """``classify_levels`` of a (P, 2j+1) stack.  Clusters are numbered over
+    the flattened stack, point after point."""
     sectors = _sectors(system)
     jz = build_jz(system.j).matrix
-    shifted = eigvals - eigvals[0]
-    first = np.flatnonzero(_new_cluster(shifted))
-    starts = first.tolist()
-    sizes = [stop - start for start, stop in zip(starts, starts[1:] + [len(shifted)])]
-    energies = (np.add.reduceat(shifted, first) / sizes).tolist()
+    n_points, dim = eigvals.shape
+    shifted = eigvals - eigvals[:, :1]
+    first = _new_cluster(shifted).ravel().nonzero()[0]
+    sizes = np.append(first[1:], shifted.size) - first
+    point = first // dim
+    energy = np.add.reduceat(shifted.ravel(), first) / sizes
     in_sector = np.arange(4)[:, None] == sectors
-    # weight of each eigenvector (column) in each sector (row)
+    # weight of each eigenvector (column) in each sector (row), point by point
     weights = in_sector @ np.abs(eigvecs) ** 2
-    sector_of, impurity = np.argmax(weights, axis=0).tolist(), (1.0 - np.max(weights, axis=0)).tolist()
+    sector_of, impurity = weights.argmax(axis=1).ravel(), (1.0 - weights.max(axis=1)).ravel()
     # sigma_max <= Frobenius norm, so a sector of weight <= 0.25 in a cluster has no member there
-    occupied = (np.add.reduceat(weights, first, axis=1) > 0.25).tolist()
-    resolved = _resolve_clusters(eigvecs, in_sector, starts, sizes, occupied)
+    occupied = np.add.reduceat(weights.transpose(1, 0, 2).reshape(4, -1), first, axis=1).T > 0.25
 
-    vectors: list[NDArray[np.complex128]] = []
-    made: list[tuple[float, str]] = []
-    for c, (start, size, energy) in enumerate(zip(starts, sizes, energies)):
-        if size == 1:
-            if impurity[start] > SECTOR_PURITY_TOL:
-                raise SymmetryError(
-                    f"eigenvector has weight {impurity[start]:.3e} outside its "
-                    f"M mod 4 sector; the Hamiltonian breaks S4 symmetry"
-                )
-            members = {sector_of[start]: [eigvecs[:, start]]}
-        else:
-            members = resolved.get(c, {})
-            if (total := sum(map(len, members.values()))) != size:
-                raise SymmetryError(
-                    "degenerate eigenspace does not decompose into M mod 4 sectors "
-                    f"(cluster size {size}, sector members {total}); "
-                    "the Hamiltonian breaks S4 symmetry"
-                )
-        for s, irrep in ((0, "G1"), (2, "G2")):
-            for vec in members.get(s, []):
-                vectors.append(vec)
-                made.append((energy, irrep))
-        plus = members.get(SIGMA_PLUS_SECTOR, [])
-        minus = members.get(SIGMA_MINUS_SECTOR, [])
-        if len(plus) != len(minus):
-            raise SymmetryError(
-                f"unpaired doublet members at {energy:.8g} cm^-1 (sector 3: {len(plus)}, "
-                f"sector 1: {len(minus)}); the time-reversal partner is missing"
-            )
-        # order multiple doublets within one cluster by <J_z> for determinism
-        plus = sorted(plus, key=lambda v: np.real(v.conj() @ jz @ v))
-        minus = sorted(minus, key=lambda v: -np.real(v.conj() @ jz @ v))
-        for vp, vm in zip(plus, minus):
-            vectors += [vp, vm]
-            made.append((energy, "G34"))
+    # each member's cluster, sector, place in its sector and vector (a row):
+    # the eigenvector of each one-member cluster, then the resolved ones
+    single = (sizes == 1).nonzero()[0]
+    chunks = [(single, sector_of[first[single]], np.zeros(single.size, dtype=int),
+               eigvecs[first[single] // dim, :, first[single] % dim])]
+    chunks += _resolve_clusters(eigvecs, in_sector, first, sizes, occupied, jz)
+    cluster, sector, index, vectors = (np.concatenate(column) for column in zip(*chunks))
+    counts = np.bincount(4 * cluster + sector, minlength=4 * len(first)).reshape(-1, 4)
 
-    fixed = iter(_fix_phases(vectors))
-    levels = []
-    for n, (energy, irrep) in enumerate(made, 1):
-        if irrep == "G34":
-            vp, vm = next(fixed), next(fixed)
-            levels.append(CFLevel(n, energy, irrep, 2, float(np.real(vp.conj() @ jz @ vp)), {+1: vp, -1: vm}))
+    errors = {}
+    impure = (sizes == 1) & (impurity[first] > SECTOR_PURITY_TOL)
+    split = (sizes > 1) & (counts.sum(axis=1) != sizes)
+    unpaired = counts[:, SIGMA_PLUS_SECTOR] != counts[:, SIGMA_MINUS_SECTOR]
+    for c in np.flatnonzero(impure | split | unpaired).tolist():
+        if point[c] in errors:
+            continue  # a point is refused for its first failing cluster
+        if impure[c]:
+            why = (f"eigenvector has weight {impurity[first[c]]:.3e} outside its "
+                   f"M mod 4 sector; the Hamiltonian breaks S4 symmetry")
+        elif split[c]:
+            why = ("degenerate eigenspace does not decompose into M mod 4 sectors "
+                   f"(cluster size {sizes[c]}, sector members {counts[c].sum()}); "
+                   "the Hamiltonian breaks S4 symmetry")
         else:
-            # time reversal leaves a singlet no moment; <vec|J_z|vec> is rounding noise
-            levels.append(CFLevel(n, energy, irrep, 1, 0.0, {+1: next(fixed)}))
-    return levels
+            why = (f"unpaired doublet members at {float(energy[c]):.8g} cm^-1 "
+                   f"(sector 3: {counts[c, SIGMA_PLUS_SECTOR]}, sector 1: {counts[c, SIGMA_MINUS_SECTOR]}); "
+                   "the time-reversal partner is missing")
+        errors[int(point[c])] = SymmetryError(why)
+
+    # members in level order: per cluster the sector-0, then the sector-2
+    # members, then each doublet's sector-3 member followed by its sector-1 one
+    before = np.where(sector == 0, 0, counts[cluster, 0] + np.where(sector == 2, 0, counts[cluster, 2]))
+    rank = before + np.where(sector % 2 == 1, 2 * index + (sector == SIGMA_MINUS_SECTOR), index)
+    good = np.ones(n_points, dtype=bool)
+    good[list(errors)] = False
+    order = np.lexsort((rank, cluster))
+    order = order[good[point[cluster[order]]]]
+    fixed = _fix_phases(vectors[order])
+    cluster, sector = cluster[order], sector[order]
+
+    head = np.flatnonzero(sector != SIGMA_MINUS_SECTOR)
+    level_sector = sector[head]
+    level_jz = np.zeros(head.size)
+    doublet = level_sector == SIGMA_PLUS_SECTOR
+    plus = fixed[head[doublet]]
+    level_jz[doublet] = np.real(plus.conj()[:, None, :] @ jz @ plus[:, :, None])[:, 0, 0]
+    level_energy = energy[cluster[head]]
+    bounds = np.searchsorted(point[cluster[head]], np.arange(n_points + 1))
+    row_bounds = np.searchsorted(point[cluster], np.arange(n_points + 1))
+    return [
+        errors[p] if p in errors else LevelArrays(
+            level_energy[lo:hi], level_sector[lo:hi], level_jz[lo:hi], fixed[row_lo:row_hi]
+        )
+        for p, lo, hi, row_lo, row_hi in zip(
+            range(n_points), bounds.tolist(), bounds[1:].tolist(), row_bounds.tolist(), row_bounds[1:].tolist()
+        )
+    ]
+
+
+def _resolve_clusters(
+    eigvecs: NDArray[np.complex128],
+    in_sector: NDArray[np.bool_],
+    first: NDArray[np.int64],
+    sizes: NDArray[np.int64],
+    occupied: NDArray[np.bool_],
+    jz: NDArray[np.complex128],
+) -> list[tuple[NDArray[np.int64], NDArray[np.int64], NDArray[np.int64], NDArray[np.complex128]]]:
+    """Resolve every degenerate cluster into sector-pure orthonormal
+    vectors: per cluster size, each member's cluster, sector, place in its
+    sector and vector (a row).
+
+    Projecting a cluster's eigenvectors onto one M mod 4 sector and keeping
+    the left singular vectors with singular value above 0.5 recovers the
+    symmetry-adapted basis however the eigensolver mixed the degenerate
+    states; for a G34 doublet this coincides with diagonalizing J_z on the
+    pair.  Those vectors are zero outside the sector by construction.  The
+    projections of all clusters of one size, of every point, onto each
+    sector they occupy (``occupied``, cluster x sector) go to one stacked
+    SVD, which makes the same LAPACK call on each matrix as an SVD of that
+    projection alone.  Where one cluster holds several doublets, a member's
+    place in its sector follows <J_z>, ascending in sector 3 and descending
+    in sector 1, taken on the SVD's column as one SVD would give it.
+    """
+    dim = eigvecs.shape[-1]
+    chunks = []
+    for size in sorted(set(sizes[sizes > 1].tolist())):
+        cluster, sector = np.nonzero(occupied & (sizes == size)[:, None])
+        columns = (first[cluster] % dim)[:, None] + np.arange(size)
+        stacked = eigvecs[(first[cluster] // dim)[:, None], :, columns].transpose(0, 2, 1)
+        u, sv, _ = np.linalg.svd(np.where(in_sector[sector][:, :, None], stacked, 0.0), full_matrices=False)
+        count = np.sum(sv > 0.5, axis=1)
+        pair = np.repeat(np.arange(cluster.size), count)
+        column = np.arange(pair.size) - np.repeat(np.cumsum(count) - count, count)
+        index = column.copy()
+        for p in np.flatnonzero((count > 1) & (sector % 2 == 1)).tolist():
+            moments = [np.real(u[p, :, k].conj() @ jz @ u[p, :, k]) for k in range(count[p])]
+            if sector[p] == SIGMA_MINUS_SECTOR:
+                moments = [-moment for moment in moments]
+            index[pair == p] = np.argsort(sorted(range(count[p]), key=moments.__getitem__))
+        chunks.append((cluster[pair], sector[pair], index, u[pair, :, column]))
+    return chunks
+
+
+def _fix_phases(vectors: NDArray[np.complex128]) -> NDArray[np.complex128]:
+    """The rows of ``vectors``, read-only, each rotated by a global phase so
+    its largest component is real positive.  The phase is p / hypot(p): the
+    scalar p / abs(p), bit for bit, which the array abs is not."""
+    pivots = vectors[np.arange(len(vectors)), np.argmax(np.abs(vectors), axis=1)]
+    fixed = vectors / (pivots / np.hypot(pivots.real, pivots.imag))[:, None]
+    fixed.setflags(write=False)
+    return fixed
 
 
 class _SolvedCF:
     """H_CF at one parameter point, solved and classified: H_CF, its lowest
     eigenvalue and its levels, and ``product_basis``, built on first use, so
-    a point that only ``cf_levels`` asks for (a ``fit_cf_aj`` step) never
-    builds it.  ``label`` solves H_CF + H_HF at the point; ``fit_b`` holds
+    a point that only ``cf_levels`` asks for never builds it.  ``label`` solves H_CF + H_HF at the point; ``fit_b`` holds
     one point and calls it at every evaluation."""
 
     def __init__(self, params: CFParameters, system: SpinSystem) -> None:
@@ -416,6 +505,16 @@ def cf_levels(params: CFParameters, system: SpinSystem) -> list[CFLevel]:
     shared between calls, and their vectors are read-only.
     """
     return list(_cf_point(params, system).levels)
+
+
+def cf_level_stack(points: list[CFParameters], system: SpinSystem) -> list[LevelArrays | SymmetryError]:
+    """The crystal-field levels at each of ``points``, as LevelArrays: every
+    H_CF built into one stack, solved by one ``eigh`` and classified in one
+    pass of ``classify_levels``.  Each entry holds the bits that its point
+    gives alone, or the SymmetryError it raises, in its place and not
+    raised.  Nothing is remembered."""
+    eigvals, eigvecs = np.linalg.eigh(_cf_matrices(points, system))
+    return classify_levels(eigvals, eigvecs, system)
 
 
 def linear_sum_assignment(

@@ -75,6 +75,24 @@ def _peak_profile(
     return amplitude * half**2 / (x**2 + half**2)
 
 
+def _peak_profiles(
+    shape: str,
+    centers: NDArray[np.float64],
+    fwhms: NDArray[np.float64],
+    amplitudes: NDArray[np.float64],
+    grid: NDArray[np.float64],
+) -> NDArray[np.float64]:
+    """``_peak_profile`` of each (center, fwhm, amplitude), one row each, with
+    the same float operations: each FWHM is squared, or halved and squared,
+    as a Python float."""
+    x = grid - centers[:, None]
+    if shape == "gaussian":
+        squares = np.array([fwhm**2 for fwhm in fwhms.tolist()])
+        return amplitudes[:, None] * np.exp(-4.0 * math.log(2.0) * x**2 / squares[:, None])
+    squares = np.array([(0.5 * fwhm) ** 2 for fwhm in fwhms.tolist()])
+    return (amplitudes * squares)[:, None] / (x**2 + squares[:, None])
+
+
 @dataclass(frozen=True)
 class IsotopeConfig:
     """Satellite produced by one substituted light-isotope neighbour.

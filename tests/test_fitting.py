@@ -22,7 +22,7 @@ from hfspec.fitting import (
     predict_lines_exact,
     predict_lines_first_order,
 )
-from hfspec.hamiltonian import CFParameters, HyperfineConstants, LabelingError
+from hfspec.hamiltonian import CFParameters, HyperfineConstants, LabelingError, SymmetryError
 
 from conftest import synthetic_cf_dataset
 
@@ -72,6 +72,35 @@ def test_exact_cf_row_is_the_mean_of_its_hf_rows(cf_params, hyperfine, system, n
     rows = [ObservationRow("cf", 1, n_final, None, 0.0, 0.05)] + hf_rows
     predicted = predict_lines_exact(cf_params, hyperfine, rows, system)
     assert predicted[0] == pytest.approx(np.mean(predicted[1:]), rel=0, abs=1e-12)
+
+
+BAD_M_Z = ObservationRow("hf", 1, 2, 4.5, 7.3, 0.01)
+BAD_LEVEL = ObservationRow("hf", 1, 18, 0.5, 7.0, 1.0)
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        ([BAD_M_Z, BAD_LEVEL], "row 0: m_z 4.5 is not a nuclear projection (have -3.5..3.5)"),
+        ([BAD_LEVEL, BAD_M_Z], "row 0: level index out of range (have 1..13)"),
+        ([ObservationRow("hf", 1, 18, 4.5, 7.0, 1.0)], "row 0: level index out of range (have 1..13)"),
+    ],
+    ids=["m_z-then-level", "level-then-m_z", "both-in-one-row"],
+)
+def test_the_first_failing_row_is_named(rows, message, cf_params, system):
+    """The first-order predictor checks the rows' m_z once and their levels
+    at every point, and still names the first failing row, with the rule it
+    breaks first, in the text one check of every row gives."""
+    from hfspec.datasets import DatasetError
+
+    padded = rows + [ObservationRow("hf", 1, 2, float(m), 7.0, 1.0) for m in system.m_i]
+    for predict in (
+        lambda: predict_lines_first_order(cf_params, A_J_REF, rows, system),
+        lambda: fit_cf_aj(TransitionDataset(padded), cf_params, A_J_REF, system),
+    ):
+        with pytest.raises(DatasetError) as excinfo:
+            predict()
+        assert str(excinfo.value) == message
 
 
 def test_prediction_rejects_bad_level(cf_params, system):
@@ -649,10 +678,39 @@ def _raising_at(fun, point):
     return raising
 
 
-@pytest.mark.parametrize("role", ["t", "J"], ids=["trial", "probe"])
-def test_an_exception_the_sequential_loop_meets_is_raised(role):
+def _stacked_lsq(fun, x0, x_scale, bounds=(-np.inf, np.inf)):
+    """damped_least_squares with the evaluator that fit_cf_aj and fit_peaks
+    use, over a model that evaluates each Jacobian's probes ahead, all of
+    them, and holds each point's residuals or the exception it raised."""
+    held = {}
+
+    def hold(points):
+        held.clear()
+        for x in points:
+            try:
+                held[x.tobytes()] = fun(x)
+            except Exception as exc:  # held, to be raised where the loop meets it
+                held[x.tobytes()] = exc
+
+    def read(x):
+        if x.tobytes() not in held:
+            hold([x])
+        if isinstance(value := held[x.tobytes()], Exception):
+            raise value
+        return value
+
+    return damped_least_squares(read, x0, x_scale, bounds, evaluate=fitting._evaluate_stacked(hold))
+
+
+@pytest.mark.parametrize(
+    "role, engine",
+    [("t", _two_wide_lsq), ("J", _two_wide_lsq), ("t", _stacked_lsq), ("J", _stacked_lsq)],
+    ids=["trial", "probe", "stacked-trial", "stacked-probe"],
+)
+def test_an_exception_the_sequential_loop_meets_is_raised(role, engine):
     """A residual that raises at any one trial, or any one Jacobian probe,
-    that the sequential loop evaluates: the two-wide fit raises the same."""
+    that the sequential loop evaluates: the two-wide fit, and the stacked
+    one, raise the same."""
     fun, x0, x_scale = LONG_REJECTIONS
     log = []
     _sequential_lsq(*LONG_REJECTIONS, log=log)
@@ -662,7 +720,125 @@ def test_an_exception_the_sequential_loop_meets_is_raised(role):
         raising = _raising_at(fun, point)
         want = _outcome(_sequential_lsq, raising, x0, x_scale)
         assert "no residual" in want
-        assert _outcome(_two_wide_lsq, raising, x0, x_scale) == want
+        assert _outcome(engine, raising, x0, x_scale) == want
+
+
+def _cf_aj_residual(dataset, start, system):
+    """fit_cf_aj's residual over a fresh predictor, which solves each point
+    alone."""
+    at_point = fitting._first_order_predictor(dataset.rows, system)
+    data = np.array([row.value for row in dataset.rows])
+    sigmas = np.array([row.sigma for row in dataset.rows])
+    return lambda x: (data - at_point(*fitting._cf_aj_point(x, start))) / sigmas
+
+
+def test_a_refusal_in_a_stack_is_raised_where_the_loop_meets_it(monkeypatch, cf_params, system):
+    """A SymmetryError that the stacked solve gives one probe of the first
+    Jacobian: fit_cf_aj raises it at that probe, as the sequential loop
+    does, and not at the probes before it."""
+    dataset = synthetic_cf_dataset(cf_params, A_J_REF, system, rng=np.random.default_rng(3))
+    start = perturbed(cf_params, 1.05)
+    x0 = np.array([getattr(start, name) for name in CF_AJ_PARAM_NAMES[:-1]] + [A_J_REF * 1.05])
+    x_scale = np.maximum(np.abs(x0), 1e-8)
+    log = []
+    _sequential_lsq(_cf_aj_residual(dataset, start, system), x0, x_scale, log=log)
+    probes = [x for kind, x in log if kind == "J"][: 2 * len(x0)]
+    stack = fitting.cf_level_stack
+    for k, probe in enumerate(probes):
+        refused = fitting._cf_aj_point(probe, start)[0]
+        monkeypatch.setattr(fitting, "cf_level_stack", lambda points, system: [
+            SymmetryError(f"refused {point}") if point == refused else levels
+            for point, levels in zip(points, stack(points, system), strict=True)
+        ])
+        want = _outcome(_sequential_lsq, _cf_aj_residual(dataset, start, system), x0, x_scale)
+        assert want.startswith("SymmetryError('refused"), k
+        assert _outcome(fit_cf_aj, dataset, start, A_J_REF * 1.05, system) == want
+
+
+def test_fit_cf_aj_solves_each_jacobian_as_one_stack(monkeypatch, cf_params, system):
+    """Each Jacobian's CF points go to one stacked solve: its twelve CF
+    probes, while its two a_j probes reuse the solve at x; a trial is
+    solved alone."""
+    sizes = []
+    stack = fitting.cf_level_stack
+    monkeypatch.setattr(fitting, "cf_level_stack", lambda points, system: sizes.append(len(points)) or stack(points, system))
+    dataset = synthetic_cf_dataset(cf_params, A_J_REF, system, rng=np.random.default_rng(3))
+    result = fit_cf_aj(dataset, perturbed(cf_params, 1.05), A_J_REF * 1.05, system)
+    jacobian = 2 * (len(CF_AJ_PARAM_NAMES) - 1)
+    assert set(sizes) == {1, jacobian}
+    assert sizes.count(jacobian) >= result.n_iter
+
+
+# --------------------------------------------------------- stacked fit_peaks
+
+def _fit_peaks_against_oracle(monkeypatch, spectrum, n_peaks, shape):
+    """Run fit_peaks, and the sequential loop over its model as one
+    ``_peak_profile`` per peak adds it; the raw solutions agree bit for bit.
+    Returns the loop's log and the fit's bounds."""
+    from hfspec import analysis
+    from hfspec.spectra import _peak_profile
+
+    calls = []
+    engine = analysis.damped_least_squares
+    monkeypatch.setattr(analysis, "damped_least_squares", lambda fun, x0, **kwargs: calls.append(
+        (x0, kwargs, engine(fun, x0, **kwargs))) or calls[-1][-1])
+    analysis.fit_peaks(spectrum, n_peaks, shape)
+    ((x0, kwargs, got),) = calls
+    grid, signal = spectrum.grid, spectrum.absorbance
+
+    def residual(x):
+        total = np.zeros_like(grid)
+        for c, a, f in zip(*x.reshape(3, -1).tolist()):
+            total += _peak_profile(shape, c, f, a, grid)
+        return signal - total
+
+    log = []
+    _assert_same(got, _sequential_lsq(residual, x0, kwargs["x_scale"], kwargs["bounds"], log=log))
+    return log, kwargs["bounds"]
+
+
+def _doublet(shape, noise_seed=None):
+    """The criterion-10 isotope doublet, FWHM 0.009 and ratio 0.33 at a
+    splitting of 0.0098, with seeded noise of sd 0.01 if asked for."""
+    from hfspec.spectra import PeakModel, Spectrum
+
+    grid = np.arange(23.48, 23.58, 0.0005)
+    signal = (PeakModel(shape, 23.527, 0.0090, 1.0).profile(grid)
+              + PeakModel(shape, 23.527 + 0.0098, 0.0090, 0.33).profile(grid))
+    if noise_seed is not None:
+        signal = signal + np.random.default_rng(noise_seed).normal(0.0, 0.01, grid.size)
+    return Spectrum(grid, signal)
+
+
+def _narrow_peak_on_the_first_point():
+    """A Gaussian narrower than the grid spacing on the grid's first point,
+    and a broad one: the fit ends on the lower centre and FWHM bounds."""
+    from hfspec.spectra import PeakModel, Spectrum
+
+    grid = np.arange(0.0, 1.0, 0.01)
+    return Spectrum(grid, PeakModel("gaussian", 0.0, 0.004, 1.0).profile(grid)
+                    + PeakModel("gaussian", 0.5, 0.1, 0.5).profile(grid))
+
+
+#: shape, spectrum, and the parameters some Jacobian probe must be clipped to
+#: their lower bound in: the narrow peak's centre (0) and FWHM (4)
+PEAK_FITS = {
+    "criterion-10": ("gaussian", lambda: _doublet("gaussian"), set()),
+    "noisy-gaussian-11": ("gaussian", lambda: _doublet("gaussian", 11), set()),
+    "noisy-gaussian-12": ("gaussian", lambda: _doublet("gaussian", 12), set()),
+    "noisy-lorentzian-11": ("lorentzian", lambda: _doublet("lorentzian", 11), set()),
+    "noisy-lorentzian-12": ("lorentzian", lambda: _doublet("lorentzian", 12), set()),
+    "clipped-probes": ("gaussian", _narrow_peak_on_the_first_point, {0, 4}),
+}
+
+
+@pytest.mark.parametrize("case", PEAK_FITS)
+def test_fit_peaks_matches_the_sequential_loop(monkeypatch, case):
+    shape, spectrum, clipped = PEAK_FITS[case]
+    log, (lo, _) = _fit_peaks_against_oracle(monkeypatch, spectrum(), 2, shape)
+    assert clipped <= {k for kind, x in log if kind == "J" for k in np.flatnonzero(x == lo).tolist()}
+
+
 
 
 def test_an_exception_at_a_speculative_trial_is_discarded():

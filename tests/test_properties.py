@@ -418,16 +418,63 @@ def _oracle_model(point):
             HyperfineConstants(hf.a_j * scale, hf.b_quad * scale))
 
 
+def _s4_breaking_eigensystem(system):
+    """The eigensystem of ``test_singlets_with_weight_in_another_sector_rejected``:
+    basis vectors at energies where M and -M pair up in the sectors 1 and 3,
+    with the M = 0 and M = 2 singlets turned into each other by 1e-4 of
+    their weight."""
+    m = system.m_j
+    energy = np.where(m % 2 == 0, 20.0 + m, np.abs(m))
+    order = np.argsort(energy, kind="stable")
+    eigvecs = np.eye(system.dim_j, dtype=complex)
+    turned = [np.flatnonzero(m == 0)[0], np.flatnonzero(m == 2)[0]]
+    c, s = np.sqrt(1.0 - 1e-4), 1e-2
+    eigvecs[:, turned] = eigvecs[:, turned] @ np.array([[c, -s], [s, c]])
+    return energy[order], eigvecs[:, order]
+
+
+def _entry_levels(entry):
+    """The CF levels of one point of a classified stack; raises its refusal."""
+    if isinstance(entry, hamiltonian.SymmetryError):
+        raise entry
+    return entry.cf_levels()
+
+
 @property_settings
 @given(oracle_points)
 def test_classify_levels_equals_the_one_at_a_time_oracle(point):
     """The batched classifier gives the bits of one SVD per (cluster, sector)
-    and one phase fix per vector (``model_oracle.classify_levels``)."""
+    and one phase fix per vector (``model_oracle.classify_levels``), at one
+    point and at each point of a stack that mixes cluster structures: the
+    reference, its field scaled by 1e-8 and 1e8, b20 = 1e8, zero field (one
+    cluster of four doublets and nine singlets), two drawn points and an
+    S4-breaking eigensystem.  The stack is classified without
+    a refusal; the breaking point alone holds one, with the text that
+    classifying it alone raises, for a caller to raise where it reaches it."""
     cf, _ = _oracle_model(point)
     system = HO_LIYF4
     eigvals, eigvecs = np.linalg.eigh(build_cf_hamiltonian(cf, system).matrix)
     expected = _outcome(lambda: _levels_bits(model_oracle.classify_levels(eigvals, eigvecs, system)))
     assert _outcome(lambda: _levels_bits(classify_levels(eigvals, eigvecs, system))) == expected
+
+    ref = CF_HO_LIYF4
+    scaled = [CFParameters(**{name: value * factor for name, value in ref.items()}) for factor in (1e-8, 1e8)]
+    cfs = [cf, ref, *scaled, CFParameters(**{**dict(ref.items()), "b20": 1e8}), CFParameters(0.0, 0.0, 0.0, 0.0, 0.0),
+           _model(point[0])[0]]
+    solved = [np.linalg.eigh(build_cf_hamiltonian(c, system).matrix) for c in cfs]
+    breaking = 3
+    solved.insert(breaking, _s4_breaking_eigensystem(system))
+    stack = classify_levels(np.array([vals for vals, _ in solved]), np.array([vecs for _, vecs in solved]), system)
+    assert [isinstance(entry, hamiltonian.SymmetryError) for entry in stack] == [k == breaking for k in range(len(solved))]
+    with pytest.raises(hamiltonian.SymmetryError) as alone:
+        classify_levels(*solved[breaking], system)
+    assert str(stack[breaking]) == str(alone.value)
+    for (vals, vecs), entry in zip(solved, stack, strict=True):
+        expected = _outcome(lambda: _levels_bits(model_oracle.classify_levels(vals, vecs, system)))
+        assert _outcome(lambda: _levels_bits(_entry_levels(entry))) == expected
+    # the CF points solved as one stack, as fit_cf_aj solves its probes
+    for c, entry in zip(cfs, hamiltonian.cf_level_stack(cfs, system), strict=True):
+        assert _outcome(lambda: _levels_bits(_entry_levels(entry))) == _outcome(lambda: _levels_bits(cf_levels(c, system)))
 
 
 @property_settings
