@@ -34,6 +34,8 @@ their evaluations are small and hold the GIL, so a second thread made a
 is per-point overhead.  ``fit_cf_aj`` solves its twelve CF probes with one
 ``cf_level_stack`` call, and its two a_j probes reuse the solve at x;
 ``fit_peaks`` sums every probe's profiles over one (probes, grid) array.
+Both CF predictors read a solved point's levels as LevelArrays (energies,
+<J_z>), never as CFLevel objects.
 On the same machine a ``fit_cf_aj`` fit of perfbench's refine inputs took
 16.3 ms against 33.9 ms one point at a time, and the eight doublet fits of
 one input 8.3 against 10.6 ms (medians of 5 alternated runs of 16 inputs).
@@ -488,20 +490,21 @@ def predict_lines_exact(
 def _exact_predictor(params: CFParameters, rows: list[ObservationRow], system: SpinSystem):
     """predict_lines_exact as a function of the hyperfine constants alone.
 
-    The solved H_CF point is taken, the rows' levels checked and each row
-    mapped to the indices of its labels, once; every evaluation gathers from
-    the label energies that the point's ``label`` returns.
+    The solved H_CF point is taken, the rows' levels checked against its
+    number of levels, the moment rows read from its <J_z> array and each
+    row mapped to the indices of its labels, once; every evaluation gathers
+    from the label energies that the point's ``label`` returns.
     """
     point = _cf_point(params, system)
-    _check_level_range(rows, len(point.levels), system.i)
-    index = {label: k for k, label in enumerate(point.product_basis[1])}
+    _check_level_range(rows, len(point.levels.energy), system.i)
+    index = {label: k for k, label in enumerate(point.labels)}
     at = lambda n, m_z: index[(n, +1, float(m_z))]
     hf_rows, cf_rows, moment_rows = ([k for k, row in enumerate(rows) if row.kind == kind] for kind in ROW_KINDS)
     hf_init = [at(rows[k].n_init, rows[k].m_z) for k in hf_rows]
     hf_final = [at(rows[k].n_final, rows[k].m_z) for k in hf_rows]
     cf_init = [[at(rows[k].n_init, m) for m in system.m_i] for k in cf_rows]
     cf_final = [[at(rows[k].n_final, m) for m in system.m_i] for k in cf_rows]
-    moments = [point.levels[rows[k].n_init - 1].jz_expect for k in moment_rows]
+    moments = point.levels.jz[[rows[k].n_init - 1 for k in moment_rows]]
 
     def predict(hf: HyperfineConstants) -> NDArray[np.float64]:
         energy = point.label(hf)

@@ -20,6 +20,8 @@ throughout, for hyperfine levels as well, so that hyperfine corrections read
 directly as (energy - parent CF energy).
 """
 
+import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import NamedTuple
@@ -81,8 +83,8 @@ class CFParameters:
 
     def __post_init__(self) -> None:
         for name, value in self.items():
-            if not np.isfinite(value):
-                raise ValueError(f"CF parameter {name} must be finite, got {value}")
+            if why := _not_finite_real(value):
+                raise ValueError(f"CF parameter {name} must be {why}, got {value}")
 
     def items(self) -> list[tuple[str, float]]:
         """(name, coefficient) pairs in CF_COEFFICIENTS order."""
@@ -101,8 +103,18 @@ class HyperfineConstants:
     b_quad: float = 0.0
 
     def __post_init__(self) -> None:
-        if not (np.isfinite(self.a_j) and np.isfinite(self.b_quad)):
-            raise ValueError("hyperfine constants must be finite")
+        for name, value in (("a_j", self.a_j), ("b_quad", self.b_quad)):
+            if why := _not_finite_real(value):
+                raise ValueError(f"hyperfine constants must be {why}, got {name} = {value}")
+
+
+def _not_finite_real(value: object) -> str:
+    """What a model constant is not, "real" or "finite", or "" for a finite
+    real number.  A complex number, numpy's too, is not real: it would make
+    the Hamiltonian non-Hermitian."""
+    if not isinstance(value, numbers.Real):
+        return "real"
+    return "" if math.isfinite(value) else "finite"
 
 
 @dataclass(frozen=True)
@@ -228,30 +240,19 @@ class LevelArrays(NamedTuple):
     jz: NDArray[np.float64]
     vectors: NDArray[np.complex128]
 
-    def cf_levels(self) -> list[CFLevel]:
-        """The levels as CFLevel objects, their vectors rows of ``vectors``."""
-        rows = iter(self.vectors)
-        levels = []
-        for n, (energy, sector, jz) in enumerate(zip(self.energy.tolist(), self.sector.tolist(), self.jz.tolist()), 1):
-            if sector == SIGMA_PLUS_SECTOR:
-                levels.append(CFLevel(n, energy, "G34", 2, jz, {+1: next(rows), -1: next(rows)}))
-            else:
-                levels.append(CFLevel(n, energy, "G1" if sector == 0 else "G2", 1, jz, {+1: next(rows)}))
-        return levels
-
 
 def classify_levels(
     eigvals: NDArray[np.float64], eigvecs: NDArray[np.complex128], system: SpinSystem
-) -> list[CFLevel] | list[LevelArrays | SymmetryError]:
-    """Group crystal-field eigensystems into levels with irrep and branch labels.
+) -> list[LevelArrays | SymmetryError]:
+    """Group a stack of crystal-field eigensystems into levels with irrep and branch labels.
 
-    One eigensystem, ``eigvals`` of shape (2j+1,) with ``eigvecs`` in
-    columns, gives its list of CFLevel.  A stack of them, shapes (P, 2j+1)
-    and (P, 2j+1, 2j+1), is classified in one pass and gives one entry per
-    point: its LevelArrays, or the SymmetryError it raises, in its place and
-    not raised, so that a caller taking the points in turn raises it where
-    one point at a time would.  A point's levels do not depend on the others
-    in its stack, bit for bit.
+    ``eigvals`` has shape (P, 2j+1) and ``eigvecs`` (P, 2j+1, 2j+1), each
+    point's eigenvectors in columns; one point is a stack of one.  The stack
+    is classified in one pass and gives one entry per point: its
+    LevelArrays, or the SymmetryError it raises, in its place and not
+    raised, so that a caller taking the points in turn raises it where one
+    point at a time would.  A point's levels do not depend on the others in
+    its stack, bit for bit.
 
     Eigenvalues closer than ``DEGENERACY_RTOL`` times their span (all of
     them when the span is 0) form one level, at any crystal-field scale.
@@ -266,8 +267,9 @@ def classify_levels(
     each eigenvector's weight in each sector, one ``np.add.reduceat`` each
     level energy (the mean of its cluster), ``_resolve_clusters`` one
     stacked SVD per cluster size, and one division each member's phase fix,
-    its largest component made real positive.  Every number equals that of
-    one SVD per (cluster, sector) and one phase fix per vector, bit for bit.
+    its largest component made real positive; clusters are numbered over the
+    flattened stack, point after point.  Every number equals that of one SVD
+    per (cluster, sector) and one phase fix per vector, bit for bit.
 
     Raises ValueError for a half-integer j (a Kramers ion).  A point gets a
     SymmetryError, which signals a symmetry-breaking Hamiltonian, when a
@@ -277,20 +279,6 @@ def classify_levels(
     not pair up (a lone eigenvector in a doublet sector among them); the
     first such cluster names it.
     """
-    eigvals, eigvecs = np.asarray(eigvals), np.asarray(eigvecs)
-    if eigvals.ndim == 2:
-        return _classify(eigvals, eigvecs, system)
-    (levels,) = _classify(eigvals[None], eigvecs[None], system)
-    if isinstance(levels, SymmetryError):
-        raise levels
-    return levels.cf_levels()
-
-
-def _classify(
-    eigvals: NDArray[np.float64], eigvecs: NDArray[np.complex128], system: SpinSystem
-) -> list[LevelArrays | SymmetryError]:
-    """``classify_levels`` of a (P, 2j+1) stack.  Clusters are numbered over
-    the flattened stack, point after point."""
     sectors = _sectors(system)
     jz = build_jz(system.j).matrix
     n_points, dim = eigvals.shape
@@ -420,59 +408,65 @@ def _fix_phases(vectors: NDArray[np.complex128]) -> NDArray[np.complex128]:
 
 
 class _SolvedCF:
-    """H_CF at one parameter point, solved and classified: H_CF, its lowest
-    eigenvalue and its levels, and ``product_basis``, built on first use, so
-    a point that only ``cf_levels`` asks for never builds it.  ``label`` solves H_CF + H_HF at the point; ``fit_b`` holds
-    one point and calls it at every evaluation."""
+    """H_CF at one parameter point, solved and classified, with the CF x
+    nuclear product states built on it; ``label`` solves H_CF + H_HF at the
+    point.  ``fit_b`` holds one point and calls ``label`` at every evaluation.
+
+    ``levels`` holds the point's LevelArrays.  The product states are labelled
+    (n, sigma, m_z), over levels, then branches (sigma = +1 first), then m_z
+    ascending.  ``kron`` is kron(H_CF, 1); ``branches`` the conjugated
+    branch vectors, one row per (level, sigma), in label order, for
+    ``_product_overlaps``; ``parents`` the CF energy of each label's level.
+    """
 
     def __init__(self, params: CFParameters, system: SpinSystem) -> None:
         self.system = system
-        self.matrix = build_cf_hamiltonian(params, system).matrix
-        eigvals, eigvecs = np.linalg.eigh(self.matrix)
+        matrix = build_cf_hamiltonian(params, system).matrix
+        eigvals, eigvecs = np.linalg.eigh(matrix)
         self.e_ground = eigvals[0]
-        self.levels = tuple(classify_levels(eigvals, eigvecs, system))
+        (levels,) = classify_levels(eigvals[None], eigvecs[None], system)
+        if isinstance(levels, SymmetryError):
+            raise levels
+        self.levels = levels
+        self.kron = np.kron(matrix, np.eye(system.dim_i))
+        self.branches = levels.vectors.conj()
+        # (n, sigma, CF energy) of each row of branches
+        rows = [(n, sigma, energy)
+                for n, (energy, sector) in enumerate(zip(levels.energy.tolist(), levels.sector.tolist()), 1)
+                for sigma in ((+1, -1) if sector == SIGMA_PLUS_SECTOR else (+1,))]
+        m_i = [float(m_z) for m_z in system.m_i]
+        self.labels = [(n, sigma, m_z) for n, sigma, _ in rows for m_z in m_i]
+        self.parents = [energy for *_, energy in rows for _ in m_i]
 
     @cached_property
-    def product_basis(
-        self,
-    ) -> tuple[NDArray[np.complex128], list[tuple[int, int, float]], NDArray[np.complex128], list[float]]:
-        """(kron(H_CF, 1), labels, branches, parents) of the CF x nuclear product states.
-
-        Labels (n, sigma, m_z) run over levels, then branches (sigma = +1
-        first), then m_z ascending.  ``branches`` holds the conjugated branch
-        vectors, one row per (level, sigma), for ``_product_overlaps``;
-        ``parents`` the CF energy of each label's level.
-        """
-        system = self.system
-        labels: list[tuple[int, int, float]] = []
-        parents: list[float] = []
-        branch_vectors = []
-        for level in self.levels:
-            for sigma in level.branches():
-                branch_vectors.append(level.vectors[sigma])
-                labels.extend((level.n, sigma, float(m_z)) for m_z in system.m_i)
-                parents.extend([level.energy] * system.dim_i)
-        kron = np.kron(self.matrix, np.eye(system.dim_i))
-        return kron, labels, np.array(branch_vectors).conj(), parents
+    def cf_levels(self) -> tuple[CFLevel, ...]:
+        """The levels as CFLevel objects, their vectors rows of ``levels.vectors``."""
+        levels, rows = [], iter(self.levels.vectors)
+        for n, (energy, sector, jz) in enumerate(
+                zip(self.levels.energy.tolist(), self.levels.sector.tolist(), self.levels.jz.tolist()), 1):
+            if sector == SIGMA_PLUS_SECTOR:
+                levels.append(CFLevel(n, energy, "G34", 2, jz, {+1: next(rows), -1: next(rows)}))
+            else:
+                levels.append(CFLevel(n, energy, "G1" if sector == 0 else "G2", 1, jz, {+1: next(rows)}))
+        return tuple(levels)
 
     def label(self, hf: HyperfineConstants) -> NDArray[np.float64]:
         """Solve and label H_CF + H_HF; see ``hf_levels_exact``.  Returns the
-        energy of each label, read-only, in ``product_basis`` order.
+        energy of each label, read-only, in ``labels`` order.
 
         Per call it builds only H_HF, adds it to the held kron(H_CF, 1),
         solves, takes one overlap product, puts each label on its majority
         energy cluster, and checks each label's weight there.
         """
         system = self.system
-        kron, labels, branches, _ = self.product_basis
-        eigvals, eigvecs = np.linalg.eigh(kron + build_hf_hamiltonian(hf, system).matrix)
+        eigvals, eigvecs = np.linalg.eigh(self.kron + build_hf_hamiltonian(hf, system).matrix)
         eigvals = eigvals - self.e_ground
 
-        overlaps = _product_overlaps(branches, eigvecs, system)
+        overlaps = _product_overlaps(self.branches, eigvecs, system)
         # eigenvalues ascend, so each energy cluster is a contiguous run of columns
         cols, weight = linear_sum_assignment(overlaps, np.flatnonzero(_new_cluster(eigvals)))
         if (failing := np.flatnonzero(weight < LABEL_CUT)).size:
-            n, sigma, m_z = labels[failing[0]]
+            n, sigma, m_z = self.labels[failing[0]]
             raise LabelingError(
                 f"ambiguous labelling: state (n={n}, sigma={sigma:+d}, m_z={m_z}) has weight "
                 f"{weight[failing[0]]:.3f} < {LABEL_CUT} on its assigned energy cluster; "
@@ -504,7 +498,7 @@ def cf_levels(params: CFParameters, system: SpinSystem) -> list[CFLevel]:
     a new solve.  Each call returns a fresh list, but the levels in it are
     shared between calls, and their vectors are read-only.
     """
-    return list(_cf_point(params, system).levels)
+    return list(_cf_point(params, system).cf_levels)
 
 
 def cf_level_stack(points: list[CFParameters], system: SpinSystem) -> list[LevelArrays | SymmetryError]:
@@ -559,7 +553,7 @@ def _product_overlaps(
     branches: NDArray[np.complex128], eigvecs: NDArray[np.complex128], system: SpinSystem
 ) -> NDArray[np.float64]:
     """Squared overlap of each CF x nuclear product state with each
-    eigenvector (labels x eigenstates), in ``_SolvedCF.product_basis`` order.
+    eigenvector (labels x eigenstates), in ``_SolvedCF.labels`` order.
 
     <vec x e_k|u> = sum over M of conj(vec[M]) u[M dim_i + k], so one product
     of the conjugated branch vectors with the eigenvectors regrouped by the
@@ -599,8 +593,7 @@ def hf_levels_exact(
 @lru_cache(maxsize=1)
 def _hf_levels(params: CFParameters, hf: HyperfineConstants, system: SpinSystem) -> tuple[HFLevel, ...]:
     point = _cf_point(params, system)
-    _, labels, _, parents = point.product_basis
     return tuple(
         HFLevel(n, sigma, m_z, energy, energy - parent)
-        for (n, sigma, m_z), energy, parent in zip(labels, point.label(hf).tolist(), parents)
+        for (n, sigma, m_z), energy, parent in zip(point.labels, point.label(hf).tolist(), point.parents)
     )

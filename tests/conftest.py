@@ -14,6 +14,7 @@ from hfspec import (
 )
 from hfspec.config import MEASURED_LINES, REFERENCE_CONFIG, bundled_path
 from hfspec.datasets import read_dataset
+from hfspec.hamiltonian import SIGMA_PLUS_SECTOR, CFLevel, SymmetryError, classify_levels
 
 
 @pytest.fixture(autouse=True)
@@ -48,6 +49,27 @@ def levels(cf_params, system):
 @pytest.fixture(scope="session")
 def hf_levels(cf_params, hyperfine, system):
     return hf_levels_exact(cf_params, hyperfine, system)
+
+
+def levels_of(entry) -> list[CFLevel]:
+    """One entry of a ``classify_levels`` stack as CFLevel objects, level n
+    from row n - 1 of its arrays and its vectors in order; an entry that is
+    a SymmetryError is raised."""
+    if isinstance(entry, SymmetryError):
+        raise entry
+    levels, rows = [], iter(entry.vectors)
+    for n, (energy, sector, jz) in enumerate(zip(entry.energy.tolist(), entry.sector.tolist(), entry.jz.tolist()), 1):
+        vectors = {+1: next(rows), -1: next(rows)} if sector == SIGMA_PLUS_SECTOR else {+1: next(rows)}
+        irrep = {0: "G1", 2: "G2", SIGMA_PLUS_SECTOR: "G34"}[sector]
+        levels.append(CFLevel(n, energy, irrep, len(vectors), jz, vectors))
+    return levels
+
+
+def classify_one(eigvals, eigvecs, system) -> list[CFLevel]:
+    """``classify_levels`` of one eigensystem, passed as a stack of one: the
+    levels of its entry, or the SymmetryError of its entry raised."""
+    (entry,) = classify_levels(eigvals[None], eigvecs[None], system)
+    return levels_of(entry)
 
 
 @pytest.fixture(scope="session")

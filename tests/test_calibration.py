@@ -1,8 +1,9 @@
-"""Reported uncertainties checked by simulation (ROADMAP item 18, first slice).
+"""Reported uncertainties checked by simulation (ROADMAP item 18).
 
 ``fit_cf_aj`` fits seeded noisy copies of ``synthetic_cf_dataset``, each
 started off the truth, so that a parameter the rows do not fix stays near
-its start and shows up.  Over the draws, a calibrated fit has
+its start and shows up.  ``fit_refractive`` fits seeded noisy copies of
+criterion 11's refractive-index curve.  Over the draws, a calibrated fit has
 
 * a mean chi^2 within 3 standard errors, sqrt(2 dof / N), of the dof it
   reports, and
@@ -22,7 +23,7 @@ import pytest
 from conftest import synthetic_cf_dataset
 
 from hfspec import CF_HO_LIYF4, HO_LIYF4, HYPERFINE_HO_LIYF4, fit_cf_aj
-from hfspec.fitting import CF_AJ_PARAM_NAMES, TransitionDataset
+from hfspec.fitting import CF_AJ_PARAM_NAMES, TransitionDataset, fit_refractive
 
 DRAWS = 40
 SEED = 18
@@ -37,14 +38,26 @@ HF_ONLY = pytest.param(
         "and the values of flat parameters stay at their start",
     ),
 )
-CASES = ["all", HF_ONLY]
+CASES = ["all", HF_ONLY, "refractive"]
+
+#: criterion 11's refractive-index truth n(nu) = a / (nu - nu0) + c, its
+#: frequencies, and the sd of the noise added to n
+REFRACTIVE_TRUTH = {"a": -11.1, "nu0": 110.0, "c": 2.62}
+REFRACTIVE_NU = np.linspace(10.0, 70.0, 40)
+REFRACTIVE_SIGMA = 0.002
 
 
 @lru_cache(maxsize=None)
 def _fits(case: str) -> tuple[list, dict[str, float]]:
     """The fits of every draw of one case, and the truth by parameter name."""
-    truth, a_j = CF_HO_LIYF4, HYPERFINE_HO_LIYF4.a_j
     rng = np.random.default_rng(SEED)
+    if case == "refractive":
+        a, nu0, c = REFRACTIVE_TRUTH.values()
+        clean = a / (REFRACTIVE_NU - nu0) + c
+        sigmas = np.full(REFRACTIVE_NU.size, REFRACTIVE_SIGMA)
+        return [fit_refractive(np.column_stack([REFRACTIVE_NU, rng.normal(clean, sigmas), sigmas]))
+                for _ in range(DRAWS)], REFRACTIVE_TRUTH
+    truth, a_j = CF_HO_LIYF4, HYPERFINE_HO_LIYF4.a_j
     fits = []
     for _ in range(DRAWS):
         rows = synthetic_cf_dataset(truth, a_j, HO_LIYF4, rng).rows
@@ -67,7 +80,7 @@ def test_mean_chi2_matches_the_reported_dof(case):
 @pytest.mark.parametrize("case", CASES)
 def test_pulls_of_identifiable_parameters_have_unit_sd(case):
     fits, truth = _fits(case)
-    identifiable = [name for name in CF_AJ_PARAM_NAMES if not any(name in fit.unidentifiable for fit in fits)]
+    identifiable = [name for name in fits[0].names if not any(name in fit.unidentifiable for fit in fits)]
     assert identifiable
     sds = {}
     for name in identifiable:

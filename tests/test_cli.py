@@ -4,10 +4,12 @@ import hashlib
 import importlib.util
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
+import click
 import numpy as np
 import pytest
 from click.testing import CliRunner
@@ -1003,3 +1005,16 @@ def test_analyze_broken_ladder_exits_dataset(tmp_path, edit, message):
     result = invoke("analyze", "--dataset", str(path))
     assert result.exit_code == EXIT_DATASET, result.output
     assert message in result.output and "8.1-8.2" in result.output
+
+
+def test_console_script_names_the_click_command():
+    """The ``hfspec`` console script of pyproject.toml's [project.scripts]
+    names an importable click command, ``hfspec.cli.main``.  The table is
+    read with a regex: Python 3.10, the floor, has no tomllib."""
+    text = (PERFBENCH.parent / "pyproject.toml").read_text(encoding="utf-8")
+    table = re.search(r"^\[project\.scripts\]\n(.*?)(?:^\[|\Z)", text, re.M | re.S).group(1)
+    scripts = dict(re.findall(r'^(\S+) = "([^"]*)"$', table, re.M))
+    assert scripts == {"hfspec": "hfspec.cli:main"}
+    module, name = scripts["hfspec"].split(":")
+    command = getattr(importlib.import_module(module), name)
+    assert isinstance(command, click.Command)

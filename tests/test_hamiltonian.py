@@ -2,6 +2,7 @@ import pickle
 
 import numpy as np
 import pytest
+from conftest import classify_one
 
 from hfspec import hamiltonian
 from hfspec.angular import SpinSystem, build_jplus, build_jz, build_stevens
@@ -98,14 +99,12 @@ def test_levels_split_at_the_relative_tolerance(system):
     """On a diagonal eigensystem spanning 100 cm^-1, two sector-0 singlets
     1e-9 of the span apart stay two levels, and a Kramers pair split by
     1e-13 of the span stays one."""
-    from hfspec.hamiltonian import classify_levels
-
     # M -> energy: sector-3/sector-1 pairs (M, -M) are doublets, the rest singlets
     energy = {7: 0.0, -7: 0.0, -8: 10.0, 3: 20.0, -3: 20.0, -4: 30.0, -1: 40.0, 1: 40.0 + 1e-11,
               0: 50.0, 4: 50.0 + 1e-7, -5: 60.0, 5: 60.0, -6: 70.0, -2: 80.0, 2: 90.0, 6: 95.0, 8: 100.0}
     values = np.array([energy[m] for m in range(-8, 9)])
     order = np.argsort(values)
-    levels = classify_levels(values[order], np.eye(system.dim_j)[:, order], system)
+    levels = classify_one(values[order], np.eye(system.dim_j)[:, order], system)
     assert len(levels) == 13
     assert [lv.energy for lv in levels if lv.irrep == "G1" and 49 < lv.energy < 51] == [50.0, 50.0 + 1e-7]
     pair = [lv for lv in levels if 39 < lv.energy < 41]
@@ -158,23 +157,23 @@ def test_b6m4_conjugation_flip_preserves_spectrum(cf_params, system):
 def test_broken_symmetry_rejected(system):
     # an off-symmetry coupling (here Delta M = 1) mixes the M mod 4 sectors
     from hfspec.angular import build_jminus
-    from hfspec.hamiltonian import SymmetryError, classify_levels
+    from hfspec.hamiltonian import SymmetryError
 
     broken = build_stevens(2, 0, system.j).matrix + 0.3 * (
         build_jplus(system.j).matrix + build_jminus(system.j).matrix
     )
     vals, vecs = np.linalg.eigh(broken)
     with pytest.raises(SymmetryError):
-        classify_levels(vals, vecs, system)
+        classify_one(vals, vecs, system)
 
 
 def test_lone_vectors_in_doublet_sectors_rejected(system):
     """Seventeen non-degenerate basis vectors: M = -7 (sector 1) has no
     sector-3 partner at its energy."""
-    from hfspec.hamiltonian import SymmetryError, classify_levels
+    from hfspec.hamiltonian import SymmetryError
 
     with pytest.raises(SymmetryError, match=r"unpaired doublet members at 1 cm\^-1 \(sector 3: 0, sector 1: 1\)"):
-        classify_levels(np.arange(17.0), np.eye(17), system)
+        classify_one(np.arange(17.0), np.eye(17), system)
 
 
 def test_kramers_ion_refused_with_the_reason(cf_params):
@@ -192,7 +191,7 @@ def test_degenerate_cluster_across_sectors_rejected(system):
     and the E = 2 pair by the differences of the M = +-1 and M = +-2 states:
     each pair then projects onto four members of the M mod 4 sectors, not
     two."""
-    from hfspec.hamiltonian import SymmetryError, classify_levels
+    from hfspec.hamiltonian import SymmetryError
 
     m = system.m_j
     order = np.argsort(np.abs(m), kind="stable")
@@ -201,7 +200,7 @@ def test_degenerate_cluster_across_sectors_rejected(system):
     # columns 1, 2 hold the E = 1 cluster and 3, 4 the E = 2 cluster
     eigvecs[:, 1:5] = np.array([e[1] + e[2], e[-1] + e[-2], e[1] - e[2], e[-1] - e[-2]]).T / np.sqrt(2.0)
     with pytest.raises(SymmetryError, match=r"does not decompose into M mod 4 sectors \(cluster size 2, sector members 4\)"):
-        classify_levels(np.abs(m)[order], eigvecs, system)
+        classify_one(np.abs(m)[order], eigvecs, system)
 
 
 def test_singlets_with_weight_in_another_sector_rejected(system):
@@ -209,30 +208,28 @@ def test_singlets_with_weight_in_another_sector_rejected(system):
     sectors 1 and 3, so that the system classifies into 13 levels; then the
     M = 0 and M = 2 singlets are turned into each other, so that each carries
     1e-4 of its weight in the other's M mod 4 sector."""
-    from hfspec.hamiltonian import SymmetryError, classify_levels
+    from hfspec.hamiltonian import SymmetryError
 
     m = system.m_j
     energy = np.where(m % 2 == 0, 20.0 + m, np.abs(m))
     order = np.argsort(energy, kind="stable")
     eigvecs = np.eye(system.dim_j, dtype=complex)
-    assert len(classify_levels(energy[order], eigvecs[:, order], system)) == 13
+    assert len(classify_one(energy[order], eigvecs[:, order], system)) == 13
     turned = [np.flatnonzero(m == 0)[0], np.flatnonzero(m == 2)[0]]
     c, s = np.sqrt(1.0 - 1e-4), 1e-2
     eigvecs[:, turned] = eigvecs[:, turned] @ np.array([[c, -s], [s, c]])
     with pytest.raises(SymmetryError, match=r"weight 1\.000e-04 outside its M mod 4 sector"):
-        classify_levels(energy[order], eigvecs[:, order], system)
+        classify_one(energy[order], eigvecs[:, order], system)
 
 
 def test_doublets_sharing_one_energy_pair_m_with_minus_m(system):
     """The diagonal spectrum above with E(+-3) = E(+-1): the doublets
     (-1, 1) and (3, -3) share one energy, and each sigma = -1 member must be
     the time reverse (M -> -M) of its sigma = +1 member."""
-    from hfspec.hamiltonian import classify_levels
-
     m = system.m_j
     energy = np.where(m % 2 == 0, 20.0 + m, np.where(np.abs(m) == 3, 1.0, np.abs(m)))
     order = np.argsort(energy, kind="stable")
-    levels = classify_levels(energy[order], np.eye(system.dim_j, dtype=complex)[:, order], system)
+    levels = classify_one(energy[order], np.eye(system.dim_j, dtype=complex)[:, order], system)
     shared = [lv for lv in levels if lv.energy == 0.0]
     assert [lv.degeneracy for lv in shared] == [2, 2]
     for level in shared:
@@ -251,6 +248,36 @@ def test_non_finite_couplings_refused():
         CFParameters(-0.266, np.nan, 0.0281, 5.74e-6, 5.6e-4)
     with pytest.raises(ValueError, match="hyperfine constants must be finite"):
         HyperfineConstants(0.02703, np.inf)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), np.float64(np.inf), -np.inf, np.float32(np.nan)],
+                         ids=["python-nan", "numpy-inf", "minus-inf", "float32-nan"])
+def test_every_non_finite_coupling_is_named(bad):
+    with pytest.raises(ValueError, match=rf"CF parameter b6m4 must be finite, got {bad}"):
+        CFParameters(-0.266, -0.00327, 0.0281, 5.74e-6, 5.6e-4, b6m4=bad)
+    with pytest.raises(ValueError, match=rf"hyperfine constants must be finite, got a_j = {bad}"):
+        HyperfineConstants(bad, 0.04)
+
+
+@pytest.mark.parametrize("bad", [complex(-0.266, 0.05), np.complex128(-0.266 + 0.05j), np.complex64(-0.266),
+                                 np.array([-0.266])], ids=["python", "numpy", "numpy-zero-imaginary", "array"])
+def test_non_real_couplings_refused(bad):
+    """A complex coefficient makes H_CF non-Hermitian, and eigh would solve
+    its lower triangle as if it were Hermitian: a silent wrong level scheme.
+    It is refused by name, as is anything else that is not a real number."""
+    with pytest.raises(ValueError, match="CF parameter b20 must be real, got "):
+        CFParameters(bad, -0.00327, 0.0281, 5.74e-6, 5.6e-4)
+    with pytest.raises(ValueError, match="hyperfine constants must be real, got a_j = "):
+        HyperfineConstants(bad, 0.04)
+    with pytest.raises(ValueError, match="hyperfine constants must be real, got b_quad = "):
+        HyperfineConstants(0.02703, bad)
+
+
+@pytest.mark.parametrize("value", [0, 1, -0.266, np.float64(-0.266), np.float32(-0.25), np.int64(2)],
+                         ids=["zero", "int", "float", "float64", "float32", "int64"])
+def test_real_couplings_accepted(value):
+    assert CFParameters(value, value, value, value, value).b20 == value
+    assert HyperfineConstants(value, value).b_quad == value
 
 
 def test_quadrupole_needs_large_enough_spins():

@@ -6,6 +6,7 @@ import pickle
 import model_oracle
 import numpy as np
 import pytest
+from conftest import classify_one, levels_of
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -189,8 +190,8 @@ def test_product_overlaps_equal_kron_columns(point):
     _, eigvecs = np.linalg.eigh(full)
     levels = cf_levels(cf, system)
 
-    _, labels, branches, _ = hamiltonian._cf_point(cf, system).product_basis
-    overlaps = _product_overlaps(branches, eigvecs, system)
+    point = hamiltonian._cf_point(cf, system)
+    overlaps = _product_overlaps(point.branches, eigvecs, system)
 
     columns, expected_labels = [], []
     for level in levels:
@@ -199,7 +200,7 @@ def test_product_overlaps_equal_kron_columns(point):
                 columns.append(np.kron(level.vectors[sigma], eye[k]))
                 expected_labels.append((level.n, sigma, float(m_z)))
     expected = np.abs(np.array(columns).conj() @ eigvecs) ** 2
-    assert labels == expected_labels
+    assert point.labels == expected_labels
     np.testing.assert_allclose(overlaps, expected, rtol=0, atol=1e-13)
 
 
@@ -433,13 +434,6 @@ def _s4_breaking_eigensystem(system):
     return energy[order], eigvecs[:, order]
 
 
-def _entry_levels(entry):
-    """The CF levels of one point of a classified stack; raises its refusal."""
-    if isinstance(entry, hamiltonian.SymmetryError):
-        raise entry
-    return entry.cf_levels()
-
-
 @property_settings
 @given(oracle_points)
 def test_classify_levels_equals_the_one_at_a_time_oracle(point):
@@ -455,7 +449,7 @@ def test_classify_levels_equals_the_one_at_a_time_oracle(point):
     system = HO_LIYF4
     eigvals, eigvecs = np.linalg.eigh(build_cf_hamiltonian(cf, system).matrix)
     expected = _outcome(lambda: _levels_bits(model_oracle.classify_levels(eigvals, eigvecs, system)))
-    assert _outcome(lambda: _levels_bits(classify_levels(eigvals, eigvecs, system))) == expected
+    assert _outcome(lambda: _levels_bits(classify_one(eigvals, eigvecs, system))) == expected
 
     ref = CF_HO_LIYF4
     scaled = [CFParameters(**{name: value * factor for name, value in ref.items()}) for factor in (1e-8, 1e8)]
@@ -467,14 +461,14 @@ def test_classify_levels_equals_the_one_at_a_time_oracle(point):
     stack = classify_levels(np.array([vals for vals, _ in solved]), np.array([vecs for _, vecs in solved]), system)
     assert [isinstance(entry, hamiltonian.SymmetryError) for entry in stack] == [k == breaking for k in range(len(solved))]
     with pytest.raises(hamiltonian.SymmetryError) as alone:
-        classify_levels(*solved[breaking], system)
+        classify_one(*solved[breaking], system)
     assert str(stack[breaking]) == str(alone.value)
     for (vals, vecs), entry in zip(solved, stack, strict=True):
         expected = _outcome(lambda: _levels_bits(model_oracle.classify_levels(vals, vecs, system)))
-        assert _outcome(lambda: _levels_bits(_entry_levels(entry))) == expected
+        assert _outcome(lambda: _levels_bits(levels_of(entry))) == expected
     # the CF points solved as one stack, as fit_cf_aj solves its probes
     for c, entry in zip(cfs, hamiltonian.cf_level_stack(cfs, system), strict=True):
-        assert _outcome(lambda: _levels_bits(_entry_levels(entry))) == _outcome(lambda: _levels_bits(cf_levels(c, system)))
+        assert _outcome(lambda: _levels_bits(levels_of(entry))) == _outcome(lambda: _levels_bits(cf_levels(c, system)))
 
 
 @property_settings
