@@ -28,7 +28,7 @@ from typing import NamedTuple
 import numpy as np
 from numpy.typing import NDArray
 
-from .fitting import LSQSolution, _evaluate_stacked, covariance_from_jacobian, damped_least_squares
+from .fitting import LSQSolution, covariance_from_jacobian, damped_least_squares
 from .spectra import PeakModel, Spectrum, TransitionLine, _peak_profiles
 
 #: difference-series index per (n_init, n_final) family
@@ -232,21 +232,13 @@ def fit_peaks(
         [np.full(n_peaks, grid[-1]), np.full(n_peaks, np.inf), np.full(n_peaks, span)]
     )
 
-    held = {}
-
-    def hold(points):
-        """The model at each point, its peaks' profiles summed in turn as
+    def residuals(points):
+        """The residuals at each point, its peaks' profiles summed in turn as
         ``PeakModel.profile`` gives them, over one (points, grid) array."""
         total = np.zeros((len(points), grid.size))
         for c, a, f in zip(*np.reshape(points, (len(points), 3, n_peaks)).transpose(1, 2, 0)):
             total += _peak_profiles(shape, c, f, a, grid)
-        held.clear()
-        held.update(zip([x.tobytes() for x in points], total))
-
-    def residual(x):
-        if (key := x.tobytes()) not in held:
-            hold([x])
-        return signal - held[key]
+        return list(signal - total)
 
     scale = np.concatenate(
         [
@@ -255,9 +247,7 @@ def fit_peaks(
             np.full(n_peaks, fwhm0),
         ]
     )
-    solution: LSQSolution = damped_least_squares(
-        residual, x0, x_scale=scale, bounds=(lo, hi), evaluate=_evaluate_stacked(hold)
-    )
+    solution: LSQSolution = damped_least_squares(residuals, x0, x_scale=scale, bounds=(lo, hi))
 
     dof = max(len(grid) - len(x0), 1)
     cov, _, flat = covariance_from_jacobian(solution.jacobian, solution.x_scale)

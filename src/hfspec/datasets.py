@@ -32,6 +32,7 @@ import numpy as np
 
 from .config import (MAX_COUPLING, bounded_float, format_level, format_transition, parse_half_integer,
                      parse_level, parse_transition_label)
+from .hamiltonian import _not_finite_real
 from .spectra import Spectrum
 
 
@@ -70,6 +71,8 @@ class ObservationRow:
     def __post_init__(self) -> None:
         if self.kind not in ROW_KINDS:
             raise ValueError(f"unknown row kind {self.kind!r}")
+        if why := _not_finite_real(self.value):
+            raise ValueError(f"row value must be {why}, got {self.value}")
         if not self.sigma > 0:
             raise ValueError(f"row uncertainty must be positive, got {self.sigma}")
         if self.kind == "hf" and (self.m_z is None or self.n_final is None):

@@ -20,42 +20,40 @@ parameter directions (e.g. a q = -4 coefficient starting from zero, where
 the spectrum is stationary) are reported as unidentifiable with infinite
 error rather than silently inverted.
 
-How each fit evaluates.  The engine hands its model evaluations to an
-evaluator in batches: a Jacobian's probes, and the trials after an
-iteration's first one is rejected.  ``fit_b`` evaluates two at a time, on
-the calling thread and one worker thread: each central-difference probe
-pair, and after a rejected trial the next two, at mu and 10 mu.  Its
-evaluation is mostly a 136-dim ``eigh``, which releases the GIL: a pair
-takes 5.4-6.5 ms where two in turn take 7.8 ms (median of 200 pairs,
-OpenBLAS 0.3.31 on one thread, 2-core Xeon).  ``fit_cf_aj`` and
-``fit_peaks`` evaluate each Jacobian as a stack (``_evaluate_stacked``):
-their evaluations are small and hold the GIL, so a second thread made a
-``fit_cf_aj`` fit 1.9x slower (81.5 against 42.6 ms), but most of their time
-is per-point overhead.  ``fit_cf_aj`` solves its twelve CF probes with one
-``cf_level_stack`` call, and its two a_j probes reuse the solve at x;
-``fit_peaks`` sums every probe's profiles over one (probes, grid) array.
-Both CF predictors read a solved point's levels as LevelArrays (energies,
-<J_z>), never as CFLevel objects.
-On the same machine a ``fit_cf_aj`` fit of perfbench's refine inputs took
-16.3 ms against 33.9 ms one point at a time, and the eight doublet fits of
-one input 8.3 against 10.6 ms (medians of 5 alternated runs of 16 inputs).
-Their trials are evaluated one at a time.  Results are read in the
-sequential order, ``fun`` is called once per point, and a trial the
-sequential loop would not have made is discarded with any exception it
-raised, so every fit returns or raises exactly what one evaluation at a
-time gives.
+How each fit evaluates.  The engine takes one kind of model, a batch
+model: it gets a list of points and returns each point's residuals, or the
+exception that point raises, in its place.  The engine fixes the batches
+(each Jacobian's probes; an iteration's first trial alone, and after a
+rejected first trial the next two) and raises a point's exception only when
+it reaches that point.  A trial the sequential loop would not have made is
+discarded with any exception it raised, so every fit returns or raises
+exactly what one evaluation at a time gives, and each fit's speed lies in
+its own model.  ``fit_b``'s (``_two_wide``) evaluates a batch's first point
+on the calling thread and the rest on one worker thread.  Its evaluation is
+mostly a 136-dim ``eigh``, which releases the GIL: a pair takes 5.4-6.5 ms
+where two in turn take 7.8 ms (median of 200 pairs, OpenBLAS 0.3.31 on one
+thread, 2-core Xeon).  ``fit_cf_aj``'s and ``fit_peaks``' models evaluate a
+batch as one stack: their evaluations are small and hold the GIL, so a
+second thread made a ``fit_cf_aj`` fit 1.9x slower (81.5 against 42.6 ms),
+but most of their time is per-point overhead.  ``fit_cf_aj`` solves a
+batch's distinct CF points with one ``cf_level_stack`` call, and
+``fit_peaks`` sums a batch's profiles over one (points, grid) array.  Both
+CF predictors read a solved point's levels as LevelArrays (energies,
+<J_z>), never as CFLevel objects.  On the same machine a ``fit_cf_aj`` fit
+of perfbench's refine inputs took 16.3 ms against 33.9 ms one point at a
+time, and the eight doublet fits of one input 8.3 against 10.6 ms (medians
+of 5 alternated runs of 16 inputs).
 """
 
 import contextvars
 from dataclasses import dataclass
-from itertools import chain, islice
 
 import numpy as np
 from numpy.typing import NDArray
 
 from .angular import SpinSystem
 from .datasets import ROW_KINDS, DatasetError, ObservationRow, TransitionDataset
-from .hamiltonian import CF_COEFFICIENTS, CFParameters, HyperfineConstants, SymmetryError, _cf_point, cf_level_stack
+from .hamiltonian import CF_COEFFICIENTS, CFParameters, HyperfineConstants, LevelArrays, _cf_point, cf_level_stack
 
 #: free parameters of fit_cf_aj: every CF coefficient but the gauged b4m4, then a_j
 CF_AJ_PARAM_NAMES = tuple(name for name in CF_COEFFICIENTS if name != "b4m4") + ("a_j",)
@@ -121,57 +119,57 @@ class LSQSolution:
     x_scale: NDArray[np.float64]
 
 
-def _evaluate_two_wide(pool):
-    """An evaluator that takes ``points`` two at a time: the first on the
-    calling thread, the second on ``pool``'s one worker, in a copy of the
-    caller's context (which holds numpy's errstate).  Both finish before
-    either result is handed out, so a caller that stops asking leaves no
-    evaluation running, and an exception is raised only when the result it
-    belongs to is asked for; the first of a pair raises only after the
-    second has finished."""
+def _outcome(fun, *args):
+    """``fun(*args)``, or the exception it raises, handed back and not raised."""
+    try:
+        return fun(*args)
+    except Exception as exc:  # a point's refusal goes back in its place; the engine raises it there
+        return exc
 
-    def evaluate(fun, points):
-        points = iter(points)
-        for first in points:
-            if (second := next(points, None)) is None:
-                yield fun(first)
-                return
-            pending = pool.submit(contextvars.copy_context().run, fun, second)
-            try:
-                value = fun(first)
-            finally:
-                pending.exception()  # waits for the second, raising nothing
-            yield value
-            yield pending.result()
+
+def _then(fun, outcomes):
+    """``fun`` at each outcome that is a value, its outcome in its place; an
+    exception stays as it is."""
+    return [outcome if isinstance(outcome, Exception) else _outcome(fun, outcome) for outcome in outcomes]
+
+
+def _value(outcome):
+    """A point's value, or raise the exception that is its outcome."""
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
+
+
+def _each(fun):
+    """The batch model of a function of one point: ``fun`` at each point in
+    turn, each point's exception in its place."""
+    return lambda points: [_outcome(fun, x) for x in points]
+
+
+def _two_wide(one, pool):
+    """The batch model of ``one`` that evaluates a batch's first point on the
+    calling thread and the rest on ``pool``'s worker, in a copy of the
+    caller's context (which holds numpy's errstate).  Every point has
+    finished when the batch returns, so no evaluation outlives it."""
+
+    def evaluate(points):
+        if len(points) == 1:
+            return [_outcome(one, points[0])]
+        rest = pool.submit(contextvars.copy_context().run, _each(one), points[1:])
+        return [_outcome(one, points[0]), *rest.result()]
 
     return evaluate
 
 
-def _evaluate_stacked(hold):
-    """An evaluator that hands each Jacobian's probes, a list of points, to
-    ``hold`` and then calls ``fun`` at each probe in order; a batch of trials,
-    an iterator of damping values, is mapped one at a time as it is asked
-    for.  ``hold`` evaluates the model at every probe as one stack and keeps
-    each point's value, or the exception it raises, for ``fun`` to read:
-    ``fun`` is still called once per point, so an exception surfaces where
-    one evaluation at a time meets it."""
-
-    def evaluate(fun, points):
-        if isinstance(points, list):
-            hold(points)
-        return map(fun, points)
-
-    return evaluate
-
-
-def numerical_jacobian(fun, x, x_scale, bounds=(-np.inf, np.inf), evaluate=map):
-    """Central-difference Jacobian of a residual vector function.
+def numerical_jacobian(fun, x, x_scale, bounds=(-np.inf, np.inf)):
+    """Central-difference Jacobian of a batch model of residual vectors; see
+    ``damped_least_squares``.
 
     A probe that would leave ``bounds`` = (lo, hi) stops at the bound, and
     its column divides by the distance actually probed; a column whose two
     probes lie inside is the central difference over 2h.  The probes go to
-    ``evaluate`` as one batch, a list, each column's + probe before its -
-    probe.
+    ``fun`` as one batch, each column's + probe before its - probe, and the
+    first exception among them, in that order, is raised.
     """
     x = np.asarray(x, dtype=float)
     lo, hi = (np.broadcast_to(b, x.shape) for b in bounds)
@@ -188,37 +186,48 @@ def numerical_jacobian(fun, x, x_scale, bounds=(-np.inf, np.inf), evaluate=map):
             width = xp[k] - xm[k]
         probes += [xp, xm]
         widths.append(width)
-    values = evaluate(fun, probes)
-    return np.array([(next(values) - next(values)) / width for width in widths]).T
+    values = iter(fun(probes))
+    return np.array([(_value(next(values)) - _value(next(values))) / width for width in widths]).T
 
 
-def _damped_trial(fun, x, r, normal, gradient, damping, bounds):
-    """The trial at one damping mu: (mu, x_new, r_new), or (mu, None, None)
-    where the damped normal matrix is singular.  A step that rounds onto x
-    takes x's residuals, since the model is a function of x alone."""
-
-    def trial(mu):
-        try:
-            step = np.linalg.solve(normal + mu * np.diag(damping), -gradient)
-        except np.linalg.LinAlgError:
-            return mu, None, None
-        x_new = np.clip(x + step, *bounds)
-        if x_new.tobytes() == x.tobytes():
-            return mu, x_new, r
-        return mu, x_new, np.asarray(fun(x_new), dtype=float)
-
-    return trial
-
-
-def _damping_ladder(mu):
-    """mu, 10 mu, 100 mu, ... below 1e16."""
+def _trials(fun, x, r, normal, gradient, damping, bounds, mu):
+    """(mu, x_new, r_new) at mu, 10 mu, 100 mu, ... below 1e16, in order.
+    They are evaluated in batches of ``fun``: mu alone, since most
+    iterations accept it, then two at a time.  A singular damped normal
+    matrix gives no trial, and a step that rounds onto x takes x's
+    residuals, since the model is a function of x alone.  A trial's
+    exception is raised when its trial is reached."""
+    ladder = []
     while mu < 1e16:
-        yield mu
+        ladder.append(mu)
         mu *= 10.0
+    for batch in (ladder[:1], *(ladder[k:k + 2] for k in range(1, len(ladder), 2))):
+        steps = []
+        for mu in batch:
+            try:
+                step = np.linalg.solve(normal + mu * np.diag(damping), -gradient)
+            except np.linalg.LinAlgError:
+                continue
+            steps.append((mu, np.clip(x + step, *bounds)))
+        new = [x_new for _, x_new in steps if x_new.tobytes() != x.tobytes()]
+        values = iter(fun(new) if new else ())
+        for mu, x_new in steps:
+            moved = x_new.tobytes() != x.tobytes()
+            yield mu, x_new, np.asarray(_value(next(values)), dtype=float) if moved else r
 
 
-def damped_least_squares(fun, x0, x_scale, bounds=(-np.inf, np.inf), evaluate=map) -> LSQSolution:
-    """Minimize |fun(x)|^2 by damped Gauss-Newton iteration.
+def damped_least_squares(fun, x0, x_scale, bounds=(-np.inf, np.inf)) -> LSQSolution:
+    """Minimize |r(x)|^2 by damped Gauss-Newton iteration.
+
+    ``fun`` is a batch model: ``fun(points)`` gets a list of points and
+    returns, in order, each point's residual vector r, or the exception
+    evaluating that point raises, in its place and not raised.  The engine
+    raises a point's exception only when it reaches that point, and fixes
+    the batches itself: the start alone, each Jacobian's probes, an
+    iteration's first trial alone and, after a rejected first trial, the
+    next two at a time.  The first accepted trial ends its batch, and the
+    rest of the batch is discarded with any exception it holds, so a fit
+    returns or raises exactly what one evaluation at a time gives.
 
     The normal matrix is damped with mu * diag(J^T J) (floored so that flat
     directions stay regular); mu shrinks by 10 on an accepted step and grows
@@ -234,23 +243,15 @@ def damped_least_squares(fun, x0, x_scale, bounds=(-np.inf, np.inf), evaluate=ma
     ``MAX_ITERATIONS`` iterations or when no downhill step exists while the
     gradient is still large.
 
-    ``evaluate(fun, points)`` yields ``fun`` at each point in order; the
-    default, ``map``, evaluates one at a time, each when its result is asked
-    for.  It gets each Jacobian's probes as one batch, a list of points, an
-    iteration's first trial alone, and the trials after a rejected first
-    one, mu after mu, as a second batch; a trial batch is an iterator of
-    damping values, each made into its point only when asked for.  An
-    evaluator may work ahead within a batch; the results are read in order
-    and the first accepted trial ends the batch, so the fit, its exceptions
-    included, is the same whatever evaluator runs it.
-    ``fun`` must be a function of x alone: a trial that rounds onto the
-    current x reuses its residuals, and the final Jacobian, where x has not
-    moved since the last one, reuses it.
+    r must be a function of x alone: a trial that rounds onto the current x
+    reuses its residuals, and the final Jacobian, where x has not moved
+    since the last one, reuses it.
     """
     x = np.asarray(x0, dtype=float).copy()
     x_scale = np.asarray(x_scale, dtype=float)
 
-    r = np.asarray(fun(x), dtype=float)
+    (start,) = fun([x])
+    r = np.asarray(_value(start), dtype=float)
     if not np.all(np.isfinite(r)):
         raise ValueError("residuals are not finite at the starting point")
     chi2 = float(r @ r)
@@ -258,20 +259,15 @@ def damped_least_squares(fun, x0, x_scale, bounds=(-np.inf, np.inf), evaluate=ma
     mu = 1e-3
 
     for iteration in range(1, MAX_ITERATIONS + 1):
-        jac, jac_x = numerical_jacobian(fun, x, x_scale, bounds, evaluate), x
+        jac, jac_x = numerical_jacobian(fun, x, x_scale, bounds), x
         gradient = jac.T @ r
         normal = jac.T @ jac
         diag = np.diag(normal)
         damping = np.maximum(diag, 1e-14 * max(float(diag.max()), 1e-300))
 
         grad_scale = float(np.max(np.abs(gradient) * x_scale))
-        trial = _damped_trial(fun, x, r, normal, gradient, damping, bounds)
-        ladder = _damping_ladder(mu)
         accepted = False
-        # the first trial alone, since most iterations accept it
-        for mu_trial, x_new, r_new in chain(evaluate(trial, islice(ladder, 1)), evaluate(trial, ladder)):
-            if x_new is None:
-                continue
+        for mu_trial, x_new, r_new in _trials(fun, x, r, normal, gradient, damping, bounds, mu):
             chi2_new = float(r_new @ r_new)
             if chi2_new <= chi2:
                 drop = (chi2 - chi2_new) / max(chi2, 1e-300)
@@ -294,7 +290,7 @@ def damped_least_squares(fun, x0, x_scale, bounds=(-np.inf, np.inf), evaluate=ma
         raise ConvergenceError(f"iteration cap {MAX_ITERATIONS} exceeded")
 
     if x.tobytes() != jac_x.tobytes():
-        jac = numerical_jacobian(fun, x, x_scale, bounds, evaluate)
+        jac = numerical_jacobian(fun, x, x_scale, bounds)
     return LSQSolution(x, chi2, jac, iteration, tuple(history), x_scale.copy())
 
 
@@ -382,20 +378,20 @@ def predict_lines_first_order(
     plain CF energy difference (the first-order shift averages out over m_z);
     moment rows as jz of the requested level.
     """
-    return _first_order_predictor(rows, system)(params, a_j)
+    return _value(_first_order_predictor(rows, system)([(params, a_j)])[0])
 
 
 def _first_order_predictor(rows: list[ObservationRow], system: SpinSystem):
-    """predict_lines_first_order as a function of (params, a_j).
+    """predict_lines_first_order as a batch model: it gets a list of
+    (params, a_j) points, or exceptions in their place, and returns each
+    point's predictions, or its exception, in order.
 
-    Each row's levels are indexed, and its m_z checked, once; at each point
-    only the rows' highest level index is compared with the point's number
-    of levels, and a refusal names the first failing row as
-    ``_check_level_range`` does.  ``predict.hold(points)`` solves the CF
-    points among ``points`` that it does not hold as one stack
-    (``cf_level_stack``), and then holds exactly those points; a point asked
-    for but not held is solved alone, and held.  A held refusal is raised
-    when its point is asked for.
+    A batch's distinct CF points are solved as one stack
+    (``cf_level_stack``); nothing is remembered between batches.  Each row's
+    levels are indexed, and its m_z checked, once; at each point only the
+    rows' highest level index is compared with the point's number of
+    levels, and a refusal names the first failing row as
+    ``_check_level_range`` does.
     """
     init = np.array([row.n_init - 1 for row in rows], dtype=int)
     final = np.array([row.n_init - 1 if row.n_final is None else row.n_final - 1 for row in rows], dtype=int)
@@ -405,22 +401,8 @@ def _first_order_predictor(rows: list[ObservationRow], system: SpinSystem):
     top = max((max(row.n_init, row.n_final or 0) for row in rows), default=0)
     # every point refuses the first row with a bad m_z, or a row before it
     bad_m_z = next((k for k, row in enumerate(rows) if _not_a_projection(row, system.i)), len(rows))
-    held = {}
 
-    def hold(points: list[CFParameters]) -> None:
-        new = [p for p in dict.fromkeys(points) if p not in held]
-        keep = {p: held[p] for p in points if p in held}
-        if new:
-            keep.update(zip(new, cf_level_stack(new, system)))
-        held.clear()
-        held.update(keep)
-
-    def predict(params: CFParameters, a_j: float) -> NDArray[np.float64]:
-        if params not in held:
-            hold([params])
-        levels = held[params]
-        if isinstance(levels, SymmetryError):
-            raise levels
+    def lines(levels: LevelArrays, a_j: float) -> NDArray[np.float64]:
         energy, jz = levels.energy, levels.jz
         if top > len(energy) or bad_m_z < len(rows):
             _check_level_range(rows[: bad_m_z + 1], len(energy), system.i)
@@ -429,7 +411,11 @@ def _first_order_predictor(rows: list[ObservationRow], system: SpinSystem):
         out[moment] = jz[init[moment]]
         return out
 
-    predict.hold = hold
+    def predict(points: list) -> list:
+        distinct = list(dict.fromkeys(point[0] for point in points if not isinstance(point, Exception)))
+        solved = dict(zip(distinct, cf_level_stack(distinct, system) if distinct else []))
+        return _then(lambda point: lines(_value(solved[point[0]]), point[1]), points)
+
     return predict
 
 
@@ -449,13 +435,9 @@ def fit_cf_aj(
     full0 = dict(initial.items(), a_j=initial_aj)
     values = np.array([full0[n] for n in CF_AJ_PARAM_NAMES])
 
-    at_point = _first_order_predictor(dataset.rows, system)
-    predict = lambda x: at_point(*_cf_aj_point(x, initial))
-    hold = lambda points: at_point.hold([_cf_aj_point(x, initial)[0] for x in points])
-
-    return _weighted_fit(
-        CF_AJ_PARAM_NAMES, dataset.rows, predict, values, np.maximum(np.abs(values), 1e-8), _evaluate_stacked(hold)
-    )
+    at_points = _first_order_predictor(dataset.rows, system)
+    predict = lambda points: at_points([_outcome(_cf_aj_point, x, initial) for x in points])
+    return _weighted_fit(CF_AJ_PARAM_NAMES, dataset.rows, predict, values, np.maximum(np.abs(values), 1e-8))
 
 
 def _cf_aj_point(x: NDArray[np.float64], template: CFParameters) -> tuple[CFParameters, float]:
@@ -531,9 +513,9 @@ def fit_b(
     full electron-nuclear Hamiltonian at the held point and gathers the rows
     from its label energies; see ``predict_lines_exact``.
 
-    The evaluations run two at a time, on the calling thread and on one
-    worker thread that ends with the fit (see the module docstring); the
-    result is the same as from one evaluation at a time.
+    Each batch of evaluations runs on the calling thread and one worker
+    thread that ends with the fit (``_two_wide``; see the module docstring);
+    the result is the same as from one evaluation at a time.
     """
     _check_enough_rows(len(dataset.rows), 1, "rows")
     predict = _exact_predictor(params, dataset.rows, system)
@@ -541,10 +523,8 @@ def fit_b(
     from concurrent.futures import ThreadPoolExecutor  # only fit_b needs it: kept off the import path
 
     with ThreadPoolExecutor(max_workers=1) as pool:
-        return _weighted_fit(
-            ("b_quad",), dataset.rows, at_b, np.array([initial_b]), np.array([max(abs(initial_b), 1e-3)]),
-            _evaluate_two_wide(pool),
-        )
+        return _weighted_fit(("b_quad",), dataset.rows, _two_wide(at_b, pool),
+                             np.array([initial_b]), np.array([max(abs(initial_b), 1e-3)]))
 
 
 def _weighted_fit(
@@ -553,23 +533,25 @@ def _weighted_fit(
     predict,
     x0: NDArray[np.float64],
     x_scale: NDArray[np.float64],
-    evaluate=map,
 ) -> FitResult:
-    """Fit ``predict(x)`` to the rows' values by ``damped_least_squares``,
-    each residual weighted by the row's 1/sigma."""
+    """Fit the batch model ``predict``, the rows' predicted values at each
+    point, to the rows' values by ``damped_least_squares``, each residual
+    weighted by the row's 1/sigma."""
     data = np.array([row.value for row in rows])
     sigmas = np.array([row.sigma for row in rows])
-    solution = damped_least_squares(lambda x: (data - predict(x)) / sigmas, x0, x_scale=x_scale, evaluate=evaluate)
+    residuals = lambda points: _then(lambda predicted: (data - predicted) / sigmas, predict(points))
+    solution = damped_least_squares(residuals, x0, x_scale=x_scale)
     return _build_result(names, solution, len(rows))
 
 
 def fit_refractive(points: NDArray[np.float64]) -> FitResult:
     """Least-squares fit of n(nu) = a/(nu - nu0) + c by variable projection.
 
-    ``points`` has columns (nu, n) or (nu, n, sigma).  At a fixed pole the
-    model is linear in a and c, which one weighted linear solve gives; what
-    is left is the profile chi^2(nu0) (Golub & Pereyra 1973).  On each side of
-    the data it is scanned at ``POLE_SCAN_POINTS`` distances from the nearest
+    ``points`` has columns (nu, n) or (nu, n, sigma); a row with a
+    non-finite entry or a sigma that is not positive is refused, with its
+    index, before any solve.  At a fixed pole the model is linear in a and
+    c, which one weighted linear solve gives; what is left is the profile
+    chi^2(nu0) (Golub & Pereyra 1973).  On each side of the data it is scanned at ``POLE_SCAN_POINTS`` distances from the nearest
     data point, log-spaced over ``POLE_RANGE`` times the data span, and the
     best scan bracket is refined by ``GOLDEN_STEPS`` golden-section steps; the
     side with the lower chi^2 wins.  ``n_iter`` is the number of
@@ -582,6 +564,9 @@ def fit_refractive(points: NDArray[np.float64]) -> FitResult:
     _check_enough_rows(points.shape[0], 3, "points")
     nu = points[:, 0]
     sigmas = points[:, 2] if points.shape[1] == 3 else np.ones_like(nu)
+    if (bad := np.flatnonzero(~np.all(np.isfinite(points), axis=1) | ~(sigmas > 0))).size:
+        row = points[bad[0]].tolist()
+        raise DatasetError(f"row {bad[0]}: nu, n and sigma must be finite and sigma positive, got {row}")
     y = points[:, 1] / sigmas
     if (distinct := np.unique(nu).size) < 3:
         raise DatasetError(f"{distinct} distinct frequencies cannot place a pole (need 3)")

@@ -114,7 +114,10 @@ def _not_finite_real(value: object) -> str:
     the Hamiltonian non-Hermitian."""
     if not isinstance(value, numbers.Real):
         return "real"
-    return "" if math.isfinite(value) else "finite"
+    try:
+        return "" if math.isfinite(value) else "finite"
+    except OverflowError:  # an integer, or a fraction, beyond the float range
+        return "finite"
 
 
 @dataclass(frozen=True)
@@ -167,20 +170,14 @@ def build_cf_hamiltonian(params: CFParameters, system: SpinSystem) -> OperatorMa
 
 def _cf_matrices(points: list[CFParameters], system: SpinSystem) -> NDArray[np.complex128]:
     """H_CF at each point, as a (points, 2j+1, 2j+1) stack.  Each matrix is
-    summed from zero, B_k^q O_k^q in SUPPORTED_STEVENS order, and a zero
-    coefficient is skipped in that matrix alone, so every matrix holds the
-    bits a stack of one gives."""
+    summed from zero, B_k^q O_k^q in SUPPORTED_STEVENS order.  A zero
+    coefficient adds only +-0.0, and a sum that starts from +0.0 never holds
+    -0.0, so every matrix holds the bits a stack of one gives."""
     dim = system.dim_j
     mats = np.zeros((len(points), dim, dim), dtype=complex)
     coefficients = np.array([[getattr(p, name) for name in CF_COEFFICIENTS] for p in points])
-    nonzero = coefficients != 0.0
-    terms = zip(SUPPORTED_STEVENS, coefficients.T[:, :, None, None], nonzero.T,
-                nonzero.all(axis=0).tolist(), nonzero.any(axis=0).tolist())
-    for (k, q), values, at, everywhere, somewhere in terms:
-        if everywhere:
-            mats = mats + values * build_stevens(k, q, system.j).matrix
-        elif somewhere:
-            mats[at] = mats[at] + values[at] * build_stevens(k, q, system.j).matrix
+    for (k, q), values in zip(SUPPORTED_STEVENS, coefficients.T[:, :, None, None]):
+        mats = mats + values * build_stevens(k, q, system.j).matrix
     return mats
 
 

@@ -157,8 +157,11 @@ def transition_lines(
     (-sigma_i, -sigma_f, -m_z) have identical energy; only the canonical
     member of each pair is returned, carrying its branch pair.  When
     ``weights`` (from ``boltzmann_weights``) is given, each line carries the
-    summed occupation of its merged initial states.
+    summed occupation of its merged initial states.  A level to itself
+    raises ValueError.
     """
+    if n_init == n_final:
+        raise ValueError(f"a transition joins two levels, got level {n_init} to itself")
     init = {(h.sigma, h.m_z): h for h in levels_hf if h.n == n_init}
     final = {(h.sigma, h.m_z): h for h in levels_hf if h.n == n_final}
     if not init or not final:
@@ -212,8 +215,6 @@ def synthesize(
     grid = np.asarray(grid, dtype=float)
     if grid.size == 0:
         raise ValueError("grid must be nonempty")
-    if not shape.fwhm > 0:
-        raise ValueError(f"fwhm must be positive, got {shape.fwhm}")
     windowed = shape.shape == "gaussian" and 1e-150 < shape.fwhm < 1e150
     reach = shape.fwhm * GAUSSIAN_REACH if windowed else math.inf
     peaks = []

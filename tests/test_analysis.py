@@ -238,7 +238,7 @@ def test_peak_fit_nonconvergence_reported(monkeypatch):
 
 
 def test_residual_history_monotone():
-    from hfspec.fitting import damped_least_squares
+    from hfspec.fitting import _each, damped_least_squares
 
     grid = np.arange(0.0, 1.0, 0.005)
     signal = PeakModel("gaussian", 0.52, 0.07, 1.3).profile(grid)
@@ -248,7 +248,7 @@ def test_residual_history_monotone():
 
     bounds = (np.array([0.0, 0.0, 1e-4]), np.array([1.0, np.inf, 1.0]))
     x0 = np.array([0.4, 1.0, 0.1])
-    solution = damped_least_squares(residual, x0, x_scale=x0, bounds=bounds)
+    solution = damped_least_squares(_each(residual), x0, x_scale=x0, bounds=bounds)
     history = np.array(solution.chi2_history)
     assert np.all(np.diff(history) <= 0)
 
@@ -302,7 +302,7 @@ def test_peak_covariance_scales_by_chi2_over_n_minus_3():
     def residual(p):
         return signal - PeakModel("gaussian", p[0], p[2], p[1]).profile(grid)
 
-    jac = fitting.numerical_jacobian(residual, x, np.abs(x))
+    jac = fitting.numerical_jacobian(fitting._each(residual), x, np.abs(x))
     chi2 = float(np.sum(residual(x) ** 2))
     expected = chi2 / (grid.size - 3) * np.linalg.inv(jac.T @ jac)
     np.testing.assert_allclose(np.diag(cov), np.diag(expected), rtol=1e-3)

@@ -123,6 +123,12 @@ def test_observation_row_validation():
             ObservationRow("hf", 1, 2, m_z, 0.0, 1.0)
 
 
+@pytest.mark.parametrize("value", [float("nan"), np.inf, -np.inf, 10**400], ids=["nan", "inf", "minus-inf", "huge-int"])
+def test_observation_row_refuses_a_non_finite_value(value):
+    with pytest.raises(ValueError, match=rf"row value must be finite, got {value}"):
+        ObservationRow("hf", 1, 2, 0.5, value, 0.01)
+
+
 @pytest.mark.parametrize(
     "kind, n_init, n_final, m_z",
     [("moment", 0, None, None), ("hf", 0, 2, 0.5), ("hf", 1, 0, 0.5), ("cf", 1, -3, None)],
@@ -179,7 +185,7 @@ def test_jacobian_of_quadratic():
     def f(x):
         return np.array([x[0] ** 2 + 3 * x[1], x[1] ** 2])
 
-    jac = numerical_jacobian(f, np.array([2.0, 5.0]), np.array([1.0, 1.0]))
+    jac = numerical_jacobian(fitting._each(f), np.array([2.0, 5.0]), np.array([1.0, 1.0]))
     assert np.allclose(jac, [[4.0, 3.0], [0.0, 10.0]], atol=1e-6)
 
 
@@ -189,7 +195,7 @@ def test_engine_handles_flat_direction():
         return np.array([x[0] - 3.0, 2.0 * (x[0] - 3.0)])
 
     x0 = np.array([10.0, 7.0])
-    solution = damped_least_squares(f, x0, x_scale=x0)
+    solution = damped_least_squares(fitting._each(f), x0, x_scale=x0)
     assert solution.x[0] == pytest.approx(3.0, abs=1e-9)
     assert solution.x[1] == pytest.approx(7.0, abs=1e-12)
     cov, errors, null_mask = covariance_from_jacobian(solution.jacobian, solution.x_scale)
@@ -204,14 +210,14 @@ def test_engine_rejects_a_step_to_non_finite_residuals():
     def f(x):
         return np.array([x[0] - 3.0, np.nan if x[0] > 3.5 else 0.0, np.inf if x[0] < -1.0 else 0.0])
 
-    solution = damped_least_squares(f, np.array([-0.5]), x_scale=np.array([1.0]))
+    solution = damped_least_squares(fitting._each(f), np.array([-0.5]), x_scale=np.array([1.0]))
     assert solution.x[0] == pytest.approx(3.0, abs=1e-9)
     assert np.all(np.diff(solution.chi2_history) <= 0)
 
 
 def test_engine_refuses_a_non_finite_start():
     with pytest.raises(ValueError, match="residuals are not finite at the starting point"):
-        damped_least_squares(lambda x: np.array([x[0], np.nan]), np.array([1.0]), x_scale=np.array([1.0]))
+        damped_least_squares(fitting._each(lambda x: np.array([x[0], np.nan])), np.array([1.0]), x_scale=np.array([1.0]))
 
 
 def test_engine_iteration_cap(monkeypatch):
@@ -222,7 +228,7 @@ def test_engine_iteration_cap(monkeypatch):
         return np.array([np.exp(-x[0] * 0.001) - 0.5])
 
     with pytest.raises(ConvergenceError, match="iteration cap 2 exceeded"):
-        damped_least_squares(f, np.array([0.0]), x_scale=np.array([1.0]))
+        damped_least_squares(fitting._each(f), np.array([0.0]), x_scale=np.array([1.0]))
 
 
 def test_engine_stops_only_where_the_gradient_vanishes():
@@ -236,9 +242,9 @@ def test_engine_stops_only_where_the_gradient_vanishes():
         return lambda x: np.array([1.0 + abs(x[0]) + g * x[0]])
 
     with pytest.raises(ConvergenceError, match="no downhill step"):
-        damped_least_squares(residual(1e-4), np.array([0.0]), x_scale=np.array([1.0]))
+        damped_least_squares(fitting._each(residual(1e-4)), np.array([0.0]), x_scale=np.array([1.0]))
     for g in (0.0, 5e-9):
-        solution = damped_least_squares(residual(g), np.array([0.0]), x_scale=np.array([1.0]))
+        solution = damped_least_squares(fitting._each(residual(g)), np.array([0.0]), x_scale=np.array([1.0]))
         assert solution.x[0] == 0.0
 
 
@@ -302,7 +308,7 @@ def test_gradient_small_at_optimum(cf_params, system):
         return (data - predicted) / sigmas
 
     r = weighted_residual(x0)
-    jac = numerical_jacobian(weighted_residual, x0, np.maximum(np.abs(x0), 1e-8))
+    jac = numerical_jacobian(fitting._each(weighted_residual), x0, np.maximum(np.abs(x0), 1e-8))
     for k, name in enumerate(free):
         column_norm = np.linalg.norm(jac[:, k])
         if column_norm == 0.0:
@@ -331,7 +337,7 @@ def test_linearized_covariance_against_ensemble(cf_params, system):
         return (data - predicted) / sigmas
 
     scale = np.maximum(np.abs(x0), 1e-8)
-    jac = numerical_jacobian(weighted_residual, x0, scale)
+    jac = numerical_jacobian(fitting._each(weighted_residual), x0, scale)
     # linearized estimator in scaled parameter space, where the normal matrix
     # is well conditioned
     gain = scale[:, None] * np.linalg.pinv(jac * scale)
@@ -424,8 +430,8 @@ def test_fit_b_branch_convention_insensitive(cf_params, hyperfine, system, hf_le
 # ------------------------------------------- two-wide fit_b, sequential oracle
 
 def _sequential_jacobian(fun, x, x_scale, bounds=(-np.inf, np.inf), log=None):
-    """Reference: ``numerical_jacobian`` as it was before it took an
-    evaluator, each probe evaluated where the loop reaches it."""
+    """Reference: ``numerical_jacobian`` over a function of one point, each
+    probe evaluated where the loop reaches it."""
     x = np.asarray(x, dtype=float)
     lo, hi = (np.broadcast_to(b, x.shape) for b in bounds)
     columns = []
@@ -446,8 +452,8 @@ def _sequential_jacobian(fun, x, x_scale, bounds=(-np.inf, np.inf), log=None):
 
 
 def _sequential_lsq(fun, x0, x_scale, bounds=(-np.inf, np.inf), log=None):
-    """Reference: ``damped_least_squares`` as it was before it took an
-    evaluator, one evaluation at a time, each where the loop first needs it,
+    """Reference: ``damped_least_squares`` over a function of one point, one
+    evaluation at a time, each where the loop first needs it,
     and again wherever a point comes back.  ``log`` collects ("t", trial)
     and ("J", probe) in evaluation order."""
     x = np.asarray(x0, dtype=float).copy()
@@ -506,9 +512,9 @@ def _sequential_lsq(fun, x0, x_scale, bounds=(-np.inf, np.inf), log=None):
 
 
 def _two_wide_lsq(fun, x0, x_scale, bounds=(-np.inf, np.inf)):
-    """damped_least_squares with the evaluator that fit_b uses."""
+    """damped_least_squares over ``fun`` as fit_b evaluates it, two wide."""
     with ThreadPoolExecutor(max_workers=1) as pool:
-        return damped_least_squares(fun, x0, x_scale, bounds, evaluate=fitting._evaluate_two_wide(pool))
+        return damped_least_squares(fitting._two_wide(fun, pool), x0, x_scale, bounds)
 
 
 def _outcome(run, *args):
@@ -650,7 +656,7 @@ def test_a_bounded_fit_matches_the_sequential_loop(two_wide):
     """Bounds that clip both the trials and the Jacobian probes near the foot."""
     fun, x0, x_scale = LONG_REJECTIONS
     bounds = (np.array([3.0 + 2e-7]), np.array([41.0]))
-    engine = _two_wide_lsq if two_wide else damped_least_squares
+    engine = _two_wide_lsq if two_wide else _stacked_lsq
     _assert_same(engine(fun, x0, x_scale, bounds), _sequential_lsq(fun, x0, x_scale, bounds))
 
 
@@ -661,10 +667,9 @@ def test_fit_cf_aj_matches_the_sequential_loop(monkeypatch, cf_params, system):
     start = perturbed(cf_params, 1.05)
     fit_cf_aj(dataset, start, A_J_REF * 1.05, system)
 
-    at_point = fitting._first_order_predictor(dataset.rows, system)
     data = np.array([row.value for row in dataset.rows])
     sigmas = np.array([row.sigma for row in dataset.rows])
-    residual = lambda x: (data - at_point(*fitting._cf_aj_point(x, start))) / sigmas
+    residual = lambda x: (data - predict_lines_first_order(*fitting._cf_aj_point(x, start), dataset.rows, system)) / sigmas
     x0 = np.array([getattr(start, name) for name in CF_AJ_PARAM_NAMES[:-1]] + [A_J_REF * 1.05])
     _assert_same(solutions[-1], _sequential_lsq(residual, x0, np.maximum(np.abs(x0), 1e-8)))
 
@@ -679,27 +684,10 @@ def _raising_at(fun, point):
 
 
 def _stacked_lsq(fun, x0, x_scale, bounds=(-np.inf, np.inf)):
-    """damped_least_squares with the evaluator that fit_cf_aj and fit_peaks
-    use, over a model that evaluates each Jacobian's probes ahead, all of
-    them, and holds each point's residuals or the exception it raised."""
-    held = {}
-
-    def hold(points):
-        held.clear()
-        for x in points:
-            try:
-                held[x.tobytes()] = fun(x)
-            except Exception as exc:  # held, to be raised where the loop meets it
-                held[x.tobytes()] = exc
-
-    def read(x):
-        if x.tobytes() not in held:
-            hold([x])
-        if isinstance(value := held[x.tobytes()], Exception):
-            raise value
-        return value
-
-    return damped_least_squares(read, x0, x_scale, bounds, evaluate=fitting._evaluate_stacked(hold))
+    """damped_least_squares over ``fun`` evaluated a whole batch ahead, as
+    fit_cf_aj and fit_peaks evaluate theirs: each point's residuals, or the
+    exception it raised, in its place."""
+    return damped_least_squares(fitting._each(fun), x0, x_scale, bounds)
 
 
 @pytest.mark.parametrize(
@@ -724,12 +712,10 @@ def test_an_exception_the_sequential_loop_meets_is_raised(role, engine):
 
 
 def _cf_aj_residual(dataset, start, system):
-    """fit_cf_aj's residual over a fresh predictor, which solves each point
-    alone."""
-    at_point = fitting._first_order_predictor(dataset.rows, system)
+    """fit_cf_aj's residual, each point solved alone."""
     data = np.array([row.value for row in dataset.rows])
     sigmas = np.array([row.sigma for row in dataset.rows])
-    return lambda x: (data - at_point(*fitting._cf_aj_point(x, start))) / sigmas
+    return lambda x: (data - predict_lines_first_order(*fitting._cf_aj_point(x, start), dataset.rows, system)) / sigmas
 
 
 def test_a_refusal_in_a_stack_is_raised_where_the_loop_meets_it(monkeypatch, cf_params, system):
@@ -757,14 +743,14 @@ def test_a_refusal_in_a_stack_is_raised_where_the_loop_meets_it(monkeypatch, cf_
 
 def test_fit_cf_aj_solves_each_jacobian_as_one_stack(monkeypatch, cf_params, system):
     """Each Jacobian's CF points go to one stacked solve: its twelve CF
-    probes, while its two a_j probes reuse the solve at x; a trial is
+    probes and x's CF point, which its two a_j probes share; a trial is
     solved alone."""
     sizes = []
     stack = fitting.cf_level_stack
     monkeypatch.setattr(fitting, "cf_level_stack", lambda points, system: sizes.append(len(points)) or stack(points, system))
     dataset = synthetic_cf_dataset(cf_params, A_J_REF, system, rng=np.random.default_rng(3))
     result = fit_cf_aj(dataset, perturbed(cf_params, 1.05), A_J_REF * 1.05, system)
-    jacobian = 2 * (len(CF_AJ_PARAM_NAMES) - 1)
+    jacobian = 2 * (len(CF_AJ_PARAM_NAMES) - 1) + 1
     assert set(sizes) == {1, jacobian}
     assert sizes.count(jacobian) >= result.n_iter
 
@@ -879,7 +865,7 @@ def test_no_point_is_evaluated_twice(g):
     the same solution."""
     fun = lambda x: np.array([1.0 + abs(x[0]) + g * x[0]])
     evaluated = []
-    got = damped_least_squares(lambda x: evaluated.append(x.tobytes()) or fun(x), np.array([0.0]), np.array([1.0]))
+    got = _stacked_lsq(lambda x: evaluated.append(x.tobytes()) or fun(x), np.array([0.0]), np.array([1.0]))
     _assert_same(got, _sequential_lsq(fun, np.array([0.0]), np.array([1.0])))
     log = []
     _sequential_lsq(fun, np.array([0.0]), np.array([1.0]), log=log)
@@ -928,6 +914,23 @@ def test_refractive_pole_inside_rejected():
         fit_refractive(data[:3])
     with pytest.raises(ValueError, match=r"points must have columns \(nu, n\[, sigma\]\)"):
         fit_refractive(data[:, :1])
+
+
+@pytest.mark.parametrize(
+    "k, column, bad",
+    [(2, 2, 0.0), (3, 2, -2e-3), (0, 2, np.nan), (1, 1, np.nan), (4, 0, np.inf), (30, 1, -np.inf)],
+    ids=["zero-sigma", "negative-sigma", "nan-sigma", "nan-n", "inf-nu", "minus-inf-n"],
+)
+def test_refractive_refuses_a_bad_row_before_solving(capfd, k, column, bad):
+    """A sigma that is not positive, or a non-finite nu, n or sigma, is
+    refused by its row before any solve, and LAPACK prints nothing."""
+    from hfspec.datasets import DatasetError
+
+    data = _refindex(0)
+    data[k, column] = bad
+    with pytest.raises(DatasetError, match=rf"^row {k}: nu, n and sigma must be finite and sigma positive"):
+        fit_refractive(data)
+    assert capfd.readouterr() == ("", "")
 
 
 def test_refractive_needs_three_distinct_frequencies():

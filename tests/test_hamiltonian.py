@@ -29,6 +29,31 @@ def test_single_term_linearity(system):
     assert np.array_equal(h.matrix, build_stevens(2, 0, system.j).matrix)
 
 
+def test_a_stack_of_h_cf_holds_the_bits_of_each_point(system):
+    """Every B_k^q O_k^q term is summed into every matrix of a stack, a zero
+    coefficient's too.  Over stacks that mix +-0.0 coefficients with
+    non-zero ones, b4m4 and b6m4 among them, each matrix holds the bits of
+    its point built alone, and of a sum of its non-zero terms alone."""
+    from hfspec.angular import SUPPORTED_STEVENS
+
+    rng = np.random.default_rng(36)
+    scale = np.array([0.3, 3e-3, 3e-2, 6e-6, 6e-4, 6e-4, 3e-2])
+    for _ in range(300):
+        points = []
+        for _ in range(int(rng.integers(1, 14))):
+            values = rng.standard_normal(7) * scale
+            values[rng.random(7) < 0.4] = 0.0
+            values[rng.random(7) < 0.2] = -0.0
+            points.append(CFParameters(**dict(zip(hamiltonian.CF_COEFFICIENTS, values.tolist()))))
+        stack = hamiltonian._cf_matrices(points, system)
+        for matrix, point in zip(stack, points, strict=True):
+            alone = np.zeros((system.dim_j, system.dim_j), dtype=complex)
+            for (k, q), value in zip(SUPPORTED_STEVENS, [value for _, value in point.items()]):
+                if value != 0.0:
+                    alone = alone + value * build_stevens(k, q, system.j).matrix
+            assert matrix.tobytes() == alone.tobytes() == build_cf_hamiltonian(point, system).matrix.tobytes()
+
+
 
 def test_one_coefficient_table():
     """CF_COEFFICIENTS names every CFParameters field once, in
@@ -250,8 +275,8 @@ def test_non_finite_couplings_refused():
         HyperfineConstants(0.02703, np.inf)
 
 
-@pytest.mark.parametrize("bad", [float("nan"), np.float64(np.inf), -np.inf, np.float32(np.nan)],
-                         ids=["python-nan", "numpy-inf", "minus-inf", "float32-nan"])
+@pytest.mark.parametrize("bad", [float("nan"), np.float64(np.inf), -np.inf, np.float32(np.nan), 10**400],
+                         ids=["python-nan", "numpy-inf", "minus-inf", "float32-nan", "int-beyond-float"])
 def test_every_non_finite_coupling_is_named(bad):
     with pytest.raises(ValueError, match=rf"CF parameter b6m4 must be finite, got {bad}"):
         CFParameters(-0.266, -0.00327, 0.0281, 5.74e-6, 5.6e-4, b6m4=bad)

@@ -69,6 +69,11 @@ def test_missing_level_rejected(hf_levels):
         transition_lines(hf_levels, 1, 99)
 
 
+def test_a_level_to_itself_is_no_transition(hf_levels):
+    with pytest.raises(ValueError, match="got level 2 to itself"):
+        transition_lines(hf_levels, 2, 2)
+
+
 def test_centroid_matches_correction_means(levels, hf_levels):
     # mean line energy = E2 - E1 + mean(correction difference); close to the
     # measured centroid 6.849 of the eight-line ladder
